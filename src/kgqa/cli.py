@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -11,6 +12,8 @@ from pathlib import Path
 from .gateway import CostLedger, cost_report, format_cost_report
 from .pipeline import (
     ABLATIONS,
+    STAGE_TABLE,
+    DatasetRecord,
     PipelineContext,
     RunConfig,
     StageError,
@@ -43,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log to stderr at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for stage in ("parse", "prune", "enrich", "answer", "eval"):
+    for stage in STAGE_TABLE:
         stage_parser = sub.add_parser(stage, help=f"run the {stage} stage")
         _add_common(stage_parser)
 
@@ -68,37 +71,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if getattr(args, "top_k", None) is not None:
-        config.top_k = args.top_k
-    if getattr(args, "temperature", None) is not None:
-        config.temperature = args.temperature
-    if getattr(args, "ablation", None) is not None:
-        config.ablation = args.ablation
-    if getattr(args, "workers", None) is not None:
-        config.workers = args.workers
-    return config
+    """The config file (or the defaults) with the flag overrides, validated as a whole."""
+    overrides = {
+        name: getattr(args, name)
+        for name in ("top_k", "temperature", "ablation", "workers")
+        if getattr(args, name, None) is not None
+    }
+    try:
+        config = RunConfig.from_file(args.config) if args.config else RunConfig()
+        return dataclasses.replace(config, **overrides)
+    except ValueError as exc:
+        raise StageError(f"invalid config: {exc}") from exc
+
+
+def _records(args: argparse.Namespace) -> list[DatasetRecord]:
+    if not args.dataset:
+        raise StageError("--dataset is required for this command")
+    return load_dataset(args.dataset)
 
 
 def _context(args: argparse.Namespace, config: RunConfig) -> PipelineContext:
-    if not args.dataset:
-        raise StageError("--dataset is required for this command")
-    return PipelineContext(config, args.stage_dir, load_dataset(args.dataset))
+    return PipelineContext(config, args.stage_dir, _records(args))
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.verbose:
         logging.basicConfig(level=logging.INFO, stream=sys.stderr)
-    config = _load_config(args)
     try:
-        if args.command in ("parse", "prune", "enrich", "answer", "eval"):
+        config = _load_config(args)
+        if args.command in STAGE_TABLE:
             ctx = _context(args, config)
             artifact = run_stage(args.command, ctx, resume=args.resume)
             ctx.save_state()
             print(f"{artifact.stage}: {artifact.processed} processed, {artifact.failed} failed -> {artifact.path}")
+            if artifact.failed and not artifact.processed:
+                print(f"error: stage {artifact.stage} failed every record it ran", file=sys.stderr)
+                return 1
         elif args.command == "run":
-            report, ledger = run_all(config, args.dataset, args.stage_dir, resume=args.resume)
+            records = _records(args)
+            report, ledger = run_all(config, records, args.stage_dir, resume=args.resume)
             print(json.dumps({
                 "hits1": report.hits1,
                 "f1": report.f1,
@@ -108,6 +120,9 @@ def main(argv: list[str] | None = None) -> int:
                 "n": report.n,
                 "calls": ledger.total_calls(),
             }, indent=2))
+            if records and "eval" in config.plan() and report.n == 0:
+                print("error: the report covers no record; see the errors directory", file=sys.stderr)
+                return 1
         elif args.command == "sweep-k":
             ctx = _context(args, config)
             ks = [int(k) for k in str(args.ks).split(",") if k.strip()]

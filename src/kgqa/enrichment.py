@@ -199,16 +199,19 @@ def associate_queries_via_provider(
     ]
 
 
-def _payload(pruned: PrunedGraph, payload_cap: int | None) -> list:
-    kept = list(pruned.kept)
-    if payload_cap is not None and payload_cap >= 0:
-        kept = kept[:payload_cap]
-    return kept
+def payload_triples(pruned: PrunedGraph, payload_cap: int | None) -> list:
+    """The kept triples carried into the enrichment prompts: the first
+    `payload_cap` in score order, or all of them when the cap is None."""
+    if payload_cap is None:
+        return list(pruned.kept)
+    if payload_cap < 1:
+        raise ValueError("payload_cap must be >= 1 (or None for no cap)")
+    return list(pruned.kept[:payload_cap])
 
 
 def payload_subgraph(pruned: PrunedGraph, payload_cap: int | None = None) -> KnowledgeGraph:
     """Kept triples (optionally capped), re-indexed in kept order for path extraction."""
-    kept = _payload(pruned, payload_cap)
+    kept = payload_triples(pruned, payload_cap)
     return KnowledgeGraph(
         [replace(st.triple, index=i) for i, st in enumerate(kept)]
     )
@@ -234,7 +237,7 @@ def filter_and_build_structural_prompt(
     if not pruned.kept:
         raise ValueError("pruned graph must be non-empty")
     quad_by_index = {q.triple.index: q for q in quads}
-    kept = _payload(pruned, payload_cap)
+    kept = payload_triples(pruned, payload_cap)
     try:
         payload_quads = [quad_by_index[st.triple.index] for st in kept]
     except KeyError as exc:

@@ -19,7 +19,7 @@ import logging
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Protocol
@@ -173,12 +173,18 @@ class PriceTable:
             raise ValueError("per-token prices must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuestionUsage:
     calls: int = 0
     attempts: int = 0
     prompt_tokens: int = 0
     completion_tokens: int = 0
+
+    def __add__(self, other: "QuestionUsage") -> "QuestionUsage":
+        return QuestionUsage(*(a + b for a, b in zip(astuple(self), astuple(other))))
+
+    def __sub__(self, other: "QuestionUsage") -> "QuestionUsage":
+        return QuestionUsage(*(a - b for a, b in zip(astuple(self), astuple(other))))
 
     @property
     def total_tokens(self) -> int:
@@ -205,67 +211,42 @@ class CostLedger:
 
     def record_attempt(self, question_id: str | None, template: str | None, ok: bool, error: str | None = None) -> None:
         qid = question_id or self.UNASSIGNED
+        self.add(qid, QuestionUsage(attempts=1))
         with self._lock:
-            self._entries.setdefault(qid, QuestionUsage()).attempts += 1
             self.events.append({"question": qid, "template": template, "ok": ok, "error": error})
 
     def record_call(self, question_id: str | None, prompt_tokens: int, completion_tokens: int) -> None:
-        qid = question_id or self.UNASSIGNED
-        with self._lock:
-            entry = self._entries.setdefault(qid, QuestionUsage())
-            entry.calls += 1
-            entry.prompt_tokens += prompt_tokens
-            entry.completion_tokens += completion_tokens
+        usage = QuestionUsage(calls=1, prompt_tokens=prompt_tokens, completion_tokens=completion_tokens)
+        self.add(question_id or self.UNASSIGNED, usage)
+
+    def add(self, question_id: str, usage: QuestionUsage) -> None:
+        """Count usage against a question; an all-zero usage creates no entry."""
+        if usage != QuestionUsage():
+            with self._lock:
+                self._entries[question_id] = self._entries.get(question_id, QuestionUsage()) + usage
 
     def usage(self, question_id: str) -> QuestionUsage:
         with self._lock:
-            entry = self._entries.get(question_id, QuestionUsage())
-            return QuestionUsage(entry.calls, entry.attempts, entry.prompt_tokens, entry.completion_tokens)
+            return self._entries.get(question_id, QuestionUsage())
 
     def per_question(self) -> dict[str, QuestionUsage]:
         with self._lock:
-            return {
-                qid: QuestionUsage(e.calls, e.attempts, e.prompt_tokens, e.completion_tokens)
-                for qid, e in self._entries.items()
-            }
+            return dict(self._entries)
 
     def totals(self) -> QuestionUsage:
-        total = QuestionUsage()
-        for entry in self.per_question().values():
-            total.calls += entry.calls
-            total.attempts += entry.attempts
-            total.prompt_tokens += entry.prompt_tokens
-            total.completion_tokens += entry.completion_tokens
-        return total
+        return sum(self.per_question().values(), QuestionUsage())
 
     def total_calls(self) -> int:
         return self.totals().calls
 
     def to_dict(self) -> dict:
-        per_question = {
-            qid: {
-                "calls": e.calls,
-                "attempts": e.attempts,
-                "prompt_tokens": e.prompt_tokens,
-                "completion_tokens": e.completion_tokens,
-                "cost": e.cost(self.prices),
-            }
-            for qid, e in sorted(self.per_question().items())
-        }
         totals = self.totals()
         return {
-            "per_question": per_question,
-            "totals": {
-                "calls": totals.calls,
-                "attempts": totals.attempts,
-                "prompt_tokens": totals.prompt_tokens,
-                "completion_tokens": totals.completion_tokens,
-                "cost": totals.cost(self.prices),
+            "per_question": {
+                qid: {**asdict(e), "cost": e.cost(self.prices)} for qid, e in sorted(self.per_question().items())
             },
-            "prices": {
-                "input_per_token": self.prices.input_per_token,
-                "output_per_token": self.prices.output_per_token,
-            },
+            "totals": {**asdict(totals), "cost": totals.cost(self.prices)},
+            "prices": asdict(self.prices),
         }
 
     @classmethod
@@ -273,13 +254,7 @@ class CostLedger:
         prices = payload.get("prices", {})
         ledger = cls(PriceTable(prices.get("input_per_token", 0.0), prices.get("output_per_token", 0.0)))
         for qid, entry in payload.get("per_question", {}).items():
-            usage = QuestionUsage(
-                calls=int(entry.get("calls", 0)),
-                attempts=int(entry.get("attempts", 0)),
-                prompt_tokens=int(entry.get("prompt_tokens", 0)),
-                completion_tokens=int(entry.get("completion_tokens", 0)),
-            )
-            ledger._entries[qid] = usage
+            ledger._entries[qid] = QuestionUsage(**{f.name: int(entry.get(f.name, 0)) for f in fields(QuestionUsage)})
         return ledger
 
 
@@ -388,22 +363,6 @@ class EchoProvider:
 
     def generate(self, request: ChatRequest) -> ProviderReply:
         return ProviderReply(content=request.prompt_text)
-
-
-class FlakyProvider:
-    """Wraps a provider and fails the first `failures` generate() calls with TransportError."""
-
-    def __init__(self, inner: ChatProvider, failures: int):
-        self.inner = inner
-        self.failures = failures
-        self.calls = 0
-        self.provider_id = f"flaky-{inner.provider_id}"
-
-    def generate(self, request: ChatRequest) -> ProviderReply:
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise TransportError(f"injected failure {self.calls}/{self.failures}")
-        return self.inner.generate(request)
 
 
 class RemoteChatProvider:

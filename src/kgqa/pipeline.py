@@ -9,7 +9,9 @@ worker count; anything timestamped goes to run.log only.
 Resume works through per-id row files under rows/<stage>/; deleting a row
 file reprocesses exactly that record. Each stage records the content hashes
 of the upstream artifacts it consumed; when an upstream artifact changes,
-the stage's rows are invalidated and recomputed.
+the stage's rows are invalidated and recomputed. A row file holds the
+record's artifact line, then the provider usage that produced it, and
+ledger.json is folded from the row files, so it always matches the rows.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import logging
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .answering import QARecord, build_qa_prompt, parse_final_answers
 from .embedding import EmbeddingCache, EmbeddingProviderSpec, build_embedder
@@ -37,6 +39,7 @@ from .enrichment import (
     merge_enriched,
     parse_feature_output,
     parse_structural_output,
+    payload_triples,
 )
 from .evaluation import (
     ConstantScorer,
@@ -54,6 +57,7 @@ from .gateway import (
     EchoProvider,
     Gateway,
     PriceTable,
+    QuestionUsage,
     RemoteChatProvider,
     ScriptedStubProvider,
     estimate_tokens,
@@ -66,33 +70,27 @@ from .queries import Quadruple, decompose, decomposition_to_dict, fallback_graph
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("parse", "prune", "enrich", "answer", "eval")
 
-ARTIFACT_KEY = {
-    "parse": "parsed",
-    "prune": "pruned",
-    "enrich": "enriched",
-    "answer": "answers",
-    "eval": "report",
+@dataclass(frozen=True)
+class Ablation:
+    """The stages an ablation runs and which enrichment prompts its enrich stage sends."""
+
+    plan: tuple[str, ...]
+    structural: bool = True
+    feature: bool = True
+
+
+_FULL_PLAN = ("parse", "prune", "enrich", "answer", "eval")
+
+ABLATION_TABLE = {
+    "full": Ablation(_FULL_PLAN),
+    "no-enrich": Ablation(("parse", "prune", "answer", "eval")),
+    "no-prune-no-enrich": Ablation(("answer", "eval")),
+    "no-structural": Ablation(_FULL_PLAN, structural=False),
+    "no-feature": Ablation(_FULL_PLAN, feature=False),
 }
 
-ARTIFACT_FILE = {
-    "parse": "parsed.jsonl",
-    "prune": "pruned.jsonl",
-    "enrich": "enriched.jsonl",
-    "answer": "answers.jsonl",
-    "eval": "report.json",
-}
-
-ABLATIONS = ("full", "no-enrich", "no-prune-no-enrich", "no-structural", "no-feature")
-
-ABLATION_PLAN = {
-    "full": ("parse", "prune", "enrich", "answer", "eval"),
-    "no-structural": ("parse", "prune", "enrich", "answer", "eval"),
-    "no-feature": ("parse", "prune", "enrich", "answer", "eval"),
-    "no-enrich": ("parse", "prune", "answer", "eval"),
-    "no-prune-no-enrich": ("answer", "eval"),
-}
+ABLATIONS = tuple(ABLATION_TABLE)
 
 _ID_SAFE_RE = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -178,7 +176,7 @@ class RunConfig:
     temperature: float = 0.2
     stage_temperatures: dict = field(default_factory=dict)
     tau: float = 0.3
-    payload_cap: int = 60
+    payload_cap: int | None = 60
     provider_query_filter: bool = False
     ablation: str = "full"
     workers: int = 1
@@ -203,6 +201,8 @@ class RunConfig:
             raise ValueError("temperature must be >= 0")
         if not (math.isfinite(self.tau) or self.tau == math.inf):
             raise ValueError("tau must be finite (or +inf to disable query association)")
+        if self.payload_cap is not None and self.payload_cap < 1:
+            raise ValueError("payload_cap must be >= 1 (or null for no cap)")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}")
         if self.workers < 1:
@@ -210,7 +210,7 @@ class RunConfig:
         if self.stages is not None:
             self.stages = tuple(self.stages)
             for stage in self.stages:
-                if stage not in STAGES:
+                if stage not in STAGE_TABLE:
                     raise ValueError(f"unknown stage {stage!r}")
 
     @classmethod
@@ -235,7 +235,7 @@ class RunConfig:
         return float(self.stage_temperatures.get(template_name, self.temperature))
 
     def plan(self) -> tuple[str, ...]:
-        return self.stages if self.stages is not None else ABLATION_PLAN[self.ablation]
+        return self.stages if self.stages is not None else ABLATION_TABLE[self.ablation].plan
 
 
 def build_llm_provider(config: RunConfig):
@@ -278,10 +278,12 @@ class StageArtifact:
     content_hash: str
     processed: int = 0
     failed: int = 0
+    report: EvalReport | None = None  # set by an aggregate stage (eval)
 
 
 class PipelineContext:
-    """Shared state for a run: providers, templates, cache, ledger, stage dir."""
+    """Shared state for a run: providers, templates, cache, stage dir; the
+    gateway's ledger counts the provider usage of this context's calls."""
 
     def __init__(self, config: RunConfig, stage_dir: str | Path, dataset: Sequence[DatasetRecord]):
         self.config = config
@@ -298,27 +300,25 @@ class PipelineContext:
                 loaded = self.cache.load(cache_path)
                 logger.info("loaded %d cached embeddings from %s", loaded, cache_path)
         self.scorer = build_scorer(config.kgc)
-        ledger_path = self.stage_dir / "ledger.json"
-        if ledger_path.exists():
-            self.ledger = CostLedger.from_dict(json.loads(ledger_path.read_text(encoding="utf-8")))
-            self.ledger.prices = config.price_table()
-        else:
-            self.ledger = CostLedger(config.price_table())
         self.gateway = Gateway(
             build_llm_provider(config),
-            ledger=self.ledger,
+            ledger=CostLedger(config.price_table()),
             max_attempts=config.max_attempts,
             backoff_base=config.backoff_base,
             max_in_flight=config.max_in_flight,
         )
         _attach_run_log(self.stage_dir)
 
-    def save_state(self) -> None:
-        (self.stage_dir / "ledger.json").write_text(_dumps(self.ledger.to_dict()), encoding="utf-8")
+    def save_state(self) -> CostLedger:
+        """Write `ledger.json`, folded from the row files of the plan's stages,
+        and the embedding cache; return the ledger."""
+        ledger = _ledger_from_rows(self)
+        (self.stage_dir / "ledger.json").write_text(_dumps(ledger.to_dict()), encoding="utf-8")
         if self.config.cache_dir:
             cache_dir = Path(self.config.cache_dir)
             cache_dir.mkdir(parents=True, exist_ok=True)
             self.cache.save(cache_dir / "embeddings.json")
+        return ledger
 
 
 def _attach_run_log(stage_dir: Path) -> None:
@@ -390,22 +390,25 @@ def _read_rows(path: Path) -> dict[str, dict]:
     return rows
 
 
-def stage_upstreams(stage: str, ablation: str) -> tuple[str, ...]:
-    if stage == "parse":
-        return ()
-    if stage == "prune":
-        return ("parse",)
-    if stage == "enrich":
-        return ("parse", "prune")
-    if stage == "answer":
-        if ablation == "no-prune-no-enrich":
-            return ()
-        if ablation == "no-enrich":
-            return ("prune",)
-        return ("prune", "enrich")
-    if stage == "eval":
-        return ("answer",)
-    raise StageError(f"unknown stage {stage!r}")
+def _row_path(rows_dir: Path, record: DatasetRecord) -> Path:
+    return rows_dir / f"{_safe_id(record.id)}.json"
+
+
+def _ledger_from_rows(ctx: PipelineContext) -> CostLedger:
+    """Per-record usage stored in the row files of the dataset's records, over the plan's stages.
+
+    A row file holds the artifact line, then a line with the provider usage
+    that produced it; stages without row files (eval) contribute nothing.
+    """
+    ledger = CostLedger(ctx.config.price_table())
+    for stage in ctx.config.plan():
+        rows_dir = ctx.stage_dir / "rows" / stage
+        for record in ctx.dataset:
+            path = _row_path(rows_dir, record)
+            if path.exists():
+                usage = json.loads(path.read_text(encoding="utf-8").partition("\n")[2])
+                ledger.add(record.id, QuestionUsage(**usage))
+    return ledger
 
 
 def _scored_from_row(row: Mapping) -> PrunedGraph:
@@ -420,18 +423,38 @@ def _scored_from_row(row: Mapping) -> PrunedGraph:
     return PrunedGraph(kept=kept, k=int(row["k"]), source_size=int(row.get("source_size", len(kept))))
 
 
-def _generated_from_row(row: Mapping, start_index: int) -> list[Triple]:
-    out = []
-    for i, g in enumerate(row.get("generated", [])):
-        out.append(Triple(EntityRef(g["s"]), Relation(g["r"]), EntityRef(g["o"]), index=start_index + i))
-    return out
+def _answer_triples(
+    record: DatasetRecord,
+    pruned_row: Mapping | None = None,
+    enriched_row: Mapping | None = None,
+) -> list[Triple]:
+    """The triples answered over: the full graph, the pruned triples, or the
+    pruned triples followed by the generated ones, indexed after the kept."""
+    if pruned_row is None:
+        return list(load_graph(record.graph))
+    pruned = _scored_from_row(pruned_row)
+    if enriched_row is None:
+        return pruned.triples
+    start = max((st.triple.index for st in pruned.kept), default=-1) + 1
+    generated = [
+        Triple(EntityRef(g["s"]), Relation(g["r"]), EntityRef(g["o"]), index=start + i)
+        for i, g in enumerate(enriched_row.get("generated", []))
+    ]
+    return pruned.triples + generated
 
 
 def _upstream_row(upstream_rows: Mapping[str, dict], stage: str, record_id: str) -> dict:
-    row = upstream_rows[stage].get(record_id)
+    row = upstream_rows.get(stage, {}).get(record_id)
     if row is None:
-        raise StageError(f"missing upstream {ARTIFACT_KEY[stage]} row for record {record_id!r}")
+        raise StageError(f"missing upstream {STAGE_TABLE[stage].key} row for record {record_id!r}")
     return row
+
+
+def _complete(ctx: PipelineContext, template: str, prompt: str, record: DatasetRecord) -> str:
+    request = user_request(
+        prompt, temperature=ctx.config.temperature_for(template), template=template, question_id=record.id
+    )
+    return ctx.gateway.complete(request).content
 
 
 def _parse_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping) -> dict:
@@ -481,7 +504,7 @@ def _enrich_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mappin
         }
     queries = list(parsed["flat"]) or [record.question]
     quads = [Quadruple(fallback_graph_query(st.triple), st.triple) for st in pruned.kept]
-    payload = list(pruned.kept[: ctx.config.payload_cap]) if ctx.config.payload_cap else list(pruned.kept)
+    payload = payload_triples(pruned, ctx.config.payload_cap)
     payload_quads = quads[: len(payload)]
     associations = None
     if ctx.config.provider_query_filter:
@@ -497,8 +520,8 @@ def _enrich_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mappin
     generated = []
     skipped = 0
     rejected = 0
-    ablation = ctx.config.ablation
-    if ablation != "no-structural":
+    ablation = ABLATION_TABLE[ctx.config.ablation]
+    if ablation.structural:
         prompt = filter_and_build_structural_prompt(
             pruned,
             quads,
@@ -510,29 +533,15 @@ def _enrich_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mappin
             payload_cap=ctx.config.payload_cap,
             associations=associations,
         )
-        response = ctx.gateway.complete(
-            user_request(
-                prompt,
-                temperature=ctx.config.temperature_for("structural_enrich"),
-                template="structural_enrich",
-                question_id=record.id,
-            )
-        )
-        parse = parse_structural_output(response.content)
+        content = _complete(ctx, "structural_enrich", prompt, record)
+        parse = parse_structural_output(content)
         generated.extend(parse.triples)
         skipped = parse.skipped
-    if ablation != "no-feature":
+    if ablation.feature:
         contexts = collect_entity_contexts([st.triple for st in payload], associations)
         prompt = build_feature_prompt(contexts, ctx.templates["feature_enrich"])
-        response = ctx.gateway.complete(
-            user_request(
-                prompt,
-                temperature=ctx.config.temperature_for("feature_enrich"),
-                template="feature_enrich",
-                question_id=record.id,
-            )
-        )
-        parse = parse_feature_output(response.content)
+        content = _complete(ctx, "feature_enrich", prompt, record)
+        parse = parse_feature_output(content)
         generated.extend(parse.triples)
         rejected = parse.rejected
     merged = merge_enriched(pruned, generated)
@@ -542,29 +551,14 @@ def _enrich_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mappin
 
 
 def _answer_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping) -> dict:
-    ablation = ctx.config.ablation
-    if ablation == "no-prune-no-enrich":
-        triples = list(load_graph(record.graph))
-    elif ablation == "no-enrich":
-        triples = _scored_from_row(_upstream_row(upstream, "prune", record.id)).triples
-    else:
-        pruned = _scored_from_row(_upstream_row(upstream, "prune", record.id))
-        enriched_row = _upstream_row(upstream, "enrich", record.id)
-        start = max((st.triple.index for st in pruned.kept), default=-1) + 1
-        triples = pruned.triples + _generated_from_row(enriched_row, start)
+    rows = {stage: _upstream_row(upstream, stage, record.id) for stage in upstream}
+    triples = _answer_triples(record, rows.get("prune"), rows.get("enrich"))
     prompt = build_qa_prompt(record.question, triples, ctx.templates["question_answering"])
-    response = ctx.gateway.complete(
-        user_request(
-            prompt,
-            temperature=ctx.config.temperature_for("question_answering"),
-            template="question_answering",
-            question_id=record.id,
-        )
-    )
+    content = _complete(ctx, "question_answering", prompt, record)
     qa = QARecord(
         id=record.id,
         question=record.question,
-        answers=parse_final_answers(response.content),
+        answers=parse_final_answers(content),
         gold=list(record.answers),
         used_triples=len(triples),
     )
@@ -578,11 +572,38 @@ def _answer_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mappin
     }
 
 
-_STAGE_FNS = {
-    "parse": _parse_record,
-    "prune": _prune_record,
-    "enrich": _enrich_record,
-    "answer": _answer_record,
+def _eval_report(ctx: PipelineContext, upstream: Mapping) -> EvalReport:
+    rows = upstream["answer"]
+    pairs = {r.id: (rows[r.id]["answers"], rows[r.id]["gold"]) for r in ctx.dataset if r.id in rows}
+    return build_eval_report(pairs, ascii_fold=ctx.config.ascii_fold)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage: its artifact, the stages it reads, and its computation.
+
+    A stage reads those of its upstreams that the ablation's plan runs. It
+    has either `record`, run once per pending dataset record and kept as a
+    row file, or `aggregate`, run once over the upstream rows.
+    """
+
+    name: str
+    file: str
+    key: str
+    upstreams: tuple[str, ...]
+    record: Callable[[PipelineContext, DatasetRecord, Mapping], dict] | None = None
+    aggregate: Callable[[PipelineContext, Mapping], EvalReport] | None = None
+
+
+STAGE_TABLE = {
+    stage.name: stage
+    for stage in (
+        Stage("parse", "parsed.jsonl", "parsed", (), record=_parse_record),
+        Stage("prune", "pruned.jsonl", "pruned", ("parse",), record=_prune_record),
+        Stage("enrich", "enriched.jsonl", "enriched", ("parse", "prune"), record=_enrich_record),
+        Stage("answer", "answers.jsonl", "answers", ("prune", "enrich"), record=_answer_record),
+        Stage("eval", "report.json", "report", ("answer",), aggregate=_eval_report),
+    )
 }
 
 
@@ -591,107 +612,91 @@ def run_stage(stage: str, ctx: PipelineContext, resume: bool = True) -> StageArt
 
     Raises StageError when a required upstream artifact is missing entirely.
     """
-    if stage not in STAGES:
+    spec = STAGE_TABLE.get(stage)
+    if spec is None:
         raise StageError(f"unknown stage {stage!r}")
     manifest = _load_manifest(ctx)
+    plan = ABLATION_TABLE[ctx.config.ablation].plan
     upstream_rows: dict[str, dict] = {}
     upstream_hashes: dict[str, str] = {}
-    for up in stage_upstreams(stage, ctx.config.ablation):
-        key = ARTIFACT_KEY[up]
-        path = ctx.stage_dir / ARTIFACT_FILE[up]
-        if key not in manifest or not path.exists():
-            raise StageError(f"stage '{stage}' requires {key} artifact; run the '{up}' stage first")
+    for up in (STAGE_TABLE[name] for name in spec.upstreams if name in plan):
+        path = ctx.stage_dir / up.file
+        if up.key not in manifest or not path.exists():
+            raise StageError(f"stage '{stage}' requires {up.key} artifact; run the '{up.name}' stage first")
         current_hash = _hash_file(path)
-        if manifest[key].get("hash") != current_hash:
-            logger.warning("%s changed since the '%s' stage completed; downstream rows will be recomputed", path, up)
-        upstream_hashes[key] = current_hash
-        upstream_rows[up] = _read_rows(path)
-    if stage == "eval":
-        return _run_eval_stage(ctx, manifest, upstream_rows, upstream_hashes)
+        if manifest[up.key].get("hash") != current_hash:
+            logger.warning("%s changed since the '%s' stage completed; downstream rows will be recomputed", path, up.name)
+        upstream_hashes[up.key] = current_hash
+        upstream_rows[up.name] = _read_rows(path)
 
-    rows_dir = ctx.stage_dir / "rows" / stage
-    my_key = ARTIFACT_KEY[stage]
-    previous = manifest.get(my_key)
-    if rows_dir.exists() and (not resume or (previous is not None and previous.get("upstream") != upstream_hashes)):
+    artifact_path = ctx.stage_dir / spec.file
+    report = None
+    if spec.aggregate is not None:
+        report = spec.aggregate(ctx, upstream_rows)
+        artifact_path.write_text(_dumps(report.to_dict()), encoding="utf-8")
+        processed, failed = report.n, 0
+    else:
+        previous = manifest.get(spec.key)
+        upstream_changed = previous is not None and previous.get("upstream") != upstream_hashes
+        clear = "fresh run" if not resume else "upstream changed" if upstream_changed else None
+        processed, failed = _run_records(spec, ctx, upstream_rows, artifact_path, clear)
+    content_hash = _hash_file(artifact_path)
+    manifest[spec.key] = {"hash": content_hash, "upstream": upstream_hashes}
+    _save_manifest(ctx, manifest)
+    logger.info("stage %s: %d processed, %d failed -> %s", stage, processed, failed, artifact_path)
+    return StageArtifact(stage, artifact_path, content_hash, processed, failed, report)
+
+
+def _run_records(spec: Stage, ctx: PipelineContext, upstream_rows: Mapping, artifact_path: Path, clear: str | None):
+    """Compute the missing rows of a per-record stage and assemble its artifact;
+    `clear` names why cached rows are dropped first, if they are. Returns
+    (records processed, records failed)."""
+    rows_dir = ctx.stage_dir / "rows" / spec.name
+    if clear and rows_dir.exists():
         for row_file in rows_dir.glob("*.json"):
             row_file.unlink()
-        logger.info("stage %s: cleared cached rows (%s)", stage, "fresh run" if not resume else "upstream changed")
+        logger.info("stage %s: cleared cached rows (%s)", spec.name, clear)
     rows_dir.mkdir(parents=True, exist_ok=True)
-
-    pending = [r for r in ctx.dataset if not (rows_dir / f"{_safe_id(r.id)}.json").exists()]
-    errors: list[dict] = []
-    fn = _STAGE_FNS[stage]
+    pending = [r for r in ctx.dataset if not _row_path(rows_dir, r).exists()]
+    ledger = ctx.gateway.ledger
 
     def work(record: DatasetRecord) -> dict | None:
+        # Only this call makes provider calls for this record, so the change
+        # in its ledger entry is the usage behind its row.
+        before = ledger.usage(record.id)
         try:
-            row = fn(ctx, record, upstream_rows)
+            row = spec.record(ctx, record, upstream_rows)
         except Exception as exc:
-            logger.warning("stage %s: record %s failed: %s", stage, record.id, exc)
-            return {"id": record.id, "stage": stage, "error": str(exc)}
-        (rows_dir / f"{_safe_id(record.id)}.json").write_text(_dumps(row), encoding="utf-8")
+            logger.warning("stage %s: record %s failed: %s", spec.name, record.id, exc)
+            usage = asdict(ledger.usage(record.id) - before)
+            return {"id": record.id, "stage": spec.name, "error": str(exc), "usage": usage}
+        usage = asdict(ledger.usage(record.id) - before)
+        _row_path(rows_dir, record).write_text(_dumps(row) + "\n" + _dumps(usage), encoding="utf-8")
         return None
 
     if ctx.config.workers > 1 and len(pending) > 1:
         with ThreadPoolExecutor(max_workers=ctx.config.workers) as pool:
-            for failure in pool.map(work, pending):
-                if failure:
-                    errors.append(failure)
+            outcomes = list(pool.map(work, pending))
     else:
-        for record in pending:
-            failure = work(record)
-            if failure:
-                errors.append(failure)
+        outcomes = [work(record) for record in pending]
+    errors = [failure for failure in outcomes if failure]
 
-    artifact_path = ctx.stage_dir / ARTIFACT_FILE[stage]
-    written = 0
     with artifact_path.open("w", encoding="utf-8") as fh:
         for record in sorted(ctx.dataset, key=lambda r: r.id):
-            row_file = rows_dir / f"{_safe_id(record.id)}.json"
+            row_file = _row_path(rows_dir, record)
             if row_file.exists():
-                fh.write(row_file.read_text(encoding="utf-8") + "\n")
-                written += 1
-    _write_errors(ctx, stage, errors)
-    content_hash = _hash_file(artifact_path)
-    manifest[my_key] = {"hash": content_hash, "upstream": upstream_hashes}
-    _save_manifest(ctx, manifest)
-    logger.info("stage %s: %d rows (%d new, %d failed) -> %s", stage, written, len(pending) - len(errors), len(errors), artifact_path)
-    return StageArtifact(stage=stage, path=artifact_path, content_hash=content_hash, processed=len(pending) - len(errors), failed=len(errors))
+                fh.write(row_file.read_text(encoding="utf-8").partition("\n")[0] + "\n")
+    _write_errors(ctx, spec.name, errors)
+    return len(pending) - len(errors), len(errors)
 
 
 def _write_errors(ctx: PipelineContext, stage: str, errors: list[dict]) -> None:
-    errors_dir = ctx.stage_dir / "errors"
-    path = errors_dir / f"{stage}.jsonl"
+    path = ctx.stage_dir / "errors" / f"{stage}.jsonl"
     if not errors:
-        if path.exists():
-            path.unlink()
+        path.unlink(missing_ok=True)
         return
-    errors_dir.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for err in sorted(errors, key=lambda e: e["id"]):
-            fh.write(_dumps(err) + "\n")
-
-
-def _run_eval_stage(
-    ctx: PipelineContext,
-    manifest: dict,
-    upstream_rows: Mapping[str, dict],
-    upstream_hashes: Mapping[str, str],
-) -> StageArtifact:
-    answer_rows = upstream_rows["answer"]
-    pairs = {}
-    for record in ctx.dataset:
-        row = answer_rows.get(record.id)
-        if row is None:
-            continue
-        pairs[record.id] = (row["answers"], row["gold"])
-    report = build_eval_report(pairs, ascii_fold=ctx.config.ascii_fold)
-    artifact_path = ctx.stage_dir / ARTIFACT_FILE["eval"]
-    artifact_path.write_text(_dumps(report.to_dict()), encoding="utf-8")
-    content_hash = _hash_file(artifact_path)
-    manifest[ARTIFACT_KEY["eval"]] = {"hash": content_hash, "upstream": dict(upstream_hashes)}
-    _save_manifest(ctx, manifest)
-    logger.info("stage eval: %d questions -> %s", report.n, artifact_path)
-    return StageArtifact(stage="eval", path=artifact_path, content_hash=content_hash, processed=report.n)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("".join(_dumps(err) + "\n" for err in sorted(errors, key=lambda e: e["id"])), encoding="utf-8")
 
 
 def run_all(
@@ -703,23 +708,10 @@ def run_all(
     """Run the configured stage plan end to end and return the report and ledger."""
     records = load_dataset(dataset) if isinstance(dataset, (str, Path)) else list(dataset)
     ctx = PipelineContext(config, stage_dir, records)
-    for stage in config.plan():
-        run_stage(stage, ctx, resume=resume)
-    ctx.save_state()
-    report_path = ctx.stage_dir / ARTIFACT_FILE["eval"]
-    report = EvalReport()
-    if report_path.exists():
-        payload = json.loads(report_path.read_text(encoding="utf-8"))
-        report = EvalReport(
-            per_question=payload.get("per_question", {}),
-            hits1=payload.get("hits1", 0.0),
-            f1=payload.get("f1", 0.0),
-            precision=payload.get("precision", 0.0),
-            recall=payload.get("recall", 0.0),
-            acc=payload.get("acc", 0.0),
-            n=payload.get("n", 0),
-        )
-    return report, ctx.ledger
+    artifacts = {stage: run_stage(stage, ctx, resume=resume) for stage in config.plan()}
+    ledger = ctx.save_state()
+    evaluated = artifacts.get("eval")
+    return (evaluated.report if evaluated else EvalReport()), ledger
 
 
 def sweep_k(
@@ -735,7 +727,7 @@ def sweep_k(
     """
     if not ks or any(k < 1 for k in ks):
         raise ValueError("ks must be non-empty with every k >= 1")
-    parsed_path = ctx.stage_dir / ARTIFACT_FILE["parse"]
+    parsed_path = ctx.stage_dir / STAGE_TABLE["parse"].file
     parsed_rows = _read_rows(parsed_path) if parsed_path.exists() else {}
     scored_per_question = []
     for record in ctx.dataset:
@@ -827,34 +819,24 @@ def quality_metrics(
     return reports
 
 
+_VARIANT_STAGES = {"vanilla": (), "pruned": ("prune",), "enriched": ("prune", "enrich")}
+
+
 def _variant_triples(ctx: PipelineContext, variant: str) -> dict[str, list[Triple]]:
+    """Per-question triples of a graph variant, for the records whose rows all exist."""
+    if variant not in _VARIANT_STAGES:
+        raise ValueError(f"unknown variant {variant!r}")
+    rows = []
+    for stage in _VARIANT_STAGES[variant]:
+        path = ctx.stage_dir / STAGE_TABLE[stage].file
+        if not path.exists():
+            raise StageError(
+                f"variant '{variant}' requires {STAGE_TABLE[stage].key} artifact; run the '{stage}' stage first"
+            )
+        rows.append(_read_rows(path))
     out: dict[str, list[Triple]] = {}
-    if variant == "vanilla":
-        for record in ctx.dataset:
-            out[record.id] = list(load_graph(record.graph))
-        return out
-    pruned_path = ctx.stage_dir / ARTIFACT_FILE["prune"]
-    if not pruned_path.exists():
-        raise StageError(f"variant '{variant}' requires pruned artifact; run the 'prune' stage first")
-    pruned_rows = _read_rows(pruned_path)
-    if variant == "pruned":
-        for record in ctx.dataset:
-            row = pruned_rows.get(record.id)
-            if row:
-                out[record.id] = _scored_from_row(row).triples
-        return out
-    if variant == "enriched":
-        enriched_path = ctx.stage_dir / ARTIFACT_FILE["enrich"]
-        if not enriched_path.exists():
-            raise StageError("variant 'enriched' requires enriched artifact; run the 'enrich' stage first")
-        enriched_rows = _read_rows(enriched_path)
-        for record in ctx.dataset:
-            pruned_row = pruned_rows.get(record.id)
-            enriched_row = enriched_rows.get(record.id)
-            if pruned_row is None or enriched_row is None:
-                continue
-            pruned = _scored_from_row(pruned_row)
-            start = max((st.triple.index for st in pruned.kept), default=-1) + 1
-            out[record.id] = pruned.triples + _generated_from_row(enriched_row, start)
-        return out
-    raise ValueError(f"unknown variant {variant!r}")
+    for record in ctx.dataset:
+        found = [by_id.get(record.id) for by_id in rows]
+        if None not in found:
+            out[record.id] = _answer_triples(record, *found)
+    return out

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 from random import Random
 
-from kgqa.gateway import CostLedger, Gateway, ScriptedStubProvider
+from kgqa.gateway import (
+    ChatProvider,
+    ChatRequest,
+    CostLedger,
+    Gateway,
+    ProviderReply,
+    ScriptedStubProvider,
+    TransportError,
+)
 from kgqa.graph import KnowledgeGraph, load_graph
 
 WORDS = (
@@ -52,3 +60,19 @@ def random_queries(rng: Random, n: int) -> list[str]:
 def stub_gateway(script: dict, ledger: CostLedger | None = None, **kwargs) -> Gateway:
     provider = ScriptedStubProvider(script=script, on_missing=kwargs.pop("on_missing", "error"))
     return Gateway(provider, ledger=ledger, sleep=lambda _: None, **kwargs)
+
+
+class FlakyProvider:
+    """Wraps a provider and fails the first `failures` generate() calls with TransportError."""
+
+    def __init__(self, inner: ChatProvider, failures: int):
+        self.inner = inner
+        self.failures = failures
+        self.calls = 0
+        self.provider_id = f"flaky-{inner.provider_id}"
+
+    def generate(self, request: ChatRequest) -> ProviderReply:
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise TransportError(f"injected failure {self.calls}/{self.failures}")
+        return self.inner.generate(request)

@@ -10,7 +10,6 @@ from kgqa.gateway import (
     ChatRequest,
     CostLedger,
     EchoProvider,
-    FlakyProvider,
     Gateway,
     PriceTable,
     PromptTemplate,
@@ -26,6 +25,8 @@ from kgqa.gateway import (
     render_template,
     user_request,
 )
+
+from helpers import FlakyProvider
 
 
 class TestTemplates:

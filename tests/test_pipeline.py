@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import json
+from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgqa import cli
+from kgqa import cli, pipeline
 from kgqa.fixtures import build_mini_dataset, write_fixture
 from kgqa.gateway import estimate_tokens
 from kgqa.graph import load_graph, textualize_triple
 from kgqa.pipeline import (
-    ABLATION_PLAN,
     DatasetError,
     PipelineContext,
     RunConfig,
@@ -22,6 +26,8 @@ from kgqa.pipeline import (
     sweep_k,
     write_dataset,
 )
+
+ARTIFACTS = ("parsed.jsonl", "pruned.jsonl", "enriched.jsonl", "answers.jsonl", "report.json", "ledger.json")
 
 
 @pytest.fixture(scope="module")
@@ -124,11 +130,24 @@ class TestStages:
         run_stage("parse", ctx, resume=False)  # same content, same hash
         assert run_stage("prune", ctx).processed == 0
         marker = stage_dir / "rows" / "parse" / f"{records[0].id}.json"
-        row = json.loads(marker.read_text())
+        row_line, usage_line = marker.read_text().split("\n")
+        row = json.loads(row_line)
         row["flat"] = list(row["flat"]) + ["an extra query"]
-        marker.write_text(json.dumps(row))
+        marker.write_text(json.dumps(row) + "\n" + usage_line)
         run_stage("parse", ctx)  # rebuilds parsed.jsonl with changed content
         assert run_stage("prune", ctx).processed == 3
+
+    def test_failed_record_usage_goes_on_its_error_line(self, tmp_path, small_fixture):
+        records, script = small_fixture
+        failing = records[0].id
+        script = {**script, "feature_enrich": {k: v for k, v in script["feature_enrich"].items() if k != failing}}
+        _, ledger = run_all(RunConfig(llm={"kind": "stub", "script": script}), records, tmp_path / "stage")
+        [error] = [json.loads(l) for l in (tmp_path / "stage" / "errors" / "enrich.jsonl").read_text().splitlines()]
+        assert error["id"] == failing
+        assert error["usage"]["calls"] == 1  # the structural call made before the feature call failed
+        assert error["usage"]["prompt_tokens"] > 0
+        assert ledger.usage(failing).calls == 1  # parse only: ledger.json covers the rows, not the failures
+        assert json.loads((tmp_path / "stage" / "ledger.json").read_text()) == ledger.to_dict()
 
     def test_unknown_stage(self, tmp_path, small_fixture):
         records, script = small_fixture
@@ -206,6 +225,14 @@ class TestRunAll:
         report, ledger = run_all(config, records, tmp_path / "stage")
         assert ledger.total_calls() == 5 * len(records)
         assert report.hits1 == 1.0
+
+    def test_uncapped_payload(self, tmp_path, mini_dataset):
+        records, script = mini_dataset
+        config = RunConfig(llm={"kind": "stub", "script": script}, payload_cap=None)
+        report, _ = run_all(config, records, tmp_path / "stage")
+        assert report.n == len(records)
+        assert report.hits1 == 1.0
+        assert not (tmp_path / "stage" / "errors" / "enrich.jsonl").exists()
 
     def test_stage_temperature_override(self, small_fixture):
         _, _ = small_fixture
@@ -301,12 +328,68 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig(temperature=-1)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_payload_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match="payload_cap"):
+            RunConfig(payload_cap=cap)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config"):
             RunConfig.from_dict({"not_a_key": 1})
 
     def test_plan_follows_ablation(self):
-        assert RunConfig(ablation="no-enrich").plan() == ABLATION_PLAN["no-enrich"]
+        assert RunConfig(ablation="no-enrich").plan() == ("parse", "prune", "answer", "eval")
+
+
+@pytest.fixture(scope="module")
+def resume_case(tmp_path_factory):
+    records, script = build_mini_dataset(n_questions=5, max_triples=60)
+    config = RunConfig(llm={"kind": "stub", "script": script})
+    stage_dir = tmp_path_factory.mktemp("clean")
+    run_all(config, records, stage_dir)
+    return records, config, artifact_bytes(stage_dir)
+
+
+def artifact_bytes(stage_dir) -> dict[str, bytes]:
+    return {name: (stage_dir / name).read_bytes() for name in ARTIFACTS}
+
+
+class Abort(BaseException):
+    """A crash: per-record isolation catches only Exception, so this skips the
+    artifact, the manifest and save_state."""
+
+
+class TestResume:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(stage=st.sampled_from(("parse", "prune", "enrich", "answer", "eval")), boundary=st.integers(0, 4))
+    def test_interrupted_run_resumes_to_clean_artifacts_and_ledger(self, resume_case, tmp_path_factory, stage, boundary):
+        records, config, clean = resume_case
+        spec = pipeline.STAGE_TABLE[stage]
+        name = "record" if spec.record else "aggregate"
+        inner = getattr(spec, name)
+        calls = itertools.count()
+
+        def aborting(*args):
+            if next(calls) == (boundary if spec.record else 0):
+                raise Abort
+            return inner(*args)
+
+        stage_dir = tmp_path_factory.mktemp("resume")
+        ctx = PipelineContext(config, stage_dir, records)
+        with mock.patch.dict(pipeline.STAGE_TABLE, {stage: replace(spec, **{name: aborting})}):
+            with pytest.raises(Abort):
+                for planned in config.plan():
+                    run_stage(planned, ctx)
+        run_all(config, records, stage_dir)
+        assert artifact_bytes(stage_dir) == clean
+
+    def test_fresh_rerun_ledger_equals_one_clean_run(self, resume_case, tmp_path):
+        records, config, clean = resume_case
+        run_all(config, records, tmp_path)
+        run_all(config, records, tmp_path, resume=False)
+        assert artifact_bytes(tmp_path) == clean
+        run_all(config, records, tmp_path)
+        assert artifact_bytes(tmp_path) == clean
 
 
 class TestCli:
@@ -359,6 +442,25 @@ class TestCli:
         )
         assert code == 2
         assert "requires parsed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--top-k", "--workers"])
+    def test_invalid_override_is_clean_error(self, tmp_path, capsys, flag):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
+        assert cli.main(["parse", *common, flag, "0"]) == 2
+        assert "error: invalid config:" in capsys.readouterr().err
+        assert not (tmp_path / "stage").exists()
+
+    def test_stage_failing_every_record_exits_1(self, tmp_path, capsys):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        script = json.loads(paths["script"].read_text())
+        del script["question_answering"]
+        paths["script"].write_text(json.dumps(script))
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
+        assert cli.main(["run", *common]) == 1
+        assert json.loads(capsys.readouterr().out)["n"] == 0
+        assert cli.main(["answer", *common]) == 1
+        assert "answer: 0 processed, 2 failed" in capsys.readouterr().out
 
     def test_top_k_override(self, tmp_path):
         paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)

@@ -80,9 +80,30 @@ class ReferenceEmbedder:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
         self.provider_id = f"reference-fnv1a-{dimension}"
+        # token -> slot, so FNV-1a runs once per distinct token; worker threads
+        # share it, and a racing insert stores the same value twice.
+        self._slots: dict[str, int] = {}
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
-        return [embed_reference(t, self.dimension) for t in texts]
+        """Rows of one count matrix, each divided by its norm.
+
+        Bit-identical to `embed_reference`: the counts are small integers, so
+        their sum of squares is exact in any order, and the square root and
+        the division are correctly rounded.
+        """
+        if not texts:
+            return []
+        d = self.dimension
+        slots = self._slots
+        tokens = [tokenize(text) for text in texts]
+        for token in {tok for toks in tokens for tok in toks}.difference(slots):
+            slots[token] = fnv1a_64(token.encode("utf-8")) % d
+        flat = np.fromiter((row * d + slots[tok] for row, toks in enumerate(tokens) for tok in toks), dtype=np.intp)
+        counts = np.bincount(flat, weights=np.ones(len(flat)), minlength=len(texts) * d)
+        counts = counts.astype(np.float64, copy=False).reshape(len(texts), d)  # int64 when `flat` is empty
+        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))[:, None]
+        np.divide(counts, norms, out=counts, where=norms > 0.0)
+        return list(counts)
 
 
 class RemoteEmbedder:

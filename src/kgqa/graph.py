@@ -132,15 +132,18 @@ def load_graph(records: Iterable[Sequence[str]]) -> KnowledgeGraph:
     """Build a graph from (s, r, o) records, keeping input order and dropping duplicates.
 
     Raises GraphLoadError with a 1-based record number on malformed input.
-    Empty input yields an empty graph.
+    Empty input yields an empty graph. Triples share one EntityRef per entity
+    id and one Relation per name.
     """
     triples: list[Triple] = []
     seen: set[tuple[str, str, str]] = set()
+    entities: dict[str, EntityRef] = {}
+    relations: dict[str, Relation] = {}
     for lineno, record in enumerate(records, start=1):
         if isinstance(record, str) or len(record) != 3:
             raise GraphLoadError(f"expected 3 fields, got {record!r}", line=lineno)
         s, r, o = record
-        if not all(isinstance(x, str) for x in (s, r, o)):
+        if not (isinstance(s, str) and isinstance(r, str) and isinstance(o, str)):
             raise GraphLoadError(f"non-string field in {record!r}", line=lineno)
         r = r.strip()
         if not (s and r and o):
@@ -150,7 +153,10 @@ def load_graph(records: Iterable[Sequence[str]]) -> KnowledgeGraph:
             continue
         seen.add(key)
         try:
-            triples.append(Triple(EntityRef(s), Relation(r), EntityRef(o), index=len(triples)))
+            subject = entities.get(s) or entities.setdefault(s, EntityRef(s))
+            relation = relations.get(r) or relations.setdefault(r, Relation(r))
+            obj = entities.get(o) or entities.setdefault(o, EntityRef(o))
+            triples.append(Triple(subject, relation, obj, index=len(triples)))
         except ValueError as exc:
             raise GraphLoadError(str(exc), line=lineno) from exc
     return KnowledgeGraph(triples)

@@ -21,6 +21,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -313,7 +314,7 @@ class PipelineContext:
         """Write `ledger.json`, folded from the row files of the plan's stages,
         and the embedding cache; return the ledger."""
         ledger = _ledger_from_rows(self)
-        (self.stage_dir / "ledger.json").write_text(_dumps(ledger.to_dict()), encoding="utf-8")
+        _write_atomic(self.stage_dir / "ledger.json", _dumps(ledger.to_dict()))
         if self.config.cache_dir:
             cache_dir = Path(self.config.cache_dir)
             cache_dir.mkdir(parents=True, exist_ok=True)
@@ -341,6 +342,19 @@ def _attach_run_log(stage_dir: Path) -> None:
 
 def _dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write `text` to `path` whole or not at all: through a temp file in the
+    same directory, renamed over `path`. The temp name ends in `.tmp`, so a
+    write cut short never matches the `*.json` row and artifact names."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _hash_file(path: Path) -> str:
@@ -372,7 +386,7 @@ def _load_manifest(ctx: PipelineContext) -> dict:
 
 
 def _save_manifest(ctx: PipelineContext, manifest: dict) -> None:
-    _manifest_path(ctx).write_text(_dumps(manifest), encoding="utf-8")
+    _write_atomic(_manifest_path(ctx), _dumps(manifest))
 
 
 def _read_rows(path: Path) -> dict[str, dict]:
@@ -633,7 +647,7 @@ def run_stage(stage: str, ctx: PipelineContext, resume: bool = True) -> StageArt
     report = None
     if spec.aggregate is not None:
         report = spec.aggregate(ctx, upstream_rows)
-        artifact_path.write_text(_dumps(report.to_dict()), encoding="utf-8")
+        _write_atomic(artifact_path, _dumps(report.to_dict()))
         processed, failed = report.n, 0
     else:
         previous = manifest.get(spec.key)
@@ -671,7 +685,7 @@ def _run_records(spec: Stage, ctx: PipelineContext, upstream_rows: Mapping, arti
             usage = asdict(ledger.usage(record.id) - before)
             return {"id": record.id, "stage": spec.name, "error": str(exc), "usage": usage}
         usage = asdict(ledger.usage(record.id) - before)
-        _row_path(rows_dir, record).write_text(_dumps(row) + "\n" + _dumps(usage), encoding="utf-8")
+        _write_atomic(_row_path(rows_dir, record), _dumps(row) + "\n" + _dumps(usage))
         return None
 
     if ctx.config.workers > 1 and len(pending) > 1:
@@ -681,11 +695,12 @@ def _run_records(spec: Stage, ctx: PipelineContext, upstream_rows: Mapping, arti
         outcomes = [work(record) for record in pending]
     errors = [failure for failure in outcomes if failure]
 
-    with artifact_path.open("w", encoding="utf-8") as fh:
-        for record in sorted(ctx.dataset, key=lambda r: r.id):
-            row_file = _row_path(rows_dir, record)
-            if row_file.exists():
-                fh.write(row_file.read_text(encoding="utf-8").partition("\n")[0] + "\n")
+    lines = []
+    for record in sorted(ctx.dataset, key=lambda r: r.id):
+        row_file = _row_path(rows_dir, record)
+        if row_file.exists():
+            lines.append(row_file.read_text(encoding="utf-8").partition("\n")[0] + "\n")
+    _write_atomic(artifact_path, "".join(lines))
     _write_errors(ctx, spec.name, errors)
     return len(pending) - len(errors), len(errors)
 
@@ -696,7 +711,7 @@ def _write_errors(ctx: PipelineContext, stage: str, errors: list[dict]) -> None:
         path.unlink(missing_ok=True)
         return
     path.parent.mkdir(exist_ok=True)
-    path.write_text("".join(_dumps(err) + "\n" for err in sorted(errors, key=lambda e: e["id"])), encoding="utf-8")
+    _write_atomic(path, "".join(_dumps(err) + "\n" for err in sorted(errors, key=lambda e: e["id"])))
 
 
 def run_all(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import pathlib
 from dataclasses import replace
 from unittest import mock
 
@@ -211,6 +212,15 @@ class TestRunAll:
             outputs[workers] = (tmp_path / f"w{workers}" / "answers.jsonl").read_bytes()
         assert outputs[1] == outputs[4]
 
+    def test_worker_count_does_not_change_artifacts_on_large_graphs(self, tmp_path):
+        records, script = build_mini_dataset(n_questions=4, seed=3, min_triples=1000, max_triples=2000)
+        outputs = {}
+        for workers in (1, 3):
+            config = RunConfig(llm={"kind": "stub", "script": script}, workers=workers)
+            run_all(config, records, tmp_path / f"w{workers}")
+            outputs[workers] = artifact_bytes(tmp_path / f"w{workers}")
+        assert outputs[1] == outputs[3]
+
     def test_stages_override(self, tmp_path, small_fixture):
         records, script = small_fixture
         config = RunConfig(llm={"kind": "stub", "script": script}, stages=("parse",))
@@ -390,6 +400,34 @@ class TestResume:
         assert artifact_bytes(tmp_path) == clean
         run_all(config, records, tmp_path)
         assert artifact_bytes(tmp_path) == clean
+
+
+class DiskFull(OSError):
+    pass
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("stage", ["parse", "prune", "enrich", "answer"])
+    def test_row_write_cut_short_resumes_to_clean_run(self, resume_case, tmp_path, stage, monkeypatch):
+        records, config, clean = resume_case
+        rows_dir = tmp_path / "rows" / stage
+        real_write_text = pathlib.Path.write_text
+        writes = itertools.count()
+
+        def cut_short(path, text, *args, **kwargs):
+            # The second row write of the stage stops halfway, then fails.
+            if path.parent == rows_dir and next(writes) == 1:
+                real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+                raise DiskFull("no space left on device")
+            return real_write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "write_text", cut_short)
+        with pytest.raises(DiskFull):
+            run_all(config, records, tmp_path)
+        monkeypatch.setattr(pathlib.Path, "write_text", real_write_text)
+        run_all(config, records, tmp_path)
+        assert artifact_bytes(tmp_path) == clean
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestCli:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import re
 import threading
 import time
@@ -21,6 +22,8 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .atomic import write_atomic
+
 DEFAULT_DIMENSION = 256
 
 FNV64_OFFSET_BASIS = 0xCBF29CE484222325
@@ -28,6 +31,8 @@ FNV64_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+logger = logging.getLogger(__name__)
 
 
 class EmbeddingError(RuntimeError):
@@ -188,12 +193,15 @@ class EmbeddingCache:
     """Thread-safe (provider-id, text) -> vector cache with JSON persistence.
 
     Entries are keyed by (provider-id, SHA-256 of text) so the persisted form
-    round-trips exactly and arbitrary content is safe to store.
+    round-trips exactly and arbitrary content is safe to store. The cache
+    tracks whether it gained entries since it was last loaded or saved, so an
+    unchanged cache is not written again.
     """
 
     def __init__(self):
         self._data: dict[tuple[str, str], np.ndarray] = {}
         self._lock = threading.Lock()
+        self._changed = False
 
     def __len__(self) -> int:
         return len(self._data)
@@ -209,25 +217,44 @@ class EmbeddingCache:
     def put(self, provider_id: str, text: str, vector: np.ndarray) -> None:
         with self._lock:
             self._data[(provider_id, self.text_key(text))] = vector
+            self._changed = True
 
     def save(self, path: str | Path) -> None:
-        providers: dict[str, dict[str, list[float]]] = {}
+        """Write {provider id: {text hash: vector}} to `path` as JSON, whole or
+        not at all; skipped when `path` exists and no entry was added since
+        the cache was last loaded or saved."""
+        path = Path(path)
         with self._lock:
+            if not self._changed and path.exists():
+                return
+            providers: dict[str, dict[str, list[float]]] = {}
             for (pid, key), vec in self._data.items():
-                providers.setdefault(pid, {})[key] = [float(x) for x in vec]
-        payload = {pid: dict(sorted(entries.items())) for pid, entries in sorted(providers.items())}
-        Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+                providers.setdefault(pid, {})[key] = vec.tolist()
+            write_atomic(path, json.dumps(providers, sort_keys=True))
+            self._changed = False
 
     def load(self, path: str | Path) -> int:
-        """Merge persisted vectors into this cache; returns the number of entries loaded."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        count = 0
+        """Merge persisted vectors into this cache; returns the number of entries loaded.
+
+        An unreadable file (truncated, or not the JSON `save` writes) loads
+        nothing: it logs a warning and marks the cache changed, so the next
+        `save` replaces the file; the vectors are recomputed on a miss.
+        """
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            entries = {
+                (pid, key): np.asarray(vec, dtype=np.float64)
+                for pid, vectors in payload.items()
+                for key, vec in vectors.items()
+            }
+        except (ValueError, TypeError, AttributeError) as exc:
+            logger.warning("ignoring unreadable embedding cache %s: %s", path, exc)
+            with self._lock:
+                self._changed = True
+            return 0
         with self._lock:
-            for pid, entries in payload.items():
-                for key, vec in entries.items():
-                    self._data[(pid, key)] = np.asarray(vec, dtype=np.float64)
-                    count += 1
-        return count
+            self._data.update(entries)
+        return len(entries)
 
 
 def embed_batch(

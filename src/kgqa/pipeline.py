@@ -21,7 +21,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -29,6 +28,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .answering import QARecord, build_qa_prompt, parse_final_answers
+from .atomic import write_atomic
 from .embedding import EmbeddingCache, EmbeddingProviderSpec, build_embedder
 from .enrichment import (
     associate_queries,
@@ -312,9 +312,9 @@ class PipelineContext:
 
     def save_state(self) -> CostLedger:
         """Write `ledger.json`, folded from the row files of the plan's stages,
-        and the embedding cache; return the ledger."""
+        and the embedding cache if it gained entries; return the ledger."""
         ledger = _ledger_from_rows(self)
-        _write_atomic(self.stage_dir / "ledger.json", _dumps(ledger.to_dict()))
+        write_atomic(self.stage_dir / "ledger.json", _dumps(ledger.to_dict()))
         if self.config.cache_dir:
             cache_dir = Path(self.config.cache_dir)
             cache_dir.mkdir(parents=True, exist_ok=True)
@@ -342,19 +342,6 @@ def _attach_run_log(stage_dir: Path) -> None:
 
 def _dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write `text` to `path` whole or not at all: through a temp file in the
-    same directory, renamed over `path`. The temp name ends in `.tmp`, so a
-    write cut short never matches the `*.json` row and artifact names."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _hash_file(path: Path) -> str:
@@ -386,7 +373,7 @@ def _load_manifest(ctx: PipelineContext) -> dict:
 
 
 def _save_manifest(ctx: PipelineContext, manifest: dict) -> None:
-    _write_atomic(_manifest_path(ctx), _dumps(manifest))
+    write_atomic(_manifest_path(ctx), _dumps(manifest))
 
 
 def _read_rows(path: Path) -> dict[str, dict]:
@@ -647,7 +634,7 @@ def run_stage(stage: str, ctx: PipelineContext, resume: bool = True) -> StageArt
     report = None
     if spec.aggregate is not None:
         report = spec.aggregate(ctx, upstream_rows)
-        _write_atomic(artifact_path, _dumps(report.to_dict()))
+        write_atomic(artifact_path, _dumps(report.to_dict()))
         processed, failed = report.n, 0
     else:
         previous = manifest.get(spec.key)
@@ -685,7 +672,7 @@ def _run_records(spec: Stage, ctx: PipelineContext, upstream_rows: Mapping, arti
             usage = asdict(ledger.usage(record.id) - before)
             return {"id": record.id, "stage": spec.name, "error": str(exc), "usage": usage}
         usage = asdict(ledger.usage(record.id) - before)
-        _write_atomic(_row_path(rows_dir, record), _dumps(row) + "\n" + _dumps(usage))
+        write_atomic(_row_path(rows_dir, record), _dumps(row) + "\n" + _dumps(usage))
         return None
 
     if ctx.config.workers > 1 and len(pending) > 1:
@@ -700,7 +687,7 @@ def _run_records(spec: Stage, ctx: PipelineContext, upstream_rows: Mapping, arti
         row_file = _row_path(rows_dir, record)
         if row_file.exists():
             lines.append(row_file.read_text(encoding="utf-8").partition("\n")[0] + "\n")
-    _write_atomic(artifact_path, "".join(lines))
+    write_atomic(artifact_path, "".join(lines))
     _write_errors(ctx, spec.name, errors)
     return len(pending) - len(errors), len(errors)
 
@@ -711,7 +698,7 @@ def _write_errors(ctx: PipelineContext, stage: str, errors: list[dict]) -> None:
         path.unlink(missing_ok=True)
         return
     path.parent.mkdir(exist_ok=True)
-    _write_atomic(path, "".join(_dumps(err) + "\n" for err in sorted(errors, key=lambda e: e["id"])))
+    write_atomic(path, "".join(_dumps(err) + "\n" for err in sorted(errors, key=lambda e: e["id"])))
 
 
 def run_all(

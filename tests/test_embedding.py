@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import logging
+import os
+import pathlib
 from random import Random
 
 import numpy as np
@@ -164,6 +168,103 @@ class TestCachePersistence:
         assert counting.computed == 0
         for vec, exp in zip(out, expected):
             assert (vec == exp).all()
+
+    def test_save_bytes_equal_float_list_writer(self, tmp_path):
+        # The reference layout: provider id -> SHA-256 of the text -> vector as
+        # a list of Python floats, dumped with sorted keys.
+        rng = np.random.default_rng(5)
+        cache = EmbeddingCache()
+        expected: dict[str, dict[str, list[float]]] = {}
+        for pid in ("remote-m-8", "reference-fnv1a-8"):
+            for i in range(40):
+                vec = rng.standard_normal(8) * 10.0 ** rng.integers(-300, 300, size=8)
+                vec[0] = 0.1 if i % 2 else -0.0
+                cache.put(pid, f"text {i}", vec)
+                expected.setdefault(pid, {})[EmbeddingCache.text_key(f"text {i}")] = [float(x) for x in vec]
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        assert path.read_bytes() == json.dumps(expected, sort_keys=True).encode("utf-8")
+
+    def test_unchanged_cache_is_not_rewritten(self, tmp_path):
+        path = tmp_path / "cache.json"
+        first = EmbeddingCache()
+        embed_batch(["amber mesa", "dune"], ReferenceEmbedder(), first)
+        first.save(path)
+        os.utime(path, ns=(10**9, 10**9))
+        before = path.read_bytes(), path.stat().st_mtime_ns, path.stat().st_ino
+
+        first.save(path)
+        warm = EmbeddingCache()
+        warm.load(path)
+        embed_batch(["dune", "amber mesa"], ReferenceEmbedder(), warm)
+        warm.save(path)
+        assert (path.read_bytes(), path.stat().st_mtime_ns, path.stat().st_ino) == before
+
+    def test_new_entries_rewrite_the_union(self, tmp_path):
+        path = tmp_path / "cache.json"
+        first = EmbeddingCache()
+        embed_batch(["amber mesa", "dune"], ReferenceEmbedder(), first)
+        first.save(path)
+        warm = EmbeddingCache()
+        warm.load(path)
+        embed_batch(["dune", "cobalt reed"], ReferenceEmbedder(), warm)
+        warm.save(path)
+        restored = EmbeddingCache()
+        assert restored.load(path) == 3
+        counting = CountingEmbedder()
+        embed_batch(["amber mesa", "dune", "cobalt reed"], counting, restored)
+        assert counting.computed == 0
+
+    def test_missing_file_is_written_again(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = EmbeddingCache()
+        embed_batch(["dune"], ReferenceEmbedder(), cache)
+        cache.save(path)
+        saved = path.read_bytes()
+        path.unlink()
+        cache.save(path)
+        assert path.read_bytes() == saved
+        empty = tmp_path / "empty.json"
+        EmbeddingCache().save(empty)
+        assert json.loads(empty.read_text()) == {}
+
+    def test_save_cut_short_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.json"
+        cache = EmbeddingCache()
+        embed_batch(["amber mesa"], ReferenceEmbedder(), cache)
+        cache.save(path)
+        previous = path.read_bytes()
+        embed_batch(["dune"], ReferenceEmbedder(), cache)
+        real_write_text = pathlib.Path.write_text
+
+        def cut_short(target, text, *args, **kwargs):
+            real_write_text(target, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", cut_short)
+        with pytest.raises(OSError, match="no space"):
+            cache.save(path)
+        monkeypatch.setattr(pathlib.Path, "write_text", real_write_text)
+        assert path.read_bytes() == previous
+        assert not list(tmp_path.glob("*.tmp"))
+        cache.save(path)  # the failed save left the new entry unsaved
+        assert EmbeddingCache().load(path) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        ['{"reference-fnv1a-256": {"ab": [0.5, ', "not json", "[1, 2]", '{"p": {"k": "x"}}'],
+        ids=["truncated", "not-json", "not-an-object", "not-a-vector"],
+    )
+    def test_unreadable_file_loads_empty_and_is_replaced(self, tmp_path, caplog, content):
+        path = tmp_path / "cache.json"
+        path.write_text(content, encoding="utf-8")
+        cache = EmbeddingCache()
+        with caplog.at_level(logging.WARNING, logger="kgqa.embedding"):
+            assert cache.load(path) == 0
+        assert len(cache) == 0
+        assert "unreadable embedding cache" in caplog.text
+        cache.save(path)
+        assert json.loads(path.read_text()) == {}
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):

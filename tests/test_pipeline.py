@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
+import os
 import pathlib
 from dataclasses import replace
 from unittest import mock
@@ -430,6 +432,66 @@ class TestAtomicWrites:
         assert not list(tmp_path.rglob("*.tmp"))
 
 
+def file_state(path: pathlib.Path) -> tuple[bytes, int, int]:
+    stat = path.stat()
+    return path.read_bytes(), stat.st_mtime_ns, stat.st_ino
+
+
+class TestEmbeddingCacheFile:
+    def config(self, script, cache_dir):
+        return RunConfig(llm={"kind": "stub", "script": script}, cache_dir=str(cache_dir))
+
+    def test_warm_run_leaves_file_untouched(self, tmp_path, small_fixture):
+        records, script = small_fixture
+        config = self.config(script, tmp_path / "cache")
+        run_all(config, records, tmp_path / "cold")
+        cache_file = tmp_path / "cache" / "embeddings.json"
+        os.utime(cache_file, ns=(10**9, 10**9))
+        before = file_state(cache_file)
+        run_all(config, records, tmp_path / "warm")
+        assert file_state(cache_file) == before
+
+    def test_new_texts_rewrite_the_union(self, tmp_path, small_fixture):
+        records, script = small_fixture
+        other_records, other_script = build_mini_dataset(n_questions=2, seed=8, max_triples=50)
+        run_all(self.config(script, tmp_path / "a"), records, tmp_path / "stage-a")
+        run_all(self.config(other_script, tmp_path / "b"), other_records, tmp_path / "stage-b")
+        shared = tmp_path / "shared"
+        run_all(self.config(script, shared), records, tmp_path / "stage-1")
+        run_all(self.config(other_script, shared), other_records, tmp_path / "stage-2")
+        union = json.loads((tmp_path / "a" / "embeddings.json").read_text())
+        for pid, entries in json.loads((tmp_path / "b" / "embeddings.json").read_text()).items():
+            union.setdefault(pid, {}).update(entries)
+        assert (shared / "embeddings.json").read_bytes() == json.dumps(union, sort_keys=True).encode("utf-8")
+
+    def test_deleted_file_is_written_again(self, tmp_path, small_fixture):
+        records, script = small_fixture
+        config = self.config(script, tmp_path / "cache")
+        run_all(config, records, tmp_path / "stage")
+        cache_file = tmp_path / "cache" / "embeddings.json"
+        saved = cache_file.read_bytes()
+        ctx = PipelineContext(config, tmp_path / "stage", records)
+        cache_file.unlink()
+        ctx.save_state()
+        assert cache_file.read_bytes() == saved
+
+    def test_truncated_file_starts_empty_and_is_replaced(self, tmp_path, small_fixture, caplog):
+        records, script = small_fixture
+        config = self.config(script, tmp_path / "cache")
+        run_all(config, records, tmp_path / "stage")
+        cache_file = tmp_path / "cache" / "embeddings.json"
+        saved = cache_file.read_bytes()
+        cache_file.write_bytes(saved[: len(saved) // 2])
+        with caplog.at_level(logging.WARNING, logger="kgqa.embedding"):
+            ctx = PipelineContext(config, tmp_path / "stage", records)
+        assert len(ctx.cache) == 0
+        assert "unreadable embedding cache" in caplog.text
+        ctx.save_state()
+        assert json.loads(cache_file.read_text()) == {}
+        run_all(config, records, tmp_path / "stage", resume=False)
+        assert cache_file.read_bytes() == saved
+
+
 class TestCli:
     def test_run_command(self, tmp_path, capsys):
         paths = write_fixture(tmp_path / "fx", n_questions=3, max_triples=40)
@@ -464,6 +526,20 @@ class TestCli:
         assert "# LLM Call" in out
         assert (stage_dir / "sweep_k.csv").exists()
         assert (stage_dir / "quality" / "quality.csv").exists()
+
+    def test_answer_on_warm_cache_dir_does_not_rewrite_cache(self, tmp_path):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        config = json.loads(paths["config"].read_text())
+        config["cache_dir"] = str(tmp_path / "cache")
+        paths["config"].write_text(json.dumps(config))
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
+        for command in ("parse", "prune", "enrich"):
+            assert cli.main([command, *common]) == 0
+        cache_file = tmp_path / "cache" / "embeddings.json"
+        os.utime(cache_file, ns=(10**9, 10**9))
+        before = file_state(cache_file)
+        assert cli.main(["answer", *common]) == 0
+        assert file_state(cache_file) == before
 
     def test_missing_upstream_is_clean_error(self, tmp_path, capsys):
         paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)

@@ -10,15 +10,16 @@ non-negative, so pairwise similarities of non-empty texts land in [0, 1].
 
 from __future__ import annotations
 
-import hashlib
+import base64
 import json
 import logging
 import re
 import threading
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -192,10 +193,12 @@ class RemoteEmbedder:
 class EmbeddingCache:
     """Thread-safe (provider-id, text) -> vector cache with JSON persistence.
 
-    Entries are keyed by (provider-id, SHA-256 of text) so the persisted form
-    round-trips exactly and arbitrary content is safe to store. The cache
-    tracks whether it gained entries since it was last loaded or saved, so an
-    unchanged cache is not written again.
+    The persisted form maps each provider id to its sorted texts and their
+    vectors, packed as zlib-compressed little-endian float64 rows in text
+    order, so vectors round-trip bit for bit and a given set of entries
+    always writes the same bytes. The cache tracks whether it gained entries
+    since it was last loaded or saved, so an unchanged cache is not written
+    again.
     """
 
     def __init__(self):
@@ -206,48 +209,45 @@ class EmbeddingCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    @staticmethod
-    def text_key(text: str) -> str:
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
     def get(self, provider_id: str, text: str) -> np.ndarray | None:
         with self._lock:
-            return self._data.get((provider_id, self.text_key(text)))
+            return self._data.get((provider_id, text))
 
     def put(self, provider_id: str, text: str, vector: np.ndarray) -> None:
         with self._lock:
-            self._data[(provider_id, self.text_key(text))] = vector
+            self._data[(provider_id, text)] = vector
             self._changed = True
 
     def save(self, path: str | Path) -> None:
-        """Write {provider id: {text hash: vector}} to `path` as JSON, whole or
-        not at all; skipped when `path` exists and no entry was added since
-        the cache was last loaded or saved."""
+        """Write {provider id: {"texts": [...], "vectors": "<base64>"}} to `path`
+        as JSON, whole or not at all; skipped when `path` exists and no entry
+        was added since the cache was last loaded or saved."""
         path = Path(path)
         with self._lock:
             if not self._changed and path.exists():
                 return
-            providers: dict[str, dict[str, list[float]]] = {}
-            for (pid, key), vec in self._data.items():
-                providers.setdefault(pid, {})[key] = vec.tolist()
-            write_atomic(path, json.dumps(providers, sort_keys=True))
+            by_provider: dict[str, dict[str, np.ndarray]] = {}
+            for (pid, text), vec in self._data.items():
+                by_provider.setdefault(pid, {})[text] = vec
+            payload = {pid: _pack(vectors) for pid, vectors in by_provider.items()}
+            write_atomic(path, json.dumps(payload, sort_keys=True))
             self._changed = False
 
     def load(self, path: str | Path) -> int:
         """Merge persisted vectors into this cache; returns the number of entries loaded.
 
-        An unreadable file (truncated, or not the JSON `save` writes) loads
-        nothing: it logs a warning and marks the cache changed, so the next
-        `save` replaces the file; the vectors are recomputed on a miss.
+        Loaded vectors are read-only rows of one array per provider. An
+        unreadable file (truncated, not the JSON `save` writes, or an older
+        layout) loads nothing: it logs a warning and marks the cache changed,
+        so the next `save` replaces the file; the vectors are recomputed on a
+        miss.
         """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
             entries = {
-                (pid, key): np.asarray(vec, dtype=np.float64)
-                for pid, vectors in payload.items()
-                for key, vec in vectors.items()
+                (pid, text): row for pid, packed in payload.items() for text, row in _unpack(packed)
             }
-        except (ValueError, TypeError, AttributeError) as exc:
+        except (ValueError, TypeError, AttributeError, KeyError, zlib.error) as exc:
             logger.warning("ignoring unreadable embedding cache %s: %s", path, exc)
             with self._lock:
                 self._changed = True
@@ -255,6 +255,21 @@ class EmbeddingCache:
         with self._lock:
             self._data.update(entries)
         return len(entries)
+
+
+def _pack(vectors: dict[str, np.ndarray]) -> dict:
+    texts = sorted(vectors)
+    rows = np.stack([vectors[text] for text in texts]).astype("<f8", copy=False)
+    return {"texts": texts, "vectors": base64.b64encode(zlib.compress(rows.tobytes(), 1)).decode("ascii")}
+
+
+def _unpack(packed: dict) -> Iterator[tuple[str, np.ndarray]]:
+    """(text, vector) pairs of one provider's entry; raises on any malformed part."""
+    texts = packed["texts"]
+    if not isinstance(texts, list) or not all(isinstance(text, str) for text in texts):
+        raise TypeError("texts must be a list of strings")
+    raw = zlib.decompress(base64.b64decode(packed["vectors"], validate=True))
+    return zip(texts, np.frombuffer(raw, dtype="<f8").reshape(len(texts), -1))
 
 
 def embed_batch(

@@ -433,15 +433,14 @@ def _answer_triples(
     pruned triples followed by the generated ones, indexed after the kept."""
     if pruned_row is None:
         return list(load_graph(record.graph))
-    pruned = _scored_from_row(pruned_row)
-    if enriched_row is None:
-        return pruned.triples
-    start = max((st.triple.index for st in pruned.kept), default=-1) + 1
-    generated = [
-        Triple(EntityRef(g["s"]), Relation(g["r"]), EntityRef(g["o"]), index=start + i)
-        for i, g in enumerate(enriched_row.get("generated", []))
+    kept = pruned_row["kept"]
+    generated = enriched_row.get("generated", []) if enriched_row is not None else []
+    refs = {i: EntityRef(i) for i in {e[side] for e in (*kept, *generated) for side in ("s", "o")}}
+    triples = [Triple(refs[e["s"]], Relation(e["r"]), refs[e["o"]], index=e["index"]) for e in kept]
+    start = max((t.index for t in triples), default=-1) + 1
+    return triples + [
+        Triple(refs[g["s"]], Relation(g["r"]), refs[g["o"]], index=start + i) for i, g in enumerate(generated)
     ]
-    return pruned.triples + generated
 
 
 def _upstream_row(upstream_rows: Mapping[str, dict], stage: str, record_id: str) -> dict:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import os
@@ -8,6 +9,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgqa.embedding import (
     EmbeddingCache,
@@ -34,6 +37,26 @@ class CountingEmbedder:
     def embed_many(self, texts):
         self.computed += len(texts)
         return self.inner.embed_many(texts)
+
+
+# Float64 values a vector may hold, with the edge cases drawn often.
+float64s = st.floats(width=64) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, float("inf"), float("-inf"), float("nan"), 1e300, -1e-300]
+)
+
+
+@st.composite
+def cache_contents(draw) -> dict[str, dict[str, np.ndarray]]:
+    """1-3 providers with distinct dimensions, each with some unicode texts and their vectors."""
+    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    pids = draw(st.lists(st.text(max_size=8), min_size=len(dims), max_size=len(dims), unique=True))
+    return {
+        pid: {
+            text: np.array(draw(st.lists(float64s, min_size=dim, max_size=dim)), dtype=np.float64)
+            for text in draw(st.lists(st.text(max_size=12), min_size=1, max_size=5, unique=True))
+        }
+        for pid, dim in zip(pids, dims)
+    }
 
 
 class TestFnv:
@@ -169,21 +192,40 @@ class TestCachePersistence:
         for vec, exp in zip(out, expected):
             assert (vec == exp).all()
 
-    def test_save_bytes_equal_float_list_writer(self, tmp_path):
-        # The reference layout: provider id -> SHA-256 of the text -> vector as
-        # a list of Python floats, dumped with sorted keys.
-        rng = np.random.default_rng(5)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(entries=cache_contents())
+    def test_round_trip_is_bit_for_bit(self, tmp_path_factory, entries):
         cache = EmbeddingCache()
-        expected: dict[str, dict[str, list[float]]] = {}
-        for pid in ("remote-m-8", "reference-fnv1a-8"):
-            for i in range(40):
-                vec = rng.standard_normal(8) * 10.0 ** rng.integers(-300, 300, size=8)
-                vec[0] = 0.1 if i % 2 else -0.0
-                cache.put(pid, f"text {i}", vec)
-                expected.setdefault(pid, {})[EmbeddingCache.text_key(f"text {i}")] = [float(x) for x in vec]
-        path = tmp_path / "cache.json"
+        for pid, vectors in entries.items():
+            for text, vec in vectors.items():
+                cache.put(pid, text, vec)
+        path = tmp_path_factory.mktemp("cache") / "cache.json"
         cache.save(path)
-        assert path.read_bytes() == json.dumps(expected, sort_keys=True).encode("utf-8")
+        restored = EmbeddingCache()
+        assert restored.load(path) == sum(len(v) for v in entries.values())
+        for pid, vectors in entries.items():
+            for text, vec in vectors.items():
+                assert (restored.get(pid, text).view(np.int64) == vec.view(np.int64)).all()
+
+    def test_same_entries_save_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        entries = [
+            (pid, f"text {i}", rng.standard_normal(dim)) for pid, dim in (("a-8", 8), ("b-3", 3)) for i in range(40)
+        ]
+        paths = []
+        for order in (entries, entries[::-1]):
+            cache = EmbeddingCache()
+            for pid, text, vec in order:
+                cache.put(pid, text, vec)
+            paths.append(tmp_path / f"cache-{len(paths)}.json")
+            cache.save(paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert json.loads(paths[0].read_text())["a-8"]["texts"] == sorted(f"text {i}" for i in range(40))
+
+    def test_empty_cache_writes_empty_object(self, tmp_path):
+        path = tmp_path / "cache.json"
+        EmbeddingCache().save(path)
+        assert path.read_bytes() == b"{}"
 
     def test_unchanged_cache_is_not_rewritten(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -265,6 +307,50 @@ class TestCachePersistence:
         assert "unreadable embedding cache" in caplog.text
         cache.save(path)
         assert json.loads(path.read_text()) == {}
+
+    @pytest.mark.parametrize("damage", ["float-lists", "bad-base64", "bad-zlib", "row-count"])
+    def test_damaged_packed_file_loads_empty_and_is_replaced(self, tmp_path, caplog, damage):
+        path = tmp_path / "cache.json"
+        cache = EmbeddingCache()
+        embed_batch(["amber mesa", "dune"], ReferenceEmbedder(), cache)
+        cache.save(path)
+        saved = path.read_bytes()
+        payload = json.loads(saved)
+        packed = payload["reference-fnv1a-256"]
+        if damage == "float-lists":  # the layout before vectors were packed
+            payload = {"reference-fnv1a-256": {"0" * 64: [0.5] * 256}}
+        elif damage == "bad-base64":
+            packed["vectors"] = packed["vectors"][:-2] + "!!"
+        elif damage == "bad-zlib":
+            packed["vectors"] = base64.b64encode(b"not a zlib stream").decode("ascii")
+        else:
+            packed["texts"].append("cobalt reed")
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        restored = EmbeddingCache()
+        with caplog.at_level(logging.WARNING, logger="kgqa.embedding"):
+            assert restored.load(path) == 0
+        assert len(restored) == 0
+        assert "unreadable embedding cache" in caplog.text
+        embed_batch(["amber mesa", "dune"], ReferenceEmbedder(), restored)
+        restored.save(path)
+        assert path.read_bytes() == saved
+
+    def test_loaded_vector_is_read_only_and_returned_as_is(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = EmbeddingCache()
+        embed_batch(["amber mesa"], ReferenceEmbedder(), cache)
+        cache.save(path)
+        restored = EmbeddingCache()
+        restored.load(path)
+        loaded = restored.get("reference-fnv1a-256", "amber mesa")
+        assert not loaded.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            loaded[0] = 1.0
+        counting = CountingEmbedder()
+        (out,) = embed_batch(["amber mesa"], counting, restored)
+        assert out is loaded
+        assert counting.computed == 0
+        assert (out == embed_reference("amber mesa")).all()
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgqa import cli, pipeline
+from kgqa.embedding import EmbeddingCache
 from kgqa.fixtures import build_mini_dataset, write_fixture
 from kgqa.gateway import estimate_tokens
 from kgqa.graph import load_graph, textualize_triple
@@ -259,10 +260,10 @@ class TestRunAll:
         run_all(config, records, tmp_path / "stage")
         cache_file = cache_dir / "embeddings.json"
         assert cache_file.exists()
-        entries = json.loads(cache_file.read_text())
-        assert sum(len(v) for v in entries.values()) > 0
+        entries = sum(len(packed["texts"]) for packed in json.loads(cache_file.read_text()).values())
+        assert entries > 0
         ctx = PipelineContext(config, tmp_path / "stage2", records)
-        assert len(ctx.cache) == sum(len(v) for v in entries.values())
+        assert len(ctx.cache) == entries
 
 
 class TestSweepK:
@@ -437,6 +438,14 @@ def file_state(path: pathlib.Path) -> tuple[bytes, int, int]:
     return path.read_bytes(), stat.st_mtime_ns, stat.st_ino
 
 
+def cache_file_entries(path: pathlib.Path) -> dict[tuple[str, str], bytes]:
+    """(provider id, text) -> vector bytes of every entry an embeddings.json holds."""
+    cache = EmbeddingCache()
+    cache.load(path)
+    payload = json.loads(path.read_text())
+    return {(pid, text): cache.get(pid, text).tobytes() for pid, packed in payload.items() for text in packed["texts"]}
+
+
 class TestEmbeddingCacheFile:
     def config(self, script, cache_dir):
         return RunConfig(llm={"kind": "stub", "script": script}, cache_dir=str(cache_dir))
@@ -459,10 +468,10 @@ class TestEmbeddingCacheFile:
         shared = tmp_path / "shared"
         run_all(self.config(script, shared), records, tmp_path / "stage-1")
         run_all(self.config(other_script, shared), other_records, tmp_path / "stage-2")
-        union = json.loads((tmp_path / "a" / "embeddings.json").read_text())
-        for pid, entries in json.loads((tmp_path / "b" / "embeddings.json").read_text()).items():
-            union.setdefault(pid, {}).update(entries)
-        assert (shared / "embeddings.json").read_bytes() == json.dumps(union, sort_keys=True).encode("utf-8")
+        union = cache_file_entries(tmp_path / "a" / "embeddings.json") | cache_file_entries(
+            tmp_path / "b" / "embeddings.json"
+        )
+        assert cache_file_entries(shared / "embeddings.json") == union
 
     def test_deleted_file_is_written_again(self, tmp_path, small_fixture):
         records, script = small_fixture

@@ -24,6 +24,7 @@ from typing import Iterator, Protocol, Sequence
 import numpy as np
 
 from .atomic import write_atomic
+from .gateway import http_session, post_json, with_retries
 
 DEFAULT_DIMENSION = 256
 
@@ -126,8 +127,6 @@ class RemoteEmbedder:
         dimension: int,
         api_key_env: str | None = None,
         timeout: float = 60.0,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
         session=None,
         sleep=time.sleep,
     ):
@@ -138,44 +137,22 @@ class RemoteEmbedder:
         self.dimension = dimension
         self.api_key_env = api_key_env
         self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self._sleep = sleep
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
+        self._session = session if session is not None else http_session()
         self.provider_id = f"remote-{model}-{dimension}"
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key_env:
-            import os
-
-            key = os.environ.get(self.api_key_env, "")
-            if key:
-                headers["Authorization"] = f"Bearer {key}"
-        return headers
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
             return []
         payload = {"input": list(texts), "model": self.model}
-        last_error: Exception | None = None
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                resp = self._session.post(self.endpoint, json=payload, headers=self._headers(), timeout=self.timeout)
-                if resp.status_code >= 500 or resp.status_code == 429:
-                    raise EmbeddingError(f"HTTP {resp.status_code} from {self.endpoint}")
-                resp.raise_for_status()
-                data = resp.json()["data"]
-                break
-            except Exception as exc:
-                last_error = exc
-                if attempt == self.max_attempts:
-                    raise EmbeddingError(f"embedding request failed after {attempt} attempts: {exc}") from exc
-                self._sleep(self.backoff_base * (2 ** (attempt - 1)))
+        try:
+            body = with_retries(
+                lambda: post_json(self._session, self.endpoint, payload, self.api_key_env, self.timeout),
+                sleep=self._sleep,
+            )
+            data = body["data"]
+        except (RuntimeError, KeyError, TypeError) as exc:
+            raise EmbeddingError(f"embedding request failed: {exc!r}") from exc
         if len(data) != len(texts):
             raise EmbeddingError(f"expected {len(texts)} embeddings, got {len(data)}")
         out = []

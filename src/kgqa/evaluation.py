@@ -21,6 +21,7 @@ import numpy as np
 
 from .answering import AnswerSet, normalize_all
 from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch, similarity
+from .gateway import http_session, post_json, with_retries
 from .graph import Triple, group_by_endpoints, relation_text, textualize_triple
 
 TripleScorer = Callable[[Triple], float]
@@ -145,16 +146,12 @@ class RemoteKGCScorer:
     def __init__(self, endpoint: str, timeout: float = 60.0, session=None):
         self.endpoint = endpoint
         self.timeout = timeout
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
+        self._session = session if session is not None else http_session()
 
     def __call__(self, triple: Triple) -> float:
-        resp = self._session.post(self.endpoint, json={"input": [textualize_triple(triple)]}, timeout=self.timeout)
-        resp.raise_for_status()
-        return float(resp.json()["data"][0]["score"])
+        payload = {"input": [textualize_triple(triple)]}
+        body = with_retries(lambda: post_json(self._session, self.endpoint, payload, None, self.timeout))
+        return float(body["data"][0]["score"])
 
 
 def relevance_score(

@@ -6,6 +6,10 @@ failures, an in-flight limit, and a thread-safe usage ledger. A *logical
 call* is one successful completion regardless of how many transport attempts
 it took; the ledger counts calls and attempts separately.
 
+The HTTP policy of every remote client (chat, embedding, KGC scoring) lives
+here too: `post_json` builds the headers and classifies the status codes, and
+`with_retries` is the one bounded-retry loop.
+
 The scripted stub provider is keyed by (template name, question id) so fixture
 suites survive benign prompt-wording changes; a strict prompt-hash mode is
 available for golden tests.
@@ -14,9 +18,9 @@ available for golden tests.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import logging
 import math
+import os
 import threading
 import time
 from dataclasses import asdict, astuple, dataclass, fields
@@ -45,7 +49,55 @@ class TemplateError(ValueError):
 
 
 class TransportError(RuntimeError):
-    """Transient provider failure; the gateway retries these."""
+    """Transient failure of a remote call; `with_retries` retries these."""
+
+
+def with_retries(call, max_attempts: int = 3, backoff_base: float = 0.5, backoff_cap: float = 8.0, sleep=time.sleep):
+    """Return `call()`, retrying it only on TransportError.
+
+    Failed attempt n is followed by a sleep of min(cap, base * 2**(n-1)) s;
+    after `max_attempts` failures the last error is re-raised as
+    TransportError("gave up after N attempts: ...").
+    """
+    attempt = 1
+    while True:
+        try:
+            return call()
+        except TransportError as exc:
+            logger.warning("attempt %d/%d failed: %s", attempt, max_attempts, exc)
+            if attempt >= max_attempts:
+                raise TransportError(f"gave up after {attempt} attempts: {exc}") from exc
+        sleep(min(backoff_cap, backoff_base * (2 ** (attempt - 1))))
+        attempt += 1
+
+
+def http_session():
+    """A new `requests.Session`; `requests` is imported only when a remote client is built."""
+    import requests
+
+    return requests.Session()
+
+
+def post_json(session, endpoint: str, payload: Mapping, api_key_env: str | None, timeout: float) -> dict:
+    """POST `payload` as JSON and return the decoded body.
+
+    The bearer key is read from the environment variable `api_key_env`, when
+    set. A failed request, HTTP 429 or a 5xx raises TransportError (worth
+    retrying); any other 4xx raises RuntimeError.
+    """
+    headers = {"Content-Type": "application/json"}
+    key = os.environ.get(api_key_env, "") if api_key_env else ""
+    if key:
+        headers["Authorization"] = f"Bearer {key}"
+    try:
+        resp = session.post(endpoint, json=payload, headers=headers, timeout=timeout)
+    except OSError as exc:  # requests.RequestException and socket errors
+        raise TransportError(f"request to {endpoint} failed: {exc}") from exc
+    if resp.status_code >= 500 or resp.status_code == 429:
+        raise TransportError(f"HTTP {resp.status_code} from {endpoint}")
+    if resp.status_code >= 400:
+        raise RuntimeError(f"HTTP {resp.status_code} from {endpoint}: {resp.text[:500]}")
+    return resp.json()
 
 
 class StubKeyError(LookupError):
@@ -195,11 +247,7 @@ class QuestionUsage:
 
 
 class CostLedger:
-    """Per-question logical calls, attempts, and token usage. Safe for concurrent appends.
-
-    Attempt-level events are kept in memory for diagnostics but are not part
-    of the serialized form, which stays byte-stable across reruns.
-    """
+    """Per-question logical calls, attempts, and token usage. Safe for concurrent appends."""
 
     UNASSIGNED = "_unassigned"
 
@@ -207,13 +255,9 @@ class CostLedger:
         self.prices = prices or PriceTable()
         self._entries: dict[str, QuestionUsage] = {}
         self._lock = threading.Lock()
-        self.events: list[dict] = []
 
-    def record_attempt(self, question_id: str | None, template: str | None, ok: bool, error: str | None = None) -> None:
-        qid = question_id or self.UNASSIGNED
-        self.add(qid, QuestionUsage(attempts=1))
-        with self._lock:
-            self.events.append({"question": qid, "template": template, "ok": ok, "error": error})
+    def record_attempt(self, question_id: str | None) -> None:
+        self.add(question_id or self.UNASSIGNED, QuestionUsage(attempts=1))
 
     def record_call(self, question_id: str | None, prompt_tokens: int, completion_tokens: int) -> None:
         usage = QuestionUsage(calls=1, prompt_tokens=prompt_tokens, completion_tokens=completion_tokens)
@@ -385,16 +429,10 @@ class RemoteChatProvider:
         self.endpoint = endpoint
         self.api_key_env = api_key_env
         self.timeout = timeout
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
+        self._session = session if session is not None else http_session()
         self.provider_id = f"remote-{model}"
 
     def generate(self, request: ChatRequest) -> ProviderReply:
-        import os
-
         payload: dict = {
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
@@ -404,19 +442,7 @@ class RemoteChatProvider:
         }
         if request.max_tokens is not None:
             payload["max_tokens"] = request.max_tokens
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        try:
-            resp = self._session.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
-        except Exception as exc:
-            raise TransportError(f"request to {self.endpoint} failed: {exc}") from exc
-        if resp.status_code >= 500 or resp.status_code == 429:
-            raise TransportError(f"HTTP {resp.status_code} from {self.endpoint}")
-        if resp.status_code >= 400:
-            raise RuntimeError(f"HTTP {resp.status_code} from {self.endpoint}: {resp.text[:500]}")
-        body = resp.json()
+        body = post_json(self._session, self.endpoint, payload, self.api_key_env, self.timeout)
         content = body["choices"][0]["message"]["content"]
         usage = body.get("usage", {})
         return ProviderReply(
@@ -428,8 +454,6 @@ class RemoteChatProvider:
 
 class Gateway:
     """Provider wrapper adding retries, an in-flight bound, and ledger accounting."""
-
-    _correlation = itertools.count(1)
 
     def __init__(
         self,
@@ -452,11 +476,20 @@ class Gateway:
         self._sleep = sleep
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        correlation_id = next(self._correlation)
+        def attempt() -> ProviderReply:
+            """One provider try; successful and transient-failed tries each count as an attempt."""
+            try:
+                reply = self.provider.generate(request)
+            except TransportError:
+                self.ledger.record_attempt(request.question_id)
+                raise
+            self.ledger.record_attempt(request.question_id)
+            return reply
+
         if self._slots is not None:
             self._slots.acquire()
         try:
-            reply = self._attempt_loop(request, correlation_id)
+            reply = with_retries(attempt, self.max_attempts, self.backoff_base, self.backoff_cap, self._sleep)
         finally:
             if self._slots is not None:
                 self._slots.release()
@@ -473,19 +506,3 @@ class Gateway:
             completion_tokens=completion_tokens,
             provider_id=self.provider.provider_id,
         )
-
-    def _attempt_loop(self, request: ChatRequest, correlation_id: int) -> ProviderReply:
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                reply = self.provider.generate(request)
-            except TransportError as exc:
-                self.ledger.record_attempt(request.question_id, request.template, ok=False, error=str(exc))
-                logger.warning("call %d attempt %d/%d failed: %s", correlation_id, attempt, self.max_attempts, exc)
-                if attempt >= self.max_attempts:
-                    raise TransportError(f"gave up after {attempt} attempts: {exc}") from exc
-                self._sleep(min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1))))
-                continue
-            self.ledger.record_attempt(request.question_id, request.template, ok=True)
-            return reply

@@ -124,9 +124,6 @@ class KnowledgeGraph:
     def __getitem__(self, index: int) -> Triple:
         return self.triples[index]
 
-    def entity_ids(self) -> set[str]:
-        return set(self.by_subject) | set(self.by_object)
-
 
 def load_graph(records: Iterable[Sequence[str]]) -> KnowledgeGraph:
     """Build a graph from (s, r, o) records, keeping input order and dropping duplicates.

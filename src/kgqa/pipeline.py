@@ -208,6 +208,12 @@ class RunConfig:
             raise ValueError(f"ablation must be one of {ABLATIONS}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
+            raise ValueError("backoff_base must be finite and >= 0")
+        if self.max_in_flight is not None and self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1 (or null for no bound)")
         if self.stages is not None:
             self.stages = tuple(self.stages)
             for stage in self.stages:

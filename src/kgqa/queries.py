@@ -151,16 +151,6 @@ def decomposition_to_dict(decomposition: QueryDecomposition) -> dict:
     }
 
 
-def decomposition_from_dict(payload: Mapping) -> QueryDecomposition:
-    nodes_payload = payload["nodes"]
-    if not nodes_payload:
-        raise TreeParseError("empty node list")
-    text = "\n".join("-" * int(n["depth"]) + n["text"] for n in nodes_payload)
-    decomposition = parse_decomposition_tree(text)
-    decomposition.degraded = bool(payload.get("degraded", False))
-    return decomposition
-
-
 def fallback_graph_query(triple: Triple) -> str:
     """Deterministic graph query for triples the provider did not cover."""
     return f"What is the {triple.relation.text} of {triple.subject.display}?"

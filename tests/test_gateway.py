@@ -195,7 +195,7 @@ class TestLedger:
     def test_round_trip(self):
         ledger = CostLedger(PriceTable(1e-6, 2e-6))
         ledger.record_call("a", 100, 50)
-        ledger.record_attempt("a", "question_answering", ok=True)
+        ledger.record_attempt("a")
         restored = CostLedger.from_dict(ledger.to_dict())
         assert restored.usage("a").prompt_tokens == 100
         assert restored.usage("a").calls == 1

@@ -574,6 +574,18 @@ class TestCli:
         assert "error: invalid config:" in capsys.readouterr().err
         assert not (tmp_path / "stage").exists()
 
+    @pytest.mark.parametrize(
+        "key,value", [("max_attempts", 0), ("backoff_base", -1), ("max_in_flight", 0), ("max_in_flight", -1)]
+    )
+    def test_invalid_retry_config_is_clean_error(self, tmp_path, capsys, key, value):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        config = json.loads(paths["config"].read_text())
+        paths["config"].write_text(json.dumps({**config, key: value}))
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
+        assert cli.main(["parse", *common]) == 2
+        assert f"error: invalid config: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "stage").exists()
+
     def test_stage_failing_every_record_exits_1(self, tmp_path, capsys):
         paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
         script = json.loads(paths["script"].read_text())

@@ -13,8 +13,6 @@ from kgqa.queries import (
     TreeParseError,
     build_quadruples,
     decompose,
-    decomposition_from_dict,
-    decomposition_to_dict,
     fallback_graph_query,
     parse_decomposition_tree,
     serialize_decomposition,
@@ -90,12 +88,6 @@ class TestParseTree:
                 lines.append("-" * depth + f"node {i} {rng.randrange(100)}")
             raw = "\n".join(lines)
             assert serialize_decomposition(parse_decomposition_tree(raw)) == raw
-
-    def test_dict_round_trip(self):
-        d = parse_decomposition_tree(DECOMPOSITION_EXAMPLE)
-        restored = decomposition_from_dict(decomposition_to_dict(d))
-        assert serialize_decomposition(restored) == serialize_decomposition(d)
-        assert restored.flat == d.flat
 
 
 class TestDecompose:

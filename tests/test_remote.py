@@ -9,14 +9,18 @@ import time
 import numpy as np
 import pytest
 
+import kgqa.evaluation
 from kgqa.embedding import EmbeddingError, RemoteEmbedder
 from kgqa.evaluation import RemoteKGCScorer
 from kgqa.gateway import (
+    CostLedger,
     EchoProvider,
     Gateway,
     RemoteChatProvider,
     TransportError,
+    post_json,
     user_request,
+    with_retries,
 )
 from kgqa.graph import EntityRef, Relation, Triple
 
@@ -29,10 +33,6 @@ class FakeResponse:
 
     def json(self):
         return self._payload
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise RuntimeError(f"HTTP {self.status_code}")
 
 
 class FakeSession:
@@ -89,10 +89,21 @@ class TestRemoteEmbedder:
         assert len(out) == 1
 
     def test_bounded_retries_then_error(self):
-        embedder, session = self.make([FakeResponse(status_code=500)] * 5, max_attempts=3)
+        embedder, session = self.make([FakeResponse(status_code=500)] * 5)
         with pytest.raises(EmbeddingError, match="3 attempts"):
             embedder.embed_many(["x"])
         assert len(session.requests) == 3
+
+    @pytest.mark.parametrize(
+        "response",
+        [FakeResponse(status_code=400, payload={"error": "bad input"}), FakeResponse(payload={"object": "list"})],
+        ids=["client-error", "no-data"],
+    )
+    def test_non_transient_failure_not_retried(self, response):
+        embedder, session = self.make([response, FakeResponse(payload=embedding_payload([[1, 0, 0, 0]]))])
+        with pytest.raises(EmbeddingError):
+            embedder.embed_many(["x"])
+        assert len(session.requests) == 1
 
     def test_wrong_cardinality_rejected(self):
         embedder, _ = self.make([FakeResponse(payload=embedding_payload([[1, 0, 0, 0]]))])
@@ -165,6 +176,17 @@ class TestRemoteChatProvider:
         provider.generate(user_request("x"))
         assert session.requests[0]["headers"]["Authorization"] == "Bearer k123"
 
+    def test_gateway_retries_server_errors(self):
+        provider, session = self.make(
+            [FakeResponse(status_code=503), FakeResponse(status_code=503), FakeResponse(payload=chat_payload("ok"))]
+        )
+        ledger = CostLedger()
+        gateway = Gateway(provider, ledger=ledger, sleep=lambda _: None)
+        assert gateway.complete(user_request("x", question_id="q1")).content == "ok"
+        assert len(session.requests) == 3
+        usage = ledger.usage("q1")
+        assert (usage.calls, usage.attempts) == (1, 3)
+
 
 class TestRemoteKGCScorer:
     def test_score_request_and_parse(self):
@@ -173,6 +195,39 @@ class TestRemoteKGCScorer:
         t = Triple(EntityRef("Beijing"), Relation("located_in"), EntityRef("China"))
         assert scorer(t) == 0.42
         assert session.requests[0]["json"] == {"input": ["Beijing located in China"]}
+
+    def test_server_error_retried(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(kgqa.evaluation, "with_retries", lambda call: with_retries(call, sleep=sleeps.append))
+        session = FakeSession([FakeResponse(status_code=503), FakeResponse(payload={"data": [{"score": 0.9}]})])
+        scorer = RemoteKGCScorer("https://kgc.example/v1", session=session)
+        assert scorer(Triple(EntityRef("a"), Relation("r"), EntityRef("b"))) == 0.9
+        assert len(session.requests) == 2
+        assert sleeps == [0.5]
+
+    def test_client_error_not_retried(self):
+        session = FakeSession([FakeResponse(status_code=400), FakeResponse(payload={"data": [{"score": 0.9}]})])
+        scorer = RemoteKGCScorer("https://kgc.example/v1", session=session)
+        with pytest.raises(RuntimeError, match="HTTP 400"):
+            scorer(Triple(EntityRef("a"), Relation("r"), EntityRef("b")))
+        assert len(session.requests) == 1
+
+
+class TestHttpPolicy:
+    def test_backoff_capped(self):
+        sleeps = []
+
+        def always_down():
+            raise TransportError("HTTP 503")
+
+        with pytest.raises(TransportError, match="gave up after 7 attempts: HTTP 503"):
+            with_retries(always_down, max_attempts=7, sleep=sleeps.append)
+        assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0]
+
+    def test_connection_failure_is_transient(self):
+        session = FakeSession([ConnectionError("refused")])
+        with pytest.raises(TransportError, match="request to https://x.example failed: refused"):
+            post_json(session, "https://x.example", {}, None, 1.0)
 
 
 class TestGatewayInFlightBound:

@@ -6,7 +6,7 @@ pluggable text-generation provider, answers over the enriched graph, and
 evaluates both answers and graph quality with cost accounting.
 """
 
-from .answering import AnswerSet, QARecord, build_qa_prompt, normalize_answer, parse_final_answers
+from .answering import AnswerSet, build_qa_prompt, normalize_answer, parse_final_answers
 from .embedding import (
     EmbeddingCache,
     EmbeddingProviderSpec,
@@ -18,7 +18,6 @@ from .embedding import (
 )
 from .enrichment import (
     ONTOLOGY_RELATIONS,
-    EnrichedGraph,
     EnrichedTriple,
     Provenance,
     build_feature_prompt,

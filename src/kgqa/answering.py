@@ -5,13 +5,10 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .gateway import PromptTemplate, render_template
 from .graph import Triple
-
-if TYPE_CHECKING:
-    from .enrichment import EnrichedGraph
 
 FINAL_ANSWER_MARKER = "Final answer:"
 COT_ANSWER_MARKER = "The answer is"
@@ -25,15 +22,6 @@ class AnswerSet:
 
     raw: str
     answers: list[str] = field(default_factory=list)
-
-
-@dataclass
-class QARecord:
-    id: str
-    question: str
-    answers: AnswerSet
-    gold: list[str]
-    used_triples: int = 0
 
 
 def normalize_answer(s: str, ascii_fold: bool = False) -> str:
@@ -53,9 +41,8 @@ def normalize_answer(s: str, ascii_fold: bool = False) -> str:
     return " ".join("".join(kept).split())
 
 
-def build_qa_prompt(question: str, graph: "EnrichedGraph | Sequence[Triple]", template: PromptTemplate) -> str:
-    """Render the QA template with one '(s, r, o)' line per triple in merged order."""
-    triples = graph.merged_triples() if hasattr(graph, "merged_triples") else list(graph)
+def build_qa_prompt(question: str, triples: Sequence[Triple], template: PromptTemplate) -> str:
+    """Render the QA template with one '(s, r, o)' line per triple, in order."""
     lines = [f"({t.subject.display}, {t.relation.name}, {t.object.display})" for t in triples]
     return render_template(template, {"question": question, "knowledge graph": "\n".join(lines)})
 

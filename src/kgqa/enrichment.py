@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Sequence
 from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch, similarity
 from .gateway import PromptTemplate, render_template, user_request
 from .graph import EntityRef, KnowledgeGraph, Relation, Triple, extract_paths
-from .pruning import PrunedGraph
 from .queries import Quadruple
 
 if TYPE_CHECKING:
@@ -76,19 +75,6 @@ class StructuralParse:
 class FeatureParse:
     triples: list[EnrichedTriple] = field(default_factory=list)
     rejected: int = 0
-
-
-@dataclass
-class EnrichedGraph:
-    """Pruned base plus deduplicated generated triples, in generation order."""
-
-    base: PrunedGraph
-    generated: list[EnrichedTriple] = field(default_factory=list)
-    structural_skipped: int = 0
-    feature_rejected: int = 0
-
-    def merged_triples(self) -> list[Triple]:
-        return [st.triple for st in self.base.kept] + [et.triple for et in self.generated]
 
 
 def format_triple_compact(t: Triple) -> str:
@@ -199,58 +185,22 @@ def associate_queries_via_provider(
     ]
 
 
-def payload_triples(pruned: PrunedGraph, payload_cap: int | None) -> list:
-    """The kept triples carried into the enrichment prompts: the first
-    `payload_cap` in score order, or all of them when the cap is None."""
-    if payload_cap is None:
-        return list(pruned.kept)
-    if payload_cap < 1:
-        raise ValueError("payload_cap must be >= 1 (or None for no cap)")
-    return list(pruned.kept[:payload_cap])
-
-
-def payload_subgraph(pruned: PrunedGraph, payload_cap: int | None = None) -> KnowledgeGraph:
-    """Kept triples (optionally capped), re-indexed in kept order for path extraction."""
-    kept = payload_triples(pruned, payload_cap)
-    return KnowledgeGraph(
-        [replace(st.triple, index=i) for i, st in enumerate(kept)]
-    )
-
-
 def filter_and_build_structural_prompt(
-    pruned: PrunedGraph,
-    quads: Sequence[Quadruple],
-    queries: Sequence[str],
+    payload: Sequence[Triple],
+    associations: Sequence[Sequence[str]],
     template: PromptTemplate,
-    provider: EmbeddingProvider,
-    cache: EmbeddingCache | None = None,
-    tau: float = 0.3,
-    payload_cap: int | None = 60,
-    associations: Sequence[Sequence[str]] | None = None,
 ) -> str:
-    """Build the structural-enrichment prompt over the kept triples.
+    """Build the structural-enrichment prompt over the payload triples.
 
-    quads must cover every kept triple (aligned by triple index). By default
-    relevance filtering is embedder-local so it costs no provider call;
-    precomputed associations (one list per payload triple) override it.
+    associations[i] holds the queries paired with payload[i] (see
+    `associate_queries`); the paths are those among the payload triples.
     """
-    if not pruned.kept:
-        raise ValueError("pruned graph must be non-empty")
-    quad_by_index = {q.triple.index: q for q in quads}
-    kept = payload_triples(pruned, payload_cap)
-    try:
-        payload_quads = [quad_by_index[st.triple.index] for st in kept]
-    except KeyError as exc:
-        raise ValueError(f"no quadruple for kept triple index {exc.args[0]}") from exc
-    if associations is None:
-        associations = associate_queries(payload_quads, queries, provider, cache, tau)
-    elif len(associations) != len(payload_quads):
-        raise ValueError(f"{len(associations)} associations for {len(payload_quads)} payload triples")
-    lines = []
-    for quad, assoc in zip(payload_quads, associations):
-        queries_part = "".join(f"-{q}" for q in assoc)
-        lines.append(f"{format_triple_compact(quad.triple)}{queries_part}")
-    paths = extract_paths(payload_subgraph(pruned, payload_cap), max_hops=2)
+    if not payload:
+        raise ValueError("payload must be non-empty")
+    if len(associations) != len(payload):
+        raise ValueError(f"{len(associations)} associations for {len(payload)} payload triples")
+    lines = [format_triple_compact(t) + "".join(f"-{q}" for q in assoc) for t, assoc in zip(payload, associations)]
+    paths = extract_paths(KnowledgeGraph([replace(t, index=i) for i, t in enumerate(payload)]), max_hops=2)
     one_hop = [format_triple_compact(p.hops[0]) for p in paths if len(p.hops) == 1]
     two_hop = ["->".join(format_triple_compact(h) for h in p.hops) for p in paths if len(p.hops) == 2]
     return render_template(
@@ -383,20 +333,16 @@ def parse_feature_output(raw: str) -> FeatureParse:
     return result
 
 
-def merge_enriched(pruned: PrunedGraph, generated: Sequence[EnrichedTriple]) -> EnrichedGraph:
-    """Merge generated triples onto the pruned base, deduplicating on (s, r, o).
+def merge_enriched(base: Sequence[Triple], generated: Sequence[EnrichedTriple]) -> list[EnrichedTriple]:
+    """The generated triples that are new to the base, deduplicated on (s, r, o).
 
-    Generated triples keep generation order after the base. Each one is
+    They keep generation order and are indexed after the base. Each one is
     flagged grounded=False when neither endpoint occurs in the base graph;
     structural triples record the base indices they share an endpoint with.
     """
-    base_keys = {st.triple.key for st in pruned.kept}
-    base_entities: set[str] = set()
-    for st in pruned.kept:
-        base_entities.add(st.triple.subject.id)
-        base_entities.add(st.triple.object.id)
-    seen = set(base_keys)
-    next_index = max((st.triple.index for st in pruned.kept), default=-1) + 1
+    seen = {t.key for t in base}
+    base_entities = {e.id for t in base for e in (t.subject, t.object)}
+    next_index = max((t.index for t in base), default=-1) + 1
     merged: list[EnrichedTriple] = []
     for et in generated:
         key = et.triple.key
@@ -408,35 +354,9 @@ def merge_enriched(pruned: PrunedGraph, generated: Sequence[EnrichedTriple]) -> 
             sources: tuple[int, ...] = ()
         else:
             endpoints = {et.triple.subject.id, et.triple.object.id}
-            sources = tuple(
-                st.triple.index
-                for st in pruned.kept
-                if st.triple.subject.id in endpoints or st.triple.object.id in endpoints
-            )
+            sources = tuple(t.index for t in base if t.subject.id in endpoints or t.object.id in endpoints)
         merged.append(
             replace(et, triple=replace(et.triple, index=next_index), grounded=grounded, source_indices=sources)
         )
         next_index += 1
-    return EnrichedGraph(base=pruned, generated=merged)
-
-
-def enriched_to_rows(graph: EnrichedGraph) -> dict:
-    """JSON-ready view used by the pipeline's enriched artifact."""
-    return {
-        "base_indices": [st.triple.index for st in graph.base.kept],
-        "generated": [
-            {
-                "s": et.triple.subject.id,
-                "r": et.triple.relation.name,
-                "o": et.triple.object.id,
-                "provenance": et.provenance.value,
-                "grounded": et.grounded,
-                "sources": list(et.source_indices),
-            }
-            for et in graph.generated
-        ],
-        "warnings": {
-            "structural_skipped": graph.structural_skipped,
-            "feature_rejected": graph.feature_rejected,
-        },
-    }
+    return merged

@@ -24,7 +24,7 @@ from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch, similarit
 from .gateway import http_session, post_json, with_retries
 from .graph import Triple, group_by_endpoints, relation_text, textualize_triple
 
-TripleScorer = Callable[[Triple], float]
+TripleScorer = Callable[[Sequence[Triple]], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -136,22 +136,26 @@ class ConstantScorer:
             raise ValueError("score must be within [0, 1]")
         self.value = value
 
-    def __call__(self, triple: Triple) -> float:
-        return self.value
+    def __call__(self, triples: Sequence[Triple]) -> list[float]:
+        return [self.value] * len(triples)
 
 
 class RemoteKGCScorer:
-    """HTTP plausibility scorer: {"input": [triple text]} -> {"data": [{"score": f}]}."""
+    """HTTP plausibility scorer: {"input": [triple text, ...]} -> {"data": [{"score": f}, ...]},
+    one request per graph."""
 
     def __init__(self, endpoint: str, timeout: float = 60.0, session=None):
         self.endpoint = endpoint
         self.timeout = timeout
         self._session = session if session is not None else http_session()
 
-    def __call__(self, triple: Triple) -> float:
-        payload = {"input": [textualize_triple(triple)]}
+    def __call__(self, triples: Sequence[Triple]) -> list[float]:
+        payload = {"input": [textualize_triple(t) for t in triples]}
         body = with_retries(lambda: post_json(self._session, self.endpoint, payload, None, self.timeout))
-        return float(body["data"][0]["score"])
+        scores = [float(item["score"]) for item in body["data"]]
+        if len(scores) != len(triples):
+            raise ValueError(f"KGC scorer returned {len(scores)} scores for {len(triples)} triples")
+        return scores
 
 
 def relevance_score(
@@ -182,9 +186,11 @@ def semantic_richness(
     triples = list(triples)
     if not triples:
         raise ValueError("semantic richness needs a non-empty graph")
+    scores = scorer(triples)
+    if len(scores) != len(triples):
+        raise ValueError(f"scorer returned {len(scores)} scores for {len(triples)} triples")
     total = 0.0
-    for t in triples:
-        score = float(scorer(t))
+    for score in map(float, scores):
         if not 0.0 <= score <= 1.0 or math.isnan(score):
             raise ValueError(f"scorer returned {score!r}, outside [0, 1]")
         if positive_threshold is not None and score < positive_threshold:

@@ -467,12 +467,14 @@ class Gateway:
     ):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if max_in_flight is not None and max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1 (or None for no bound)")
         self.provider = provider
         self.ledger = ledger if ledger is not None else CostLedger()
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self._slots = threading.Semaphore(max_in_flight) if max_in_flight else None
+        self._slots = threading.Semaphore(max_in_flight) if max_in_flight is not None else None
         self._sleep = sleep
 
     def complete(self, request: ChatRequest) -> ChatResponse:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .answering import QARecord, build_qa_prompt, parse_final_answers
+from .answering import build_qa_prompt, parse_final_answers
 from .atomic import write_atomic
 from .embedding import EmbeddingCache, EmbeddingProviderSpec, build_embedder
 from .enrichment import (
@@ -35,12 +35,10 @@ from .enrichment import (
     associate_queries_via_provider,
     build_feature_prompt,
     collect_entity_contexts,
-    enriched_to_rows,
     filter_and_build_structural_prompt,
     merge_enriched,
     parse_feature_output,
     parse_structural_output,
-    payload_triples,
 )
 from .evaluation import (
     ConstantScorer,
@@ -66,7 +64,7 @@ from .gateway import (
     user_request,
 )
 from .graph import EntityRef, Relation, Triple, load_graph, textualize_triple
-from .pruning import PrunedGraph, ScoredTriple, answer_coverage, score_graph, select_top_k
+from .pruning import answer_coverage, score_graph, select_top_k
 from .queries import Quadruple, decompose, decomposition_to_dict, fallback_graph_query
 
 logger = logging.getLogger(__name__)
@@ -418,16 +416,16 @@ def _ledger_from_rows(ctx: PipelineContext) -> CostLedger:
     return ledger
 
 
-def _scored_from_row(row: Mapping) -> PrunedGraph:
-    kept = tuple(
-        ScoredTriple(
-            triple=Triple(EntityRef(e["s"]), Relation(e["r"]), EntityRef(e["o"]), index=int(e["index"])),
-            channel_scores=tuple(float(x) for x in e["scores"]),
-            total_score=float(e["total"]),
-        )
-        for e in row["kept"]
-    )
-    return PrunedGraph(kept=kept, k=int(row["k"]), source_size=int(row.get("source_size", len(kept))))
+def _decode_triples(kept: Sequence[Mapping], generated: Sequence[Mapping] = ()) -> list[Triple]:
+    """Triples from pruned `kept` rows, which carry their index, followed by
+    enriched `generated` rows, indexed after the highest kept index; the
+    triples share one EntityRef per entity id."""
+    refs = {i: EntityRef(i) for i in {e[side] for e in (*kept, *generated) for side in ("s", "o")}}
+    triples = [Triple(refs[e["s"]], Relation(e["r"]), refs[e["o"]], index=e["index"]) for e in kept]
+    start = max((t.index for t in triples), default=-1) + 1
+    return triples + [
+        Triple(refs[g["s"]], Relation(g["r"]), refs[g["o"]], index=start + i) for i, g in enumerate(generated)
+    ]
 
 
 def _answer_triples(
@@ -436,17 +434,10 @@ def _answer_triples(
     enriched_row: Mapping | None = None,
 ) -> list[Triple]:
     """The triples answered over: the full graph, the pruned triples, or the
-    pruned triples followed by the generated ones, indexed after the kept."""
+    pruned triples followed by the generated ones."""
     if pruned_row is None:
         return list(load_graph(record.graph))
-    kept = pruned_row["kept"]
-    generated = enriched_row.get("generated", []) if enriched_row is not None else []
-    refs = {i: EntityRef(i) for i in {e[side] for e in (*kept, *generated) for side in ("s", "o")}}
-    triples = [Triple(refs[e["s"]], Relation(e["r"]), refs[e["o"]], index=e["index"]) for e in kept]
-    start = max((t.index for t in triples), default=-1) + 1
-    return triples + [
-        Triple(refs[g["s"]], Relation(g["r"]), refs[g["o"]], index=start + i) for i, g in enumerate(generated)
-    ]
+    return _decode_triples(pruned_row["kept"], enriched_row.get("generated", ()) if enriched_row is not None else ())
 
 
 def _upstream_row(upstream_rows: Mapping[str, dict], stage: str, record_id: str) -> dict:
@@ -500,81 +491,67 @@ def _prune_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping
 
 def _enrich_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping) -> dict:
     parsed = _upstream_row(upstream, "parse", record.id)
-    pruned = _scored_from_row(_upstream_row(upstream, "prune", record.id))
-    if not pruned.kept:
-        return {
-            "id": record.id,
-            "base_indices": [],
-            "generated": [],
-            "warnings": {"structural_skipped": 0, "feature_rejected": 0},
-        }
-    queries = list(parsed["flat"]) or [record.question]
-    quads = [Quadruple(fallback_graph_query(st.triple), st.triple) for st in pruned.kept]
-    payload = payload_triples(pruned, ctx.config.payload_cap)
-    payload_quads = quads[: len(payload)]
-    associations = None
-    if ctx.config.provider_query_filter:
-        associations = associate_queries_via_provider(
-            payload_quads,
-            queries,
-            ctx.gateway,
-            question_id=record.id,
-            temperature=ctx.config.temperature_for("query_filter"),
-        )
-    if associations is None:
-        associations = associate_queries(payload_quads, queries, ctx.embedder, ctx.cache, ctx.config.tau)
+    kept = _decode_triples(_upstream_row(upstream, "prune", record.id)["kept"])
     generated = []
     skipped = 0
     rejected = 0
-    ablation = ABLATION_TABLE[ctx.config.ablation]
-    if ablation.structural:
-        prompt = filter_and_build_structural_prompt(
-            pruned,
-            quads,
-            queries,
-            template=ctx.templates["structural_enrich"],
-            provider=ctx.embedder,
-            cache=ctx.cache,
-            tau=ctx.config.tau,
-            payload_cap=ctx.config.payload_cap,
-            associations=associations,
-        )
-        content = _complete(ctx, "structural_enrich", prompt, record)
-        parse = parse_structural_output(content)
-        generated.extend(parse.triples)
-        skipped = parse.skipped
-    if ablation.feature:
-        contexts = collect_entity_contexts([st.triple for st in payload], associations)
-        prompt = build_feature_prompt(contexts, ctx.templates["feature_enrich"])
-        content = _complete(ctx, "feature_enrich", prompt, record)
-        parse = parse_feature_output(content)
-        generated.extend(parse.triples)
-        rejected = parse.rejected
-    merged = merge_enriched(pruned, generated)
-    merged.structural_skipped = skipped
-    merged.feature_rejected = rejected
-    return {"id": record.id, **enriched_to_rows(merged)}
+    if kept:
+        queries = list(parsed["flat"]) or [record.question]
+        payload = kept[: ctx.config.payload_cap]
+        quads = [Quadruple(fallback_graph_query(t), t) for t in payload]
+        associations = None
+        if ctx.config.provider_query_filter:
+            associations = associate_queries_via_provider(
+                quads,
+                queries,
+                ctx.gateway,
+                question_id=record.id,
+                temperature=ctx.config.temperature_for("query_filter"),
+            )
+        if associations is None:
+            associations = associate_queries(quads, queries, ctx.embedder, ctx.cache, ctx.config.tau)
+        ablation = ABLATION_TABLE[ctx.config.ablation]
+        if ablation.structural:
+            prompt = filter_and_build_structural_prompt(payload, associations, ctx.templates["structural_enrich"])
+            parse = parse_structural_output(_complete(ctx, "structural_enrich", prompt, record))
+            generated.extend(parse.triples)
+            skipped = parse.skipped
+        if ablation.feature:
+            contexts = collect_entity_contexts(payload, associations)
+            prompt = build_feature_prompt(contexts, ctx.templates["feature_enrich"])
+            parse = parse_feature_output(_complete(ctx, "feature_enrich", prompt, record))
+            generated.extend(parse.triples)
+            rejected = parse.rejected
+    return {
+        "id": record.id,
+        "base_indices": [t.index for t in kept],
+        "generated": [
+            {
+                "s": et.triple.subject.id,
+                "r": et.triple.relation.name,
+                "o": et.triple.object.id,
+                "provenance": et.provenance.value,
+                "grounded": et.grounded,
+                "sources": list(et.source_indices),
+            }
+            for et in merge_enriched(kept, generated)
+        ],
+        "warnings": {"structural_skipped": skipped, "feature_rejected": rejected},
+    }
 
 
 def _answer_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping) -> dict:
     rows = {stage: _upstream_row(upstream, stage, record.id) for stage in upstream}
     triples = _answer_triples(record, rows.get("prune"), rows.get("enrich"))
     prompt = build_qa_prompt(record.question, triples, ctx.templates["question_answering"])
-    content = _complete(ctx, "question_answering", prompt, record)
-    qa = QARecord(
-        id=record.id,
-        question=record.question,
-        answers=parse_final_answers(content),
-        gold=list(record.answers),
-        used_triples=len(triples),
-    )
+    answers = parse_final_answers(_complete(ctx, "question_answering", prompt, record))
     return {
-        "id": qa.id,
-        "question": qa.question,
-        "raw": qa.answers.raw,
-        "answers": list(qa.answers.answers),
-        "gold": list(qa.gold),
-        "used_triples": qa.used_triples,
+        "id": record.id,
+        "question": record.question,
+        "raw": answers.raw,
+        "answers": answers.answers,
+        "gold": list(record.answers),
+        "used_triples": len(triples),
     }
 
 

@@ -7,7 +7,6 @@ from kgqa.answering import build_qa_prompt, normalize_answer, parse_final_answer
 from kgqa.enrichment import EnrichedTriple, Provenance, merge_enriched
 from kgqa.gateway import load_template
 from kgqa.graph import EntityRef, Relation, Triple, load_graph
-from kgqa.pruning import PrunedGraph, ScoredTriple
 
 from sample_outputs import COT_ANSWER_EXAMPLE
 
@@ -95,14 +94,11 @@ class TestBuildQaPrompt:
 
     def test_merged_order_and_count(self):
         rows = [[f"s{i}", f"r{i}", f"o{i}"] for i in range(300)]
-        g = load_graph(rows)
-        pruned = PrunedGraph(
-            kept=tuple(ScoredTriple(t, (0.0, 0.0, 0.0), 0.0) for t in g), k=300, source_size=300
-        )
+        base = list(load_graph(rows))
         generated = [
             EnrichedTriple(triple(f"g{i}", "Hypernym_isA", f"h{i}"), Provenance.HIERARCHY) for i in range(12)
         ]
-        merged = merge_enriched(pruned, generated)
+        merged = base + [et.triple for et in merge_enriched(base, generated)]
         prompt = build_qa_prompt("Who?", merged, load_template("question_answering"))
         lines = info_lines(prompt)
         assert len(lines) == 312

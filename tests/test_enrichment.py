@@ -22,7 +22,6 @@ from kgqa.enrichment import (
 )
 from kgqa.gateway import load_template
 from kgqa.graph import EntityRef, Relation, Triple, load_graph
-from kgqa.pruning import PrunedGraph, ScoredTriple
 from kgqa.queries import Quadruple, build_quadruples
 
 from sample_outputs import (
@@ -37,12 +36,6 @@ def triple(s, r, o, index=0):
     return Triple(EntityRef(s), Relation(r), EntityRef(o), index=index)
 
 
-def pruned_from_rows(rows, k=None):
-    g = load_graph(rows)
-    kept = tuple(ScoredTriple(t, (0.0, 0.0, 0.0), float(len(g) - t.index)) for t in g)
-    return PrunedGraph(kept=kept, k=k or len(g), source_size=len(g))
-
-
 BACHELET_ROWS = [
     ["Michelle Bachelet", "people.person.nationality", "Chile"],
     ["Chile", "language.human_language.countries_spoken_in", "Spanish Language"],
@@ -50,70 +43,45 @@ BACHELET_ROWS = [
 
 
 class TestStructuralPrompt:
-    def test_minimal_layout(self, ref):
-        pruned = pruned_from_rows([["a", "r", "b"]])
-        quads = [Quadruple("What is the r of a?", pruned.kept[0].triple)]
+    def test_minimal_layout(self):
+        payload = list(load_graph([["a", "r", "b"]]))
         prompt = filter_and_build_structural_prompt(
-            pruned, quads, ["What is the r of a?"], template=load_template("structural_enrich"), provider=ref
+            payload, [["own query", "hand picked query"]], template=load_template("structural_enrich")
         )
-        assert "(a,r,b)-What is the r of a?" in prompt
+        assert "(a,r,b)-own query-hand picked query" in prompt
         assert "1-hop:\n(a,r,b)\n2-hop:\n\n" in prompt
 
     def test_two_hop_chain_rendered(self, ref):
-        pruned = pruned_from_rows(BACHELET_ROWS)
-        quads = build_quadruples(load_graph(BACHELET_ROWS))
-        prompt = filter_and_build_structural_prompt(
-            pruned,
-            quads,
-            ["Who is Michelle Bachelet?"],
-            template=load_template("structural_enrich"),
-            provider=ref,
-        )
+        g = load_graph(BACHELET_ROWS)
+        associations = associate_queries(build_quadruples(g), ["Who is Michelle Bachelet?"], ref)
+        prompt = filter_and_build_structural_prompt(list(g), associations, template=load_template("structural_enrich"))
         assert (
             "(Michelle Bachelet,people.person.nationality,Chile)"
             "->(Chile,language.human_language.countries_spoken_in,Spanish Language)"
         ) in prompt
 
     def test_infinite_tau_keeps_only_graph_query(self, ref):
-        pruned = pruned_from_rows([["a", "r", "b"]])
-        quads = [Quadruple("graph query text", pruned.kept[0].triple)]
-        prompt = filter_and_build_structural_prompt(
-            pruned,
-            quads,
-            ["graph query text", "another query"],
-            template=load_template("structural_enrich"),
-            provider=ref,
-            tau=math.inf,
+        t = triple("a", "r", "b")
+        associations = associate_queries(
+            [Quadruple("graph query text", t)], ["graph query text", "another query"], ref, tau=math.inf
         )
+        assert associations == [["graph query text"]]
+        prompt = filter_and_build_structural_prompt([t], associations, template=load_template("structural_enrich"))
         assert "(a,r,b)-graph query text\n" in prompt
         assert "another query" not in prompt.split("### Your Turn")[-1].split("1-hop:")[0]
 
     def test_deterministic(self, ref):
-        pruned = pruned_from_rows(BACHELET_ROWS)
-        quads = build_quadruples(load_graph(BACHELET_ROWS))
-        args = dict(template=load_template("structural_enrich"), provider=ref)
+        g = load_graph(BACHELET_ROWS)
         queries = ["Who is Michelle Bachelet?", "What language is spoken in this location?"]
-        assert filter_and_build_structural_prompt(pruned, quads, queries, **args) == (
-            filter_and_build_structural_prompt(pruned, quads, queries, **args)
+        associations = associate_queries(build_quadruples(g), queries, ref)
+        template = load_template("structural_enrich")
+        assert filter_and_build_structural_prompt(list(g), associations, template) == (
+            filter_and_build_structural_prompt(list(g), associations, template)
         )
 
-    def test_payload_cap_limits_lines(self, ref):
-        rows = [[f"s{i}", f"rel_{i}", f"o{i}"] for i in range(10)]
-        pruned = pruned_from_rows(rows)
-        quads = build_quadruples(load_graph(rows))
-        prompt = filter_and_build_structural_prompt(
-            pruned, quads, ["anything"], template=load_template("structural_enrich"), provider=ref, payload_cap=3
-        )
-        body = prompt.split("### Your Turn")[-1]
-        assert body.count("(s0,") == 2  # association line plus 1-hop line
-        assert "(s5," not in body
-
-    def test_empty_pruned_rejected(self, ref):
-        pruned = PrunedGraph(kept=(), k=5, source_size=0)
+    def test_empty_pruned_rejected(self):
         with pytest.raises(ValueError):
-            filter_and_build_structural_prompt(
-                pruned, [], ["q"], template=load_template("structural_enrich"), provider=ref
-            )
+            filter_and_build_structural_prompt([], [], template=load_template("structural_enrich"))
 
 
 class TestStructuralParse:
@@ -261,96 +229,69 @@ class TestProviderQueryFilter:
         gateway = stub_gateway({"query_filter": {"q1": "garbled"}})
         assert associate_queries_via_provider(self.QUADS, self.QUERIES, gateway, question_id="q1") is None
 
-    def test_precomputed_associations_override_embedder(self, ref):
-        pruned = pruned_from_rows([["a", "r", "b"]])
-        quads = [Quadruple("own query", pruned.kept[0].triple)]
-        prompt = filter_and_build_structural_prompt(
-            pruned,
-            quads,
-            ["never matched"],
-            template=load_template("structural_enrich"),
-            provider=ref,
-            associations=[["own query", "hand picked query"]],
-        )
-        assert "(a,r,b)-own query-hand picked query" in prompt
-
-    def test_association_length_mismatch_rejected(self, ref):
-        pruned = pruned_from_rows([["a", "r", "b"]])
-        quads = [Quadruple("own query", pruned.kept[0].triple)]
+    def test_association_length_mismatch_rejected(self):
+        payload = list(load_graph([["a", "r", "b"]]))
         with pytest.raises(ValueError, match="associations"):
-            filter_and_build_structural_prompt(
-                pruned,
-                quads,
-                ["q"],
-                template=load_template("structural_enrich"),
-                provider=ref,
-                associations=[],
-            )
+            filter_and_build_structural_prompt(payload, [], template=load_template("structural_enrich"))
 
 
 class TestMerge:
     def test_duplicate_of_base_dropped(self):
-        pruned = pruned_from_rows([["a", "r", "b"]])
+        base = list(load_graph([["a", "r", "b"]]))
         generated = [EnrichedTriple(triple("a", "r", "b"), Provenance.SIMILARITY)]
-        merged = merge_enriched(pruned, generated)
-        assert merged.generated == []
+        assert merge_enriched(base, generated) == []
 
     def test_duplicate_generated_kept_once(self):
-        pruned = pruned_from_rows([["a", "r", "b"]])
+        base = list(load_graph([["a", "r", "b"]]))
         generated = [
             EnrichedTriple(triple("a", "s", "c"), Provenance.SIMILARITY),
             EnrichedTriple(triple("a", "s", "c"), Provenance.TRANSITIVITY),
         ]
-        merged = merge_enriched(pruned, generated)
-        assert len(merged.generated) == 1
-        assert merged.generated[0].provenance is Provenance.SIMILARITY
+        merged = merge_enriched(base, generated)
+        assert len(merged) == 1
+        assert merged[0].provenance is Provenance.SIMILARITY
 
     def test_disjoint_sizes_add(self):
-        rows = [[f"s{i}", f"r{i}", f"o{i}"] for i in range(300)]
-        pruned = pruned_from_rows(rows)
+        base = list(load_graph([[f"s{i}", f"r{i}", f"o{i}"] for i in range(300)]))
         generated = [
             EnrichedTriple(triple(f"g{i}", "Hypernym_isA", f"h{i}"), Provenance.HIERARCHY) for i in range(12)
         ]
-        merged = merge_enriched(pruned, generated)
-        assert len(merged.merged_triples()) == 312
+        merged = merge_enriched(base, generated)
+        assert len(base) + len(merged) == 312
 
     def test_base_never_removed_and_order_stable(self):
-        pruned = pruned_from_rows([["a", "r", "b"], ["c", "s", "d"]])
+        base = list(load_graph([["a", "r", "b"], ["c", "s", "d"]]))
         generated = [EnrichedTriple(triple("x", "t", "y"), Provenance.SYMMETRY)]
-        merged = merge_enriched(pruned, generated)
-        keys = [t.key for t in merged.merged_triples()]
-        assert keys[:2] == [("a", "r", "b"), ("c", "s", "d")]
-        assert keys[2] == ("x", "t", "y")
-        assert len(keys) <= 2 + 1
+        merged = merge_enriched(base, generated)
+        assert [t.key for t in base] == [("a", "r", "b"), ("c", "s", "d")]
+        assert [et.triple.key for et in merged] == [("x", "t", "y")]
+        assert merged[0].triple.index == 2
 
     def test_grounded_flag(self):
-        pruned = pruned_from_rows([["a", "r", "b"]])
+        base = list(load_graph([["a", "r", "b"]]))
         generated = [
             EnrichedTriple(triple("a", "is_a", "Politician"), Provenance.HIERARCHY),
             EnrichedTriple(triple("x", "t", "y"), Provenance.SIMILARITY),
         ]
-        merged = merge_enriched(pruned, generated)
-        assert merged.generated[0].grounded is True
-        assert merged.generated[1].grounded is False
+        merged = merge_enriched(base, generated)
+        assert merged[0].grounded is True
+        assert merged[1].grounded is False
 
     def test_structural_sources_share_endpoints(self):
-        pruned = pruned_from_rows([["a", "r", "b"], ["c", "s", "d"]])
+        base = list(load_graph([["a", "r", "b"], ["c", "s", "d"]]))
         generated = [EnrichedTriple(triple("a", "fused", "d"), Provenance.TRANSITIVITY)]
-        merged = merge_enriched(pruned, generated)
-        assert merged.generated[0].source_indices == (0, 1)
+        assert merge_enriched(base, generated)[0].source_indices == (0, 1)
 
     def test_hierarchy_sources_empty(self):
-        pruned = pruned_from_rows([["a", "r", "b"]])
+        base = list(load_graph([["a", "r", "b"]]))
         generated = [EnrichedTriple(triple("a", "Hypernym_isA", "Thing"), Provenance.HIERARCHY)]
-        merged = merge_enriched(pruned, generated)
-        assert merged.generated[0].source_indices == ()
+        assert merge_enriched(base, generated)[0].source_indices == ()
 
     def test_merged_indices_unique(self):
-        pruned = pruned_from_rows([["a", "r", "b"], ["c", "s", "d"]])
+        base = list(load_graph([["a", "r", "b"], ["c", "s", "d"]]))
         generated = [
             EnrichedTriple(triple("x", "t", "y"), Provenance.SIMILARITY),
             EnrichedTriple(triple("p", "u", "q"), Provenance.SYMMETRY),
         ]
-        merged = merge_enriched(pruned, generated)
-        indices = [t.index for t in merged.merged_triples()]
+        indices = [t.index for t in base] + [et.triple.index for et in merge_enriched(base, generated)]
         assert len(indices) == len(set(indices))

@@ -144,17 +144,22 @@ class TestSemanticRichness:
 
     def test_mixed_scores_average(self):
         scores = {("a", "r", "b"): 0.2, ("c", "s", "d"): 0.8}
-        scorer = lambda t: scores[t.key]
+        scorer = lambda ts: [scores[t.key] for t in ts]
         triples = [triple("a", "r", "b"), triple("c", "s", "d", index=1)]
         assert semantic_richness(triples, scorer).mean == pytest.approx(0.5)
 
     def test_out_of_range_score_rejected(self):
         with pytest.raises(ValueError):
-            semantic_richness([triple("a", "r", "b")], lambda t: 1.5)
+            semantic_richness([triple("a", "r", "b")], lambda ts: [1.5] * len(ts))
+
+    def test_score_count_mismatch_rejected(self):
+        triples = [triple("a", "r", "b"), triple("c", "s", "d", index=1)]
+        with pytest.raises(ValueError, match="1 scores for 2 triples"):
+            semantic_richness(triples, lambda ts: [0.5])
 
     def test_positive_threshold_filters(self):
         scores = {("a", "r", "b"): 0.2, ("c", "s", "d"): 0.8}
-        scorer = lambda t: scores[t.key]
+        scorer = lambda ts: [scores[t.key] for t in ts]
         triples = [triple("a", "r", "b"), triple("c", "s", "d", index=1)]
         assert semantic_richness(triples, scorer, positive_threshold=0.5).mean == pytest.approx(0.4)
 

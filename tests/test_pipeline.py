@@ -247,6 +247,33 @@ class TestRunAll:
         assert report.hits1 == 1.0
         assert not (tmp_path / "stage" / "errors" / "enrich.jsonl").exists()
 
+    def test_payload_cap_limits_lines(self, tmp_path, small_fixture):
+        records, script = small_fixture
+        ctx = make_ctx(records, script, tmp_path / "stage", payload_cap=3)
+        prompts = {}
+        stub = ctx.gateway.provider
+
+        class Recording:
+            provider_id = stub.provider_id
+
+            def generate(self, request):
+                if request.template == "structural_enrich":
+                    prompts[request.question_id] = request.prompt_text
+                return stub.generate(request)
+
+        ctx.gateway.provider = Recording()
+        for stage in ("parse", "prune", "enrich"):
+            run_stage(stage, ctx)
+        rows = (tmp_path / "stage" / "pruned.jsonl").read_text().splitlines()
+        pruned = {r["id"]: r["kept"] for r in map(json.loads, rows)}
+        assert all(len(kept) > 3 for kept in pruned.values())
+        assert sorted(prompts) == sorted(pruned)
+        for qid, prompt in prompts.items():
+            payload = [f"({e['s']},{e['r']},{e['o']})" for e in pruned[qid][:3]]
+            quadruples, paths = prompt.split("### Your Turn\nInput:\n")[-1].split("\n1-hop:\n")
+            assert [line.split(")-")[0] + ")" for line in quadruples.splitlines()] == payload
+            assert paths.split("\n2-hop:")[0].splitlines() == payload
+
     def test_stage_temperature_override(self, small_fixture):
         _, _ = small_fixture
         config = RunConfig(temperature=0.2, stage_temperatures={"question_answering": 0.7})

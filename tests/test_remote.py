@@ -193,15 +193,30 @@ class TestRemoteKGCScorer:
         session = FakeSession([FakeResponse(payload={"data": [{"score": 0.42}]})])
         scorer = RemoteKGCScorer("https://kgc.example/v1", session=session)
         t = Triple(EntityRef("Beijing"), Relation("located_in"), EntityRef("China"))
-        assert scorer(t) == 0.42
+        assert scorer([t]) == [0.42]
         assert session.requests[0]["json"] == {"input": ["Beijing located in China"]}
+
+    def test_graph_scored_in_one_request(self):
+        session = FakeSession([FakeResponse(payload={"data": [{"score": 0.1}, {"score": 0.2}, {"score": 0.3}]})])
+        scorer = RemoteKGCScorer("https://kgc.example/v1", session=session)
+        triples = [Triple(EntityRef(f"s{i}"), Relation("r"), EntityRef(f"o{i}"), index=i) for i in range(3)]
+        assert scorer(triples) == [0.1, 0.2, 0.3]
+        assert len(session.requests) == 1
+        assert session.requests[0]["json"] == {"input": ["s0 r o0", "s1 r o1", "s2 r o2"]}
+
+    def test_score_count_mismatch_rejected(self):
+        session = FakeSession([FakeResponse(payload={"data": [{"score": 0.1}]})])
+        scorer = RemoteKGCScorer("https://kgc.example/v1", session=session)
+        triples = [Triple(EntityRef(f"s{i}"), Relation("r"), EntityRef(f"o{i}"), index=i) for i in range(2)]
+        with pytest.raises(ValueError, match="1 scores for 2 triples"):
+            scorer(triples)
 
     def test_server_error_retried(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr(kgqa.evaluation, "with_retries", lambda call: with_retries(call, sleep=sleeps.append))
         session = FakeSession([FakeResponse(status_code=503), FakeResponse(payload={"data": [{"score": 0.9}]})])
         scorer = RemoteKGCScorer("https://kgc.example/v1", session=session)
-        assert scorer(Triple(EntityRef("a"), Relation("r"), EntityRef("b"))) == 0.9
+        assert scorer([Triple(EntityRef("a"), Relation("r"), EntityRef("b"))]) == [0.9]
         assert len(session.requests) == 2
         assert sleeps == [0.5]
 
@@ -209,7 +224,7 @@ class TestRemoteKGCScorer:
         session = FakeSession([FakeResponse(status_code=400), FakeResponse(payload={"data": [{"score": 0.9}]})])
         scorer = RemoteKGCScorer("https://kgc.example/v1", session=session)
         with pytest.raises(RuntimeError, match="HTTP 400"):
-            scorer(Triple(EntityRef("a"), Relation("r"), EntityRef("b")))
+            scorer([Triple(EntityRef("a"), Relation("r"), EntityRef("b"))])
         assert len(session.requests) == 1
 
 
@@ -259,3 +274,8 @@ class TestGatewayInFlightBound:
         for t in threads:
             t.join()
         assert peak <= 2
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_rejected(self, bound):
+        with pytest.raises(ValueError, match="max_in_flight must be >= 1"):
+            Gateway(EchoProvider(), max_in_flight=bound)

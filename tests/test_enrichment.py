@@ -46,9 +46,9 @@ class TestStructuralPrompt:
     def test_minimal_layout(self):
         payload = list(load_graph([["a", "r", "b"]]))
         prompt = filter_and_build_structural_prompt(
-            payload, [["own query", "hand picked query"]], template=load_template("structural_enrich")
+            payload, [["What is the r of a?"]], template=load_template("structural_enrich")
         )
-        assert "(a,r,b)-own query-hand picked query" in prompt
+        assert "(a,r,b)-What is the r of a?" in prompt
         assert "1-hop:\n(a,r,b)\n2-hop:\n\n" in prompt
 
     def test_two_hop_chain_rendered(self, ref):
@@ -228,6 +228,13 @@ class TestProviderQueryFilter:
 
         gateway = stub_gateway({"query_filter": {"q1": "garbled"}})
         assert associate_queries_via_provider(self.QUADS, self.QUERIES, gateway, question_id="q1") is None
+
+    def test_precomputed_associations_override_embedder(self):
+        payload = list(load_graph([["a", "r", "b"]]))
+        prompt = filter_and_build_structural_prompt(
+            payload, [["own query", "hand picked query"]], template=load_template("structural_enrich")
+        )
+        assert "(a,r,b)-own query-hand picked query" in prompt
 
     def test_association_length_mismatch_rejected(self):
         payload = list(load_graph([["a", "r", "b"]]))

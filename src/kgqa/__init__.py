@@ -56,7 +56,6 @@ from .gateway import (
 )
 from .graph import (
     EntityRef,
-    KnowledgeGraph,
     Path,
     Relation,
     Triple,
@@ -91,10 +90,8 @@ from .pruning import (
     select_top_k,
 )
 from .queries import (
-    Quadruple,
     QueryDecomposition,
     QueryNode,
-    build_quadruples,
     decompose,
     parse_decomposition_tree,
     serialize_decomposition,

@@ -43,7 +43,7 @@ def normalize_answer(s: str, ascii_fold: bool = False) -> str:
 
 def build_qa_prompt(question: str, triples: Sequence[Triple], template: PromptTemplate) -> str:
     """Render the QA template with one '(s, r, o)' line per triple, in order."""
-    lines = [f"({t.subject.display}, {t.relation.name}, {t.object.display})" for t in triples]
+    lines = [f"({t.subject.id}, {t.relation.name}, {t.object.id})" for t in triples]
     return render_template(template, {"question": question, "knowledge graph": "\n".join(lines)})
 
 

@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch, similarity
 from .gateway import PromptTemplate, render_template, user_request
-from .graph import EntityRef, KnowledgeGraph, Relation, Triple, extract_paths
-from .queries import Quadruple
+from .graph import EntityRef, Relation, Triple, extract_paths
 
 if TYPE_CHECKING:
     from .gateway import Gateway
@@ -78,7 +77,7 @@ class FeatureParse:
 
 
 def format_triple_compact(t: Triple) -> str:
-    return f"({t.subject.display},{t.relation.name},{t.object.display})"
+    return f"({t.subject.id},{t.relation.name},{t.object.id})"
 
 
 def _split_triple_line(line: str) -> tuple[str, str, str] | None:
@@ -94,34 +93,32 @@ def _split_triple_line(line: str) -> tuple[str, str, str] | None:
 
 
 def associate_queries(
-    quads: Sequence[Quadruple],
+    graph_queries: Sequence[str],
     queries: Sequence[str],
     provider: EmbeddingProvider,
     cache: EmbeddingCache | None = None,
     tau: float = 0.3,
 ) -> list[list[str]]:
-    """Per quadruple: its own graph query first, then every decomposition query
-    whose similarity to the graph query strictly exceeds tau."""
-    graph_queries = [q.graph_query for q in quads]
-    vectors = embed_batch(list(queries) + graph_queries, provider, cache)
+    """Per graph query: itself first, then every decomposition query whose
+    similarity to it strictly exceeds tau."""
+    vectors = embed_batch(list(queries) + list(graph_queries), provider, cache)
     query_vecs = vectors[: len(queries)]
     out = []
-    for i, quad in enumerate(quads):
+    for i, graph_query in enumerate(graph_queries):
         gq_vec = vectors[len(queries) + i]
         matched = [q for q, qv in zip(queries, query_vecs) if similarity(qv, gq_vec) > tau]
-        line = [quad.graph_query] + [q for q in matched if q != quad.graph_query]
-        out.append(line)
+        out.append([graph_query] + [q for q in matched if q != graph_query])
     return out
 
 
-def build_query_filter_prompt(quads: Sequence[Quadruple], queries: Sequence[str]) -> str:
+def build_query_filter_prompt(graph_queries: Sequence[str], queries: Sequence[str]) -> str:
     """Prompt asking the provider which user questions relate to each fact query."""
     lines = [
         "You match fact queries against user questions.",
         "Facts:",
     ]
-    for i, quad in enumerate(quads, start=1):
-        lines.append(f"{i}. {quad.graph_query}")
+    for i, graph_query in enumerate(graph_queries, start=1):
+        lines.append(f"{i}. {graph_query}")
     lines.append("Questions:")
     for j, query in enumerate(queries, start=1):
         lines.append(f"{j}. {query}")
@@ -160,7 +157,7 @@ def parse_query_filter_output(raw: str, n_facts: int, queries: Sequence[str]) ->
 
 
 def associate_queries_via_provider(
-    quads: Sequence[Quadruple],
+    graph_queries: Sequence[str],
     queries: Sequence[str],
     gateway: "Gateway",
     question_id: str | None = None,
@@ -171,18 +168,15 @@ def associate_queries_via_provider(
     Returns None when the provider output is unusable so callers can fall back
     to the embedder-based association.
     """
-    prompt = build_query_filter_prompt(quads, queries)
+    prompt = build_query_filter_prompt(graph_queries, queries)
     response = gateway.complete(
         user_request(prompt, temperature=temperature, template=QUERY_FILTER_TEMPLATE_NAME, question_id=question_id)
     )
-    parsed = parse_query_filter_output(response.content, len(quads), queries)
+    parsed = parse_query_filter_output(response.content, len(graph_queries), queries)
     if parsed is None:
         logger.warning("question %s: unusable query-filter output, falling back to embedder association", question_id)
         return None
-    return [
-        [quad.graph_query] + [q for q in selected if q != quad.graph_query]
-        for quad, selected in zip(quads, parsed)
-    ]
+    return [[gq] + [q for q in selected if q != gq] for gq, selected in zip(graph_queries, parsed)]
 
 
 def filter_and_build_structural_prompt(
@@ -200,7 +194,7 @@ def filter_and_build_structural_prompt(
     if len(associations) != len(payload):
         raise ValueError(f"{len(associations)} associations for {len(payload)} payload triples")
     lines = [format_triple_compact(t) + "".join(f"-{q}" for q in assoc) for t, assoc in zip(payload, associations)]
-    paths = extract_paths(KnowledgeGraph([replace(t, index=i) for i, t in enumerate(payload)]), max_hops=2)
+    paths = extract_paths(payload, max_hops=2)
     one_hop = [format_triple_compact(p.hops[0]) for p in paths if len(p.hops) == 1]
     two_hop = ["->".join(format_triple_compact(h) for h in p.hops) for p in paths if len(p.hops) == 2]
     return render_template(
@@ -294,7 +288,7 @@ def build_feature_prompt(contexts: Sequence[EntityContext], template: PromptTemp
         raise ValueError("entity list must be non-empty")
     blocks = []
     for ctx in contexts:
-        name = ctx.entity.display
+        name = ctx.entity.id
         triples = "-".join(format_triple_compact(t) for t in ctx.triples)
         queries = "-".join(ctx.queries)
         blocks.append(

@@ -1,7 +1,7 @@
-"""Immutable knowledge-graph storage: endpoint indices, paths, textualization.
+"""Knowledge-graph triples: loading, paths, textualization.
 
-Graphs are built once from triple records (JSON array-of-arrays or TSV) and
-never mutated afterwards, so they are safe to share across worker threads.
+A graph is a tuple of frozen Triples, built once from triple records (JSON
+array-of-arrays or TSV), so it is safe to share across worker threads.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 GROUP_MODES = ("head", "tail", "head_and_tail")
 
@@ -28,21 +28,13 @@ class GraphLoadError(ValueError):
 
 @dataclass(frozen=True)
 class EntityRef:
-    """Entity identified by an opaque id (Freebase MID or surface name).
-
-    Equality is by id only; the optional label never participates.
-    """
+    """Entity identified by an opaque id (Freebase MID or surface name)."""
 
     id: str
-    label: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("entity id must be non-empty")
-
-    @property
-    def display(self) -> str:
-        return self.label if self.label else self.id
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,6 @@ class Path:
     """A 1-hop or 2-hop chain; for 2 hops the first object equals the second subject."""
 
     hops: tuple[Triple, ...]
-    join_entity: EntityRef | None = None
 
     def __post_init__(self) -> None:
         if len(self.hops) not in (1, 2):
@@ -100,37 +91,12 @@ class Path:
             raise ValueError("2-hop path must join on a shared entity")
 
 
-class KnowledgeGraph:
-    """Ordered, deduplicated triples plus subject/object indices."""
-
-    __slots__ = ("triples", "by_subject", "by_object")
-
-    def __init__(self, triples: Sequence[Triple]):
-        self.triples: tuple[Triple, ...] = tuple(triples)
-        by_subject: dict[str, list[int]] = {}
-        by_object: dict[str, list[int]] = {}
-        for t in self.triples:
-            by_subject.setdefault(t.subject.id, []).append(t.index)
-            by_object.setdefault(t.object.id, []).append(t.index)
-        self.by_subject: dict[str, tuple[int, ...]] = {k: tuple(v) for k, v in by_subject.items()}
-        self.by_object: dict[str, tuple[int, ...]] = {k: tuple(v) for k, v in by_object.items()}
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def __iter__(self) -> Iterator[Triple]:
-        return iter(self.triples)
-
-    def __getitem__(self, index: int) -> Triple:
-        return self.triples[index]
-
-
-def load_graph(records: Iterable[Sequence[str]]) -> KnowledgeGraph:
+def load_graph(records: Iterable[Sequence[str]]) -> tuple[Triple, ...]:
     """Build a graph from (s, r, o) records, keeping input order and dropping duplicates.
 
     Raises GraphLoadError with a 1-based record number on malformed input.
     Empty input yields an empty graph. Triples share one EntityRef per entity
-    id and one Relation per name.
+    id and one Relation per name; each triple's index is its position.
     """
     triples: list[Triple] = []
     seen: set[tuple[str, str, str]] = set()
@@ -156,10 +122,10 @@ def load_graph(records: Iterable[Sequence[str]]) -> KnowledgeGraph:
             triples.append(Triple(subject, relation, obj, index=len(triples)))
         except ValueError as exc:
             raise GraphLoadError(str(exc), line=lineno) from exc
-    return KnowledgeGraph(triples)
+    return tuple(triples)
 
 
-def load_json_graph(text: str) -> KnowledgeGraph:
+def load_json_graph(text: str) -> tuple[Triple, ...]:
     """Load from a JSON array of [s, r, o] arrays."""
     try:
         data = json.loads(text)
@@ -170,7 +136,7 @@ def load_json_graph(text: str) -> KnowledgeGraph:
     return load_graph(data)
 
 
-def load_tsv_graph(text: str) -> KnowledgeGraph:
+def load_tsv_graph(text: str) -> tuple[Triple, ...]:
     """Load from tab-separated lines, one triple per line; blank lines are ignored."""
     records = [line.split("\t") for line in text.splitlines() if line.strip()]
     return load_graph(records)
@@ -178,25 +144,29 @@ def load_tsv_graph(text: str) -> KnowledgeGraph:
 
 def textualize_triple(t: Triple) -> str:
     """Natural-language form: 'subject relation object' with relation separators spaced out."""
-    return f"{t.subject.display} {t.relation.text} {t.object.display}"
+    return f"{t.subject.id} {t.relation.text} {t.object.id}"
 
 
-def extract_paths(g: KnowledgeGraph, max_hops: int) -> list[Path]:
+def extract_paths(triples: Sequence[Triple], max_hops: int) -> list[Path]:
     """All 1-hop paths, plus (for max_hops=2) all ordered triple pairs joined object-to-subject.
 
-    2-hop paths are ordered by (first.index, second.index).
+    2-hop paths are ordered by the positions of their first and second triple
+    in `triples`.
     """
     if max_hops not in (1, 2):
         raise ValueError("max_hops must be 1 or 2")
-    paths = [Path((t,)) for t in g]
+    paths = [Path((t,)) for t in triples]
     if max_hops == 2:
-        for t1 in g:
-            for t2 in g.by_subject.get(t1.object.id, ()):
-                paths.append(Path((t1, g[t2]), join_entity=t1.object))
+        by_subject: dict[str, list[Triple]] = {}
+        for t in triples:
+            by_subject.setdefault(t.subject.id, []).append(t)
+        for t1 in triples:
+            for t2 in by_subject.get(t1.object.id, ()):
+                paths.append(Path((t1, t2)))
     return paths
 
 
-def group_by_endpoints(g: KnowledgeGraph | Sequence[Triple], mode: str = "head_and_tail") -> list[list[Triple]]:
+def group_by_endpoints(g: Sequence[Triple], mode: str = "head_and_tail") -> list[list[Triple]]:
     """Partition triples by the selected endpoint key, groups in first-occurrence order."""
     if mode not in GROUP_MODES:
         raise ValueError(f"mode must be one of {GROUP_MODES}")

@@ -31,6 +31,7 @@ from .answering import build_qa_prompt, parse_final_answers
 from .atomic import write_atomic
 from .embedding import EmbeddingCache, EmbeddingProviderSpec, build_embedder
 from .enrichment import (
+    QUERY_FILTER_TEMPLATE_NAME,
     associate_queries,
     associate_queries_via_provider,
     build_feature_prompt,
@@ -63,9 +64,9 @@ from .gateway import (
     load_templates,
     user_request,
 )
-from .graph import EntityRef, Relation, Triple, load_graph, textualize_triple
+from .graph import GROUP_MODES, EntityRef, Relation, Triple, load_graph, textualize_triple
 from .pruning import answer_coverage, score_graph, select_top_k
-from .queries import Quadruple, decompose, decomposition_to_dict, fallback_graph_query
+from .queries import decompose, decomposition_to_dict, fallback_graph_query
 
 logger = logging.getLogger(__name__)
 
@@ -90,6 +91,9 @@ ABLATION_TABLE = {
 }
 
 ABLATIONS = tuple(ABLATION_TABLE)
+
+# The templates the pipeline's provider calls name: the keys `stage_temperatures` may set.
+CALL_TEMPLATES = ("query_structuring", "structural_enrich", "feature_enrich", "question_answering", QUERY_FILTER_TEMPLATE_NAME)
 
 _ID_SAFE_RE = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -196,8 +200,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be finite and >= 0")
+        for name, value in self.stage_temperatures.items():
+            if name not in CALL_TEMPLATES:
+                raise ValueError(f"stage_temperatures must be keyed by templates among {CALL_TEMPLATES}, not {name!r}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"stage_temperatures must be finite and >= 0, not {name}={value!r}")
         if not (math.isfinite(self.tau) or self.tau == math.inf):
             raise ValueError("tau must be finite (or +inf to disable query association)")
         if self.payload_cap is not None and self.payload_cap < 1:
@@ -212,6 +221,10 @@ class RunConfig:
             raise ValueError("backoff_base must be finite and >= 0")
         if self.max_in_flight is not None and self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1 (or null for no bound)")
+        if self.positive_threshold is not None and not 0 <= self.positive_threshold <= 1:
+            raise ValueError("positive_threshold must be within [0, 1] (or null for no threshold)")
+        if self.redundancy_mode not in GROUP_MODES:
+            raise ValueError(f"redundancy_mode must be one of {GROUP_MODES}")
         if self.stages is not None:
             self.stages = tuple(self.stages)
             for stage in self.stages:
@@ -288,25 +301,30 @@ class StageArtifact:
 
 class PipelineContext:
     """Shared state for a run: providers, templates, cache, stage dir; the
-    gateway's ledger counts the provider usage of this context's calls."""
+    gateway's ledger counts the provider usage of this context's calls. A bad
+    provider spec raises StageError before the stage dir is created."""
 
     def __init__(self, config: RunConfig, stage_dir: str | Path, dataset: Sequence[DatasetRecord]):
         self.config = config
-        self.stage_dir = Path(stage_dir)
-        self.stage_dir.mkdir(parents=True, exist_ok=True)
         self.dataset = list(dataset)
         _check_filename_collisions(self.dataset)
         self.templates = load_templates(config.template_dir)
-        self.embedder = build_embedder(EmbeddingProviderSpec(**config.embedder))
+        try:
+            self.embedder = build_embedder(EmbeddingProviderSpec(**config.embedder))
+            self.scorer = build_scorer(config.kgc)
+            llm = build_llm_provider(config)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StageError(f"invalid config: {exc}") from exc
+        self.stage_dir = Path(stage_dir)
+        self.stage_dir.mkdir(parents=True, exist_ok=True)
         self.cache = EmbeddingCache()
         if config.cache_dir:
             cache_path = Path(config.cache_dir) / "embeddings.json"
             if cache_path.exists():
                 loaded = self.cache.load(cache_path)
                 logger.info("loaded %d cached embeddings from %s", loaded, cache_path)
-        self.scorer = build_scorer(config.kgc)
         self.gateway = Gateway(
-            build_llm_provider(config),
+            llm,
             ledger=CostLedger(config.price_table()),
             max_attempts=config.max_attempts,
             backoff_base=config.backoff_base,
@@ -498,18 +516,18 @@ def _enrich_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mappin
     if kept:
         queries = list(parsed["flat"]) or [record.question]
         payload = kept[: ctx.config.payload_cap]
-        quads = [Quadruple(fallback_graph_query(t), t) for t in payload]
+        graph_queries = [fallback_graph_query(t) for t in payload]
         associations = None
         if ctx.config.provider_query_filter:
             associations = associate_queries_via_provider(
-                quads,
+                graph_queries,
                 queries,
                 ctx.gateway,
                 question_id=record.id,
                 temperature=ctx.config.temperature_for("query_filter"),
             )
         if associations is None:
-            associations = associate_queries(quads, queries, ctx.embedder, ctx.cache, ctx.config.tau)
+            associations = associate_queries(graph_queries, queries, ctx.embedder, ctx.cache, ctx.config.tau)
         ablation = ABLATION_TABLE[ctx.config.ablation]
         if ablation.structural:
             prompt = filter_and_build_structural_prompt(payload, associations, ctx.templates["structural_enrich"])

@@ -28,16 +28,17 @@ Numeric contract:
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .answering import normalize_answer
 from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch, similarity
-from .graph import KnowledgeGraph, Triple, textualize_triple
+from .graph import Triple, textualize_triple
 
 MASK_TOKEN = "[MASK]"
 
@@ -89,14 +90,14 @@ def _masked_forms(t: Triple, relation: str) -> tuple[str, str, str]:
     """The triple's text under each channel of CHANNELS, in that order;
     `relation` is `t.relation.text`."""
     return (
-        f"{MASK_TOKEN} {relation} {t.object.display}",
-        f"{t.subject.display} {relation} {MASK_TOKEN}",
+        f"{MASK_TOKEN} {relation} {t.object.id}",
+        f"{t.subject.id} {relation} {MASK_TOKEN}",
         f"{MASK_TOKEN} {relation} {MASK_TOKEN}",
     )
 
 
 def score_graph(
-    g: KnowledgeGraph | Sequence[Triple],
+    g: Sequence[Triple],
     queries: Sequence[str],
     provider: EmbeddingProvider,
     cache: EmbeddingCache | None = None,
@@ -145,14 +146,12 @@ def answer_coverage(pruned: PrunedGraph, gold_answers: Sequence[str], ascii_fold
     for st in pruned.kept:
         for entity in (st.triple.subject, st.triple.object):
             endpoint_forms.add(normalize_answer(entity.id, ascii_fold))
-            if entity.label:
-                endpoint_forms.add(normalize_answer(entity.label, ascii_fold))
     found = sum(1 for answer in gold_answers if normalize_answer(answer, ascii_fold) in endpoint_forms)
     return found / len(gold_answers)
 
 
 def channel_mrr(
-    g: KnowledgeGraph | Sequence[Triple],
+    g: Sequence[Triple],
     queries: Sequence[str],
     answer_indices: Iterable[int],
     channels: Sequence[MaskChannel] | str = VANILLA,
@@ -187,8 +186,10 @@ def channel_mrr(
 
 
 def _subset_totals(scored: Sequence[ScoredTriple], subset: Sequence[MaskChannel]) -> list[float]:
-    positions = [CHANNELS.index(c) for c in subset]
-    return [math.fsum(st.channel_scores[p] for p in positions) for st in scored]
+    """Each triple's scores on the subset's channels, added with `+` in CHANNELS
+    order as `score_graph` adds its total, so the full subset gives the total."""
+    positions = sorted(CHANNELS.index(c) for c in subset)
+    return [reduce(operator.add, [st.channel_scores[p] for p in positions]) for st in scored]
 
 
 def _reciprocal_rank(totals: Sequence[float], triples: Sequence[Triple], answer_set: set[int]) -> float:
@@ -217,7 +218,7 @@ def channel_contributions(mrr_by_channel: dict) -> dict:
 
 
 def channel_mrr_table(
-    g: KnowledgeGraph | Sequence[Triple],
+    g: Sequence[Triple],
     queries: Sequence[str],
     answer_indices: Iterable[int],
     provider: EmbeddingProvider,

@@ -1,4 +1,4 @@
-"""Question decomposition trees and quadruple construction.
+"""Question decomposition trees and graph queries.
 
 The decomposition grammar is an indented tree: one node per line, depth given
 by the number of leading '-' characters, children directly below their parent
@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from .gateway import ChatMessage, ChatRequest, PromptTemplate, render_template
-from .graph import KnowledgeGraph, Triple
+from .graph import Triple
 
 if TYPE_CHECKING:
     from .gateway import Gateway
@@ -43,18 +43,6 @@ class QueryDecomposition:
     nodes: list[QueryNode]  # pre-order, i.e. input order
     flat: list[str]
     degraded: bool = False
-
-
-@dataclass(frozen=True)
-class Quadruple:
-    """A triple paired with its graph query, the question form of the fact."""
-
-    graph_query: str
-    triple: Triple
-
-    def __post_init__(self) -> None:
-        if not self.graph_query:
-            raise ValueError("graph query must be non-empty")
 
 
 def parse_decomposition_tree(raw: str) -> QueryDecomposition:
@@ -152,18 +140,5 @@ def decomposition_to_dict(decomposition: QueryDecomposition) -> dict:
 
 
 def fallback_graph_query(triple: Triple) -> str:
-    """Deterministic graph query for triples the provider did not cover."""
-    return f"What is the {triple.relation.text} of {triple.subject.display}?"
-
-
-def build_quadruples(g: KnowledgeGraph, graph_queries: Mapping[int, str] | None = None) -> list[Quadruple]:
-    """One quadruple per triple in graph order; missing entries get the fallback query."""
-    graph_queries = graph_queries or {}
-    for index in graph_queries:
-        if not 0 <= index < len(g):
-            raise ValueError(f"graph query index {index} out of range for graph of size {len(g)}")
-    out = []
-    for t in g:
-        query = graph_queries.get(t.index) or fallback_graph_query(t)
-        out.append(Quadruple(graph_query=query, triple=t))
-    return out
+    """Deterministic graph query of a triple: the question form of the fact."""
+    return f"What is the {triple.relation.text} of {triple.subject.id}?"

@@ -13,7 +13,7 @@ from kgqa.gateway import (
     ScriptedStubProvider,
     TransportError,
 )
-from kgqa.graph import KnowledgeGraph, load_graph
+from kgqa.graph import Triple, load_graph
 
 WORDS = (
     "amber", "basalt", "cobalt", "dune", "ember", "fjord", "garnet", "heron",
@@ -49,7 +49,7 @@ def random_records(rng: Random, n_triples: int) -> list[list[str]]:
     return records
 
 
-def random_graph(rng: Random, n_triples: int) -> KnowledgeGraph:
+def random_graph(rng: Random, n_triples: int) -> tuple[Triple, ...]:
     return load_graph(random_records(rng, n_triples))
 
 

@@ -22,7 +22,7 @@ from kgqa.enrichment import (
 )
 from kgqa.gateway import load_template
 from kgqa.graph import EntityRef, Relation, Triple, load_graph
-from kgqa.queries import Quadruple, build_quadruples
+from kgqa.queries import fallback_graph_query
 
 from sample_outputs import (
     FEATURE_EXAMPLE,
@@ -53,7 +53,7 @@ class TestStructuralPrompt:
 
     def test_two_hop_chain_rendered(self, ref):
         g = load_graph(BACHELET_ROWS)
-        associations = associate_queries(build_quadruples(g), ["Who is Michelle Bachelet?"], ref)
+        associations = associate_queries([fallback_graph_query(t) for t in g], ["Who is Michelle Bachelet?"], ref)
         prompt = filter_and_build_structural_prompt(list(g), associations, template=load_template("structural_enrich"))
         assert (
             "(Michelle Bachelet,people.person.nationality,Chile)"
@@ -62,9 +62,7 @@ class TestStructuralPrompt:
 
     def test_infinite_tau_keeps_only_graph_query(self, ref):
         t = triple("a", "r", "b")
-        associations = associate_queries(
-            [Quadruple("graph query text", t)], ["graph query text", "another query"], ref, tau=math.inf
-        )
+        associations = associate_queries(["graph query text"], ["graph query text", "another query"], ref, tau=math.inf)
         assert associations == [["graph query text"]]
         prompt = filter_and_build_structural_prompt([t], associations, template=load_template("structural_enrich"))
         assert "(a,r,b)-graph query text\n" in prompt
@@ -73,7 +71,7 @@ class TestStructuralPrompt:
     def test_deterministic(self, ref):
         g = load_graph(BACHELET_ROWS)
         queries = ["Who is Michelle Bachelet?", "What language is spoken in this location?"]
-        associations = associate_queries(build_quadruples(g), queries, ref)
+        associations = associate_queries([fallback_graph_query(t) for t in g], queries, ref)
         template = load_template("structural_enrich")
         assert filter_and_build_structural_prompt(list(g), associations, template) == (
             filter_and_build_structural_prompt(list(g), associations, template)
@@ -82,6 +80,13 @@ class TestStructuralPrompt:
     def test_empty_pruned_rejected(self):
         with pytest.raises(ValueError):
             filter_and_build_structural_prompt([], [], template=load_template("structural_enrich"))
+
+    def test_two_hop_paths_follow_payload_position(self):
+        payload = [triple("b", "r3", "d", index=9), triple("a", "r1", "b", index=2), triple("b", "r2", "c", index=5)]
+        prompt = filter_and_build_structural_prompt(
+            payload, [["q"]] * len(payload), template=load_template("structural_enrich")
+        )
+        assert "2-hop:\n(a,r1,b)->(b,r3,d)\n(a,r1,b)->(b,r2,c)\n[/INST]" in prompt
 
 
 class TestStructuralParse:
@@ -185,22 +190,19 @@ class TestFeatureParse:
 
 class TestAssociateQueries:
     def test_own_graph_query_always_first(self, ref):
-        quads = [Quadruple("where is the amber mesa", triple("amber mesa", "located_in", "tundra"))]
-        out = associate_queries(quads, ["where is the amber mesa located", "unrelated xylophone"], ref, tau=0.3)
+        queries = ["where is the amber mesa located", "unrelated xylophone"]
+        out = associate_queries(["where is the amber mesa"], queries, ref, tau=0.3)
         assert out[0][0] == "where is the amber mesa"
         assert "where is the amber mesa located" in out[0]
         assert "unrelated xylophone" not in out[0]
 
 
 class TestProviderQueryFilter:
-    QUADS = [
-        Quadruple("what is the r of a?", triple("a", "r", "b")),
-        Quadruple("what is the s of c?", triple("c", "s", "d", index=1)),
-    ]
+    GRAPH_QUERIES = ["what is the r of a?", "what is the s of c?"]
     QUERIES = ["who governs a", "what is c famous for"]
 
     def test_prompt_numbers_facts_and_questions(self):
-        prompt = build_query_filter_prompt(self.QUADS, self.QUERIES)
+        prompt = build_query_filter_prompt(self.GRAPH_QUERIES, self.QUERIES)
         assert "1. what is the r of a?" in prompt
         assert "2. what is the s of c?" in prompt
         assert "1. who governs a" in prompt
@@ -220,14 +222,14 @@ class TestProviderQueryFilter:
         from helpers import stub_gateway
 
         gateway = stub_gateway({"query_filter": {"q1": "1: 1\n2: none"}})
-        out = associate_queries_via_provider(self.QUADS, self.QUERIES, gateway, question_id="q1")
+        out = associate_queries_via_provider(self.GRAPH_QUERIES, self.QUERIES, gateway, question_id="q1")
         assert out == [["what is the r of a?", "who governs a"], ["what is the s of c?"]]
 
     def test_unusable_provider_output_returns_none(self):
         from helpers import stub_gateway
 
         gateway = stub_gateway({"query_filter": {"q1": "garbled"}})
-        assert associate_queries_via_provider(self.QUADS, self.QUERIES, gateway, question_id="q1") is None
+        assert associate_queries_via_provider(self.GRAPH_QUERIES, self.QUERIES, gateway, question_id="q1") is None
 
     def test_precomputed_associations_override_embedder(self):
         payload = list(load_graph([["a", "r", "b"]]))

@@ -127,6 +127,11 @@ class TestScoreGraphAgainstLoop:
 
 
 class TestChannelMrrTable:
+    def test_combined_ranks_by_the_kept_total(self, large_case):
+        for g, queries in large_case:
+            scored = score_graph(g, queries, ReferenceEmbedder())
+            assert pruning._subset_totals(scored, CHANNELS) == [st.total_score for st in scored]
+
     def test_equals_separate_calls_and_scores_once(self, large_case):
         ref = ReferenceEmbedder()
         for g, queries in large_case[:2]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 import os
 import pathlib
 from dataclasses import replace
@@ -602,7 +603,22 @@ class TestCli:
         assert not (tmp_path / "stage").exists()
 
     @pytest.mark.parametrize(
-        "key,value", [("max_attempts", 0), ("backoff_base", -1), ("max_in_flight", 0), ("max_in_flight", -1)]
+        "key,value",
+        [
+            ("max_attempts", 0),
+            ("backoff_base", -1),
+            ("max_in_flight", 0),
+            ("max_in_flight", -1),
+            ("redundancy_mode", "bogus"),
+            ("positive_threshold", -0.1),
+            ("positive_threshold", 1.5),
+            ("positive_threshold", math.nan),
+            ("temperature", math.nan),
+            ("temperature", math.inf),
+            ("stage_temperatures", {"cot_baseline": 0.5}),
+            ("stage_temperatures", {"question_answering": -1}),
+            ("stage_temperatures", {"query_filter": math.nan}),
+        ],
     )
     def test_invalid_retry_config_is_clean_error(self, tmp_path, capsys, key, value):
         paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
@@ -611,6 +627,27 @@ class TestCli:
         common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
         assert cli.main(["parse", *common]) == 2
         assert f"error: invalid config: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "stage").exists()
+
+    @pytest.mark.parametrize(
+        "key,spec",
+        [
+            ("llm", {"kind": "bogus"}),
+            ("llm", {"kind": "remote"}),
+            ("embedder", {"kind": "bogus"}),
+            ("embedder", {"dim": 8}),
+            ("kgc", {"kind": "bogus"}),
+            ("kgc", {"kind": "constant", "value": 3}),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["parse", "run"])
+    def test_invalid_provider_spec_is_clean_error(self, tmp_path, capsys, command, key, spec):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        config = json.loads(paths["config"].read_text())
+        paths["config"].write_text(json.dumps({**config, key: spec}))
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
+        assert cli.main([command, *common]) == 2
+        assert "error: invalid config: " in capsys.readouterr().err
         assert not (tmp_path / "stage").exists()
 
     def test_stage_failing_every_record_exits_1(self, tmp_path, capsys):

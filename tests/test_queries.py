@@ -9,9 +9,7 @@ from kgqa.graph import load_graph
 from kgqa.queries import (
     COMPOUND,
     UNIT,
-    Quadruple,
     TreeParseError,
-    build_quadruples,
     decompose,
     fallback_graph_query,
     parse_decomposition_tree,
@@ -132,38 +130,10 @@ class TestDecompose:
             decompose("", gateway, load_template("query_structuring"))
 
 
-class TestQuadruples:
-    def test_generated_query_attached(self):
-        g = load_graph([["Costa Rica", "monetary value", "Costa Rican colón"]])
-        quads = build_quadruples(g, {0: "What's the monetary value in Costa Rica?"})
-        assert quads[0].graph_query == "What's the monetary value in Costa Rica?"
-        assert quads[0].triple.key == ("Costa Rica", "monetary value", "Costa Rican colón")
-
+class TestFallbackGraphQuery:
     def test_fallback_template(self):
         g = load_graph([["Beijing", "located_in", "China"]])
-        quads = build_quadruples(g)
-        assert quads[0].graph_query == "What is the located in of Beijing?"
-        assert quads[0].graph_query == fallback_graph_query(g[0])
-
-    def test_empty_graph(self):
-        assert build_quadruples(load_graph([])) == []
-
-    def test_out_of_range_index(self):
-        g = load_graph([["a", "r", "b"]])
-        with pytest.raises(ValueError):
-            build_quadruples(g, {3: "q"})
-
-    def test_one_quadruple_per_triple_in_order(self):
-        g = load_graph([["a", "r1", "b"], ["c", "r2", "d"], ["e", "r3", "f"]])
-        quads = build_quadruples(g, {1: "generated"})
-        assert [q.triple.index for q in quads] == [0, 1, 2]
-        assert quads[1].graph_query == "generated"
-        assert quads[0].graph_query.startswith("What is the")
-
-    def test_empty_graph_query_rejected(self):
-        g = load_graph([["a", "r", "b"]])
-        with pytest.raises(ValueError):
-            Quadruple("", g[0])
+        assert fallback_graph_query(g[0]) == "What is the located in of Beijing?"
 
 
 def test_single_node_decomposition_shape():

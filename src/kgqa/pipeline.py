@@ -170,6 +170,11 @@ def write_dataset(records: Sequence[DatasetRecord | Mapping], path: str | Path) 
     return path
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """Whether `value` is an instance of `kind`; a bool is never a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """Pipeline configuration; defaults follow the evaluation protocol
@@ -198,6 +203,14 @@ class RunConfig:
     prices: dict = field(default_factory=lambda: {"input_per_token": 1.5e-07, "output_per_token": 6.0e-07})
 
     def __post_init__(self) -> None:
+        # The annotations name the int and float fields; an int is a valid float.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = {"int": int, "float": (int, float)}.get(f.type.removesuffix(" | None"))
+            if kind is None or (value is None and f.type.endswith(" | None")):
+                continue
+            if not _is_number(value, kind):
+                raise ValueError(f"{f.name} must be {'an integer' if kind is int else 'a number'}, not {value!r}")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
@@ -205,8 +218,8 @@ class RunConfig:
         for name, value in self.stage_temperatures.items():
             if name not in CALL_TEMPLATES:
                 raise ValueError(f"stage_temperatures must be keyed by templates among {CALL_TEMPLATES}, not {name!r}")
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"stage_temperatures must be finite and >= 0, not {name}={value!r}")
+            if not (_is_number(value) and math.isfinite(value) and value >= 0):
+                raise ValueError(f"stage_temperatures must be finite numbers >= 0, not {name}={value!r}")
         if not (math.isfinite(self.tau) or self.tau == math.inf):
             raise ValueError("tau must be finite (or +inf to disable query association)")
         if self.payload_cap is not None and self.payload_cap < 1:
@@ -260,33 +273,42 @@ def build_llm_provider(config: RunConfig):
     spec = dict(config.llm)
     kind = spec.pop("kind", "echo")
     if kind == "echo":
-        return EchoProvider()
-    if kind == "stub":
+        provider = EchoProvider()
+    elif kind == "stub":
         script = spec.pop("script", {})
         if isinstance(script, str):
             script = json.loads(Path(script).read_text(encoding="utf-8"))
-        return ScriptedStubProvider(
+        provider = ScriptedStubProvider(
             script=script,
             on_missing=spec.pop("on_missing", "error"),
             prompt_hash_script=spec.pop("prompt_hash_script", None),
         )
-    if kind == "remote":
-        return RemoteChatProvider(
+    elif kind == "remote":
+        provider = RemoteChatProvider(
             model=spec.pop("model"),
             endpoint=spec.pop("endpoint", "https://api.openai.com/v1/chat/completions"),
             api_key_env=spec.pop("api_key_env", "OPENAI_API_KEY"),
             timeout=spec.pop("timeout", 120.0),
         )
-    raise ValueError(f"unknown llm provider kind: {kind!r}")
+    else:
+        raise ValueError(f"unknown llm provider kind: {kind!r}")
+    if spec:
+        raise ValueError(f"unknown keys for llm provider kind {kind!r}: {sorted(spec)}")
+    return provider
 
 
 def build_scorer(spec: Mapping):
-    kind = spec.get("kind", "constant")
+    spec = dict(spec)
+    kind = spec.pop("kind", "constant")
     if kind in ("constant", "constant-stub"):
-        return ConstantScorer(float(spec.get("value", 0.7)))
-    if kind == "remote":
-        return RemoteKGCScorer(endpoint=spec["endpoint"], timeout=float(spec.get("timeout", 60.0)))
-    raise ValueError(f"unknown kgc scorer kind: {kind!r}")
+        scorer = ConstantScorer(float(spec.pop("value", 0.7)))
+    elif kind == "remote":
+        scorer = RemoteKGCScorer(endpoint=spec.pop("endpoint"), timeout=float(spec.pop("timeout", 60.0)))
+    else:
+        raise ValueError(f"unknown kgc scorer kind: {kind!r}")
+    if spec:
+        raise ValueError(f"unknown keys for kgc scorer kind {kind!r}: {sorted(spec)}")
+    return scorer
 
 
 @dataclass(frozen=True)
@@ -302,14 +324,14 @@ class StageArtifact:
 class PipelineContext:
     """Shared state for a run: providers, templates, cache, stage dir; the
     gateway's ledger counts the provider usage of this context's calls. A bad
-    provider spec raises StageError before the stage dir is created."""
+    provider spec or template dir raises StageError before the stage dir is created."""
 
     def __init__(self, config: RunConfig, stage_dir: str | Path, dataset: Sequence[DatasetRecord]):
         self.config = config
         self.dataset = list(dataset)
         _check_filename_collisions(self.dataset)
-        self.templates = load_templates(config.template_dir)
         try:
+            self.templates = load_templates(config.template_dir)
             self.embedder = build_embedder(EmbeddingProviderSpec(**config.embedder))
             self.scorer = build_scorer(config.kgc)
             llm = build_llm_provider(config)
@@ -529,17 +551,26 @@ def _enrich_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mappin
         if associations is None:
             associations = associate_queries(graph_queries, queries, ctx.embedder, ctx.cache, ctx.config.tau)
         ablation = ABLATION_TABLE[ctx.config.ablation]
-        if ablation.structural:
-            prompt = filter_and_build_structural_prompt(payload, associations, ctx.templates["structural_enrich"])
-            parse = parse_structural_output(_complete(ctx, "structural_enrich", prompt, record))
-            generated.extend(parse.triples)
-            skipped = parse.skipped
-        if ablation.feature:
+
+        def feature_reply() -> str:
             contexts = collect_entity_contexts(payload, associations)
             prompt = build_feature_prompt(contexts, ctx.templates["feature_enrich"])
-            parse = parse_feature_output(_complete(ctx, "feature_enrich", prompt, record))
-            generated.extend(parse.triples)
-            rejected = parse.rejected
+            return _complete(ctx, "feature_enrich", prompt, record)
+
+        # The feature prompt needs only the payload and the associations, so its
+        # call overlaps the structural one. Leaving the block waits for it, also
+        # when the structural call raises, so the caller's usage diff covers both.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            feature = pool.submit(feature_reply) if ablation.feature else None
+            if ablation.structural:
+                prompt = filter_and_build_structural_prompt(payload, associations, ctx.templates["structural_enrich"])
+                parse = parse_structural_output(_complete(ctx, "structural_enrich", prompt, record))
+                generated.extend(parse.triples)
+                skipped = parse.skipped
+            if feature is not None:
+                parse = parse_feature_output(feature.result())
+                generated.extend(parse.triples)
+                rejected = parse.rejected
     return {
         "id": record.id,
         "base_indices": [t.index for t in kept],

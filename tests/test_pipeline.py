@@ -6,6 +6,8 @@ import logging
 import math
 import os
 import pathlib
+import threading
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -154,6 +156,16 @@ class TestStages:
         assert ledger.usage(failing).calls == 1  # parse only: ledger.json covers the rows, not the failures
         assert json.loads((tmp_path / "stage" / "ledger.json").read_text()) == ledger.to_dict()
 
+    def test_failed_structural_call_error_line_counts_the_feature_call(self, tmp_path, small_fixture):
+        records, script = small_fixture
+        failing = records[0].id
+        script = {**script, "structural_enrich": {k: v for k, v in script["structural_enrich"].items() if k != failing}}
+        run_all(RunConfig(llm={"kind": "stub", "script": script}), records, tmp_path / "stage")
+        [error] = [json.loads(l) for l in (tmp_path / "stage" / "errors" / "enrich.jsonl").read_text().splitlines()]
+        assert error["id"] == failing
+        assert error["error"] == f"no scripted response for ('structural_enrich', {failing!r})"
+        assert error["usage"]["calls"] == 1  # the feature call, sent alongside the failed structural one
+
     def test_unknown_stage(self, tmp_path, small_fixture):
         records, script = small_fixture
         ctx = make_ctx(records, script, tmp_path / "stage")
@@ -292,6 +304,71 @@ class TestRunAll:
         assert entries > 0
         ctx = PipelineContext(config, tmp_path / "stage2", records)
         assert len(ctx.cache) == entries
+
+
+def wrap_provider(ctx, before_generate):
+    """Run `before_generate(request)` ahead of each chat call the context's provider answers."""
+    inner = ctx.gateway.provider
+
+    class Wrapped:
+        provider_id = inner.provider_id
+
+        def generate(self, request):
+            before_generate(request)
+            return inner.generate(request)
+
+    ctx.gateway.provider = Wrapped()
+
+
+def run_plan(ctx):
+    for stage in ctx.config.plan():
+        run_stage(stage, ctx)
+    ctx.save_state()
+
+
+class TestConcurrentEnrich:
+    def test_structural_and_feature_calls_overlap(self, tmp_path, small_fixture):
+        records, script = small_fixture
+        ctx = make_ctx(records, script, tmp_path / "stage", workers=1)
+        both_sent = threading.Barrier(2, timeout=5)
+
+        def meet_the_other_enrich_call(request):
+            if request.template in ("structural_enrich", "feature_enrich"):
+                both_sent.wait()
+
+        wrap_provider(ctx, meet_the_other_enrich_call)
+        run_stage("parse", ctx)
+        run_stage("prune", ctx)
+        artifact = run_stage("enrich", ctx)
+        assert (artifact.processed, artifact.failed) == (len(records), 0)
+        assert ctx.gateway.ledger.total_calls() == 3 * len(records)
+
+    def test_max_in_flight_bounds_both_enrich_calls(self, tmp_path, small_fixture):
+        records, script = small_fixture
+        outputs = {}
+        for max_in_flight in (1, None):
+            ctx = make_ctx(records, script, tmp_path / f"m{max_in_flight}", workers=2, max_in_flight=max_in_flight)
+            lock = threading.Lock()
+            in_flight = [0]
+            peak = [0]
+
+            def slow_call(request):
+                with lock:
+                    in_flight[0] += 1
+                    peak[0] = max(peak[0], in_flight[0])
+                time.sleep(0.005)
+                with lock:
+                    in_flight[0] -= 1
+
+            wrap_provider(ctx, slow_call)
+            runner = threading.Thread(target=run_plan, args=(ctx,), daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+            assert not runner.is_alive()
+            if max_in_flight == 1:
+                assert peak[0] == 1
+            outputs[max_in_flight] = artifact_bytes(ctx.stage_dir)
+        assert outputs[1] == outputs[None]
 
 
 class TestSweepK:
@@ -618,6 +695,22 @@ class TestCli:
             ("stage_temperatures", {"cot_baseline": 0.5}),
             ("stage_temperatures", {"question_answering": -1}),
             ("stage_temperatures", {"query_filter": math.nan}),
+            ("stage_temperatures", {"question_answering": "hot"}),
+            ("stage_temperatures", {"question_answering": True}),
+            ("top_k", "5"),
+            ("top_k", 5.0),
+            ("workers", "2"),
+            ("workers", True),
+            ("max_attempts", 2.5),
+            ("payload_cap", "60"),
+            ("max_in_flight", "4"),
+            ("temperature", "hot"),
+            ("temperature", False),
+            ("tau", "0.3"),
+            ("tau", None),
+            ("backoff_base", "0.5"),
+            ("positive_threshold", "0.5"),
+            ("positive_threshold", True),
         ],
     )
     def test_invalid_retry_config_is_clean_error(self, tmp_path, capsys, key, value):
@@ -638,6 +731,11 @@ class TestCli:
             ("embedder", {"dim": 8}),
             ("kgc", {"kind": "bogus"}),
             ("kgc", {"kind": "constant", "value": 3}),
+            ("kgc", {"kind": "constant", "vaule": 0.1}),
+            ("kgc", {"kind": "remote", "endpoint": "http://localhost:9", "timout": 5}),
+            ("llm", {"kind": "echo", "model": "m"}),
+            ("llm", {"kind": "stub", "script": {}, "on_mising": "echo"}),
+            ("template_dir", "no-such-template-dir"),
         ],
     )
     @pytest.mark.parametrize("command", ["parse", "run"])

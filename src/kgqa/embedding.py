@@ -302,6 +302,9 @@ class EmbeddingProviderSpec:
 
 def build_embedder(spec: EmbeddingProviderSpec) -> EmbeddingProvider:
     if spec.kind == "reference":
+        unused = [name for name in ("endpoint", "model", "api_key_env") if getattr(spec, name) is not None]
+        if unused:
+            raise ValueError(f"unknown keys for embedder kind 'reference': {unused}")
         return ReferenceEmbedder(spec.dimension)
     if spec.kind == "remote":
         if not spec.endpoint or not spec.model:

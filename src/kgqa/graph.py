@@ -1,7 +1,10 @@
 """Knowledge-graph triples: loading, paths, textualization.
 
 A graph is a tuple of frozen Triples, built once from triple records (JSON
-array-of-arrays or TSV), so it is safe to share across worker threads.
+array-of-arrays or TSV), so it is safe to share across worker threads. The
+loader interns entity ids and relation names into code columns first
+(`GraphColumns`); hot paths such as pruning work on those columns and build
+Triples only for the rows they keep.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 GROUP_MODES = ("head", "tail", "head_and_tail")
 
@@ -91,17 +96,41 @@ class Path:
             raise ValueError("2-hop path must join on a shared entity")
 
 
-def load_graph(records: Iterable[Sequence[str]]) -> tuple[Triple, ...]:
-    """Build a graph from (s, r, o) records, keeping input order and dropping duplicates.
+@dataclass(frozen=True, eq=False)
+class GraphColumns:
+    """A graph as interned code columns: row i is the triple
+    (entities[s[i]], relations[r[i]], entities[o[i]]) with index i."""
+
+    entities: tuple[str, ...]
+    relations: tuple[str, ...]
+    s: np.ndarray
+    r: np.ndarray
+    o: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.s)
+
+    @classmethod
+    def of(cls, keys: Iterable[tuple[str, str, str]]) -> "GraphColumns":
+        """Columns of (subject, relation, object) keys, one row per key in their order."""
+        entities: dict[str, int] = {}
+        relations: dict[str, int] = {}
+        codes = [
+            (entities.setdefault(s, len(entities)), relations.setdefault(r, len(relations)),
+             entities.setdefault(o, len(entities)))
+            for s, r, o in keys
+        ]
+        spo = np.array(codes, dtype=np.intp).reshape(-1, 3)
+        return cls(tuple(entities), tuple(relations), spo[:, 0], spo[:, 1], spo[:, 2])
+
+
+def intern_graph(records: Iterable[Sequence[str]]) -> GraphColumns:
+    """Columns of the graph of (s, r, o) records, keeping input order and dropping duplicates.
 
     Raises GraphLoadError with a 1-based record number on malformed input.
-    Empty input yields an empty graph. Triples share one EntityRef per entity
-    id and one Relation per name; each triple's index is its position.
+    Relation names lose surrounding whitespace.
     """
-    triples: list[Triple] = []
-    seen: set[tuple[str, str, str]] = set()
-    entities: dict[str, EntityRef] = {}
-    relations: dict[str, Relation] = {}
+    keys: dict[tuple[str, str, str], None] = {}  # ordered set of the distinct keys
     for lineno, record in enumerate(records, start=1):
         if isinstance(record, str) or len(record) != 3:
             raise GraphLoadError(f"expected 3 fields, got {record!r}", line=lineno)
@@ -111,18 +140,19 @@ def load_graph(records: Iterable[Sequence[str]]) -> tuple[Triple, ...]:
         r = r.strip()
         if not (s and r and o):
             raise GraphLoadError(f"empty field in {record!r}", line=lineno)
-        key = (s, r, o)
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            subject = entities.get(s) or entities.setdefault(s, EntityRef(s))
-            relation = relations.get(r) or relations.setdefault(r, Relation(r))
-            obj = entities.get(o) or entities.setdefault(o, EntityRef(o))
-            triples.append(Triple(subject, relation, obj, index=len(triples)))
-        except ValueError as exc:
-            raise GraphLoadError(str(exc), line=lineno) from exc
-    return tuple(triples)
+        keys[s, r, o] = None
+    return GraphColumns.of(keys)
+
+
+def load_graph(records: Iterable[Sequence[str]]) -> tuple[Triple, ...]:
+    """Build a graph from (s, r, o) records as `intern_graph` does; empty input
+    yields an empty graph. Each triple's index is its position, and triples
+    share one EntityRef per entity id and one Relation per name."""
+    g = intern_graph(records)
+    entities = [EntityRef(e) for e in g.entities]
+    relations = [Relation(r) for r in g.relations]
+    rows = zip(g.s.tolist(), g.r.tolist(), g.o.tolist())
+    return tuple(Triple(entities[s], relations[r], entities[o], index=i) for i, (s, r, o) in enumerate(rows))
 
 
 def load_json_graph(text: str) -> tuple[Triple, ...]:

@@ -27,6 +27,8 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .answering import build_qa_prompt, parse_final_answers
 from .atomic import write_atomic
 from .embedding import EmbeddingCache, EmbeddingProviderSpec, build_embedder
@@ -45,8 +47,6 @@ from .evaluation import (
     ConstantScorer,
     EvalReport,
     GraphQualityReport,
-    MetricValue,
-    RedundancyResult,
     RemoteKGCScorer,
     build_eval_report,
     export_quality_report,
@@ -64,8 +64,8 @@ from .gateway import (
     load_templates,
     user_request,
 )
-from .graph import GROUP_MODES, EntityRef, Relation, Triple, load_graph, textualize_triple
-from .pruning import answer_coverage, score_graph, select_top_k
+from .graph import GROUP_MODES, EntityRef, Relation, Triple, intern_graph, load_graph, textualize_triple
+from .pruning import answer_coverage, score_columns, score_graph, select_top_k
 from .queries import decompose, decomposition_to_dict, fallback_graph_query
 
 logger = logging.getLogger(__name__)
@@ -156,17 +156,7 @@ def write_dataset(records: Sequence[DatasetRecord | Mapping], path: str | Path) 
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
-            if isinstance(record, DatasetRecord):
-                obj = {
-                    "id": record.id,
-                    "question": record.question,
-                    "answers": list(record.answers),
-                    "topic_entities": list(record.topic_entities),
-                    "graph": [list(t) for t in record.graph],
-                }
-            else:
-                obj = dict(record)
-            fh.write(_dumps(obj) + "\n")
+            fh.write(_dumps(asdict(record) if isinstance(record, DatasetRecord) else dict(record)) + "\n")
     return path
 
 
@@ -215,6 +205,8 @@ class RunConfig:
             raise ValueError("top_k must be >= 1")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError("temperature must be finite and >= 0")
+        if not isinstance(self.stage_temperatures, dict):
+            raise ValueError(f"stage_temperatures must be a dict of template temperatures, not {self.stage_temperatures!r}")
         for name, value in self.stage_temperatures.items():
             if name not in CALL_TEMPLATES:
                 raise ValueError(f"stage_temperatures must be keyed by templates among {CALL_TEMPLATES}, not {name!r}")
@@ -239,10 +231,13 @@ class RunConfig:
         if self.redundancy_mode not in GROUP_MODES:
             raise ValueError(f"redundancy_mode must be one of {GROUP_MODES}")
         if self.stages is not None:
+            if not (isinstance(self.stages, (list, tuple)) and all(isinstance(stage, str) for stage in self.stages)):
+                raise ValueError(f"stages must be a list of stage names, not {self.stages!r}")
             self.stages = tuple(self.stages)
             for stage in self.stages:
                 if stage not in STAGE_TABLE:
                     raise ValueError(f"unknown stage {stage!r}")
+        self.price_table()
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunConfig":
@@ -257,10 +252,14 @@ class RunConfig:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def price_table(self) -> PriceTable:
-        return PriceTable(
-            input_per_token=float(self.prices.get("input_per_token", 0.0)),
-            output_per_token=float(self.prices.get("output_per_token", 0.0)),
-        )
+        """The per-token prices; a price `prices` leaves out is 0."""
+        names = ("input_per_token", "output_per_token")
+        values = [self.prices.get(name, 0.0) for name in names] if isinstance(self.prices, dict) else None
+        if values is None or set(self.prices) - set(names) or not all(
+            _is_number(v) and math.isfinite(v) and v >= 0 for v in values
+        ):
+            raise ValueError(f"prices must be a dict of {' and '.join(names)} numbers >= 0, not {self.prices!r}")
+        return PriceTable(*map(float, values))
 
     def temperature_for(self, template_name: str) -> float:
         return float(self.stage_temperatures.get(template_name, self.temperature))
@@ -335,6 +334,7 @@ class PipelineContext:
             self.embedder = build_embedder(EmbeddingProviderSpec(**config.embedder))
             self.scorer = build_scorer(config.kgc)
             llm = build_llm_provider(config)
+            ledger = CostLedger(config.price_table())
         except (KeyError, TypeError, ValueError) as exc:
             raise StageError(f"invalid config: {exc}") from exc
         self.stage_dir = Path(stage_dir)
@@ -347,7 +347,7 @@ class PipelineContext:
                 logger.info("loaded %d cached embeddings from %s", loaded, cache_path)
         self.gateway = Gateway(
             llm,
-            ledger=CostLedger(config.price_table()),
+            ledger=ledger,
             max_attempts=config.max_attempts,
             backoff_base=config.backoff_base,
             max_in_flight=config.max_in_flight,
@@ -507,24 +507,19 @@ def _parse_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping
 
 def _prune_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping) -> dict:
     parsed = _upstream_row(upstream, "parse", record.id)
-    graph = load_graph(record.graph)
+    g = intern_graph(record.graph)
     queries = list(parsed["flat"]) or [record.question]
-    scored = score_graph(graph, queries, ctx.embedder, ctx.cache)
-    pruned = select_top_k(scored, ctx.config.top_k)
+    channel_scores, totals = score_columns(g, queries, ctx.embedder, ctx.cache)
+    # Row i is the triple with index i, so a stable sort gives (-total, index) order.
+    kept = np.argsort(-totals, kind="stable")[: ctx.config.top_k]
+    rows = zip(kept.tolist(), g.s[kept].tolist(), g.r[kept].tolist(), g.o[kept].tolist())
     return {
         "id": record.id,
-        "k": pruned.k,
-        "source_size": pruned.source_size,
+        "k": ctx.config.top_k,
+        "source_size": len(g),
         "kept": [
-            {
-                "s": st.triple.subject.id,
-                "r": st.triple.relation.name,
-                "o": st.triple.object.id,
-                "index": st.triple.index,
-                "scores": list(st.channel_scores),
-                "total": st.total_score,
-            }
-            for st in pruned.kept
+            {"s": g.entities[s], "r": g.relations[r], "o": g.entities[o], "index": i, "scores": scores, "total": total}
+            for (i, s, r, o), scores, total in zip(rows, channel_scores[kept].tolist(), totals[kept].tolist())
         ],
     }
 
@@ -823,25 +818,13 @@ def quality_metrics(
                 texts.extend(q.texts or [])
         if not per_question:
             continue
-        n = len(per_question)
         reports.append(
             GraphQualityReport(
                 dataset=dataset_name,
                 variant=variant,
-                relevance=MetricValue(
-                    mean=sum(q.relevance.mean for q in per_question) / n,
-                    total=sum(q.relevance.total for q in per_question),
-                ),
-                semantic_richness=MetricValue(
-                    mean=sum(q.semantic_richness.mean for q in per_question) / n,
-                    total=sum(q.semantic_richness.total for q in per_question),
-                ),
-                redundancy=RedundancyResult(
-                    mean=sum(q.redundancy.mean for q in per_question) / n,
-                    total=sum(q.redundancy.total for q in per_question),
-                    groups=sum(q.redundancy.groups for q in per_question),
-                    pairs=sum(q.redundancy.pairs for q in per_question),
-                ),
+                relevance=_pooled([q.relevance for q in per_question]),
+                semantic_richness=_pooled([q.semantic_richness for q in per_question]),
+                redundancy=_pooled([q.redundancy for q in per_question]),
                 triples=sum(q.triples for q in per_question),
                 embeddings=embeddings if with_dumps else None,
                 texts=texts if with_dumps else None,
@@ -850,6 +833,13 @@ def quality_metrics(
     if out_dir is not None:
         export_quality_report(reports, out_dir)
     return reports
+
+
+def _pooled(values: Sequence):
+    """Per-question metric values (`MetricValue` or `RedundancyResult`) summed
+    field by field, with the summed mean divided by the number of questions."""
+    mean, *sums = (sum(getattr(v, f.name) for v in values) for f in fields(values[0]))
+    return type(values[0])(mean / len(values), *sums)
 
 
 _VARIANT_STAGES = {"vanilla": (), "pruned": ("prune",), "enriched": ("prune", "enrich")}

@@ -6,10 +6,12 @@ against every query in the flattened decomposition by embedding dot product;
 a triple's total is the sum over the three channels. The top-K triples by
 total form the pruned graph.
 
-Scoring is blocked matrix code. Each distinct masked text is embedded once,
-the vectors are stacked in row blocks of `BLOCK_ROWS`, and each block takes
-one matrix-vector product per query, added in query order; a triple's total
-is its head, tail and both-masked channel scores added in that order.
+Scoring is blocked matrix code over a graph's interned code columns
+(`score_columns`; `score_graph` wraps it for Triples). Each masked text is
+rendered once per distinct key and embedded once per distinct text, the
+vectors are stacked in row blocks of `BLOCK_ROWS`, and each block takes one
+matrix-vector product per query, added in query order; a triple's total is
+its head, tail and both-masked channel scores added in that order.
 
 Numeric contract:
 
@@ -38,7 +40,7 @@ import numpy as np
 
 from .answering import normalize_answer
 from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch, similarity
-from .graph import Triple, textualize_triple
+from .graph import GraphColumns, Triple, relation_text, textualize_triple
 
 MASK_TOKEN = "[MASK]"
 
@@ -77,43 +79,46 @@ class PrunedGraph:
     k: int
     source_size: int
 
-    @property
-    def triples(self) -> list[Triple]:
-        return [st.triple for st in self.kept]
-
 
 def render_masked(t: Triple, channel: MaskChannel) -> str:
-    return _masked_forms(t, t.relation.text)[CHANNELS.index(channel)]
+    head = t.subject.id if channel is MaskChannel.TAIL_MASKED else MASK_TOKEN
+    tail = t.object.id if channel is MaskChannel.HEAD_MASKED else MASK_TOKEN
+    return f"{head} {t.relation.text} {tail}"
 
 
-def _masked_forms(t: Triple, relation: str) -> tuple[str, str, str]:
-    """The triple's text under each channel of CHANNELS, in that order;
-    `relation` is `t.relation.text`."""
-    return (
-        f"{MASK_TOKEN} {relation} {t.object.id}",
-        f"{t.subject.id} {relation} {MASK_TOKEN}",
-        f"{MASK_TOKEN} {relation} {MASK_TOKEN}",
-    )
-
-
-def score_graph(
-    g: Sequence[Triple],
+def score_columns(
+    g: GraphColumns,
     queries: Sequence[str],
     provider: EmbeddingProvider,
     cache: EmbeddingCache | None = None,
-) -> list[ScoredTriple]:
-    """Score every triple against every query across the three mask channels."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's channel scores, shape (n, 3) in CHANNELS order, and its total.
+
+    A masked text is rendered once per distinct key: (relation, object) when
+    the head is masked, (subject, relation) when the tail is, and the relation
+    when both are. Different keys can render the same text, so the texts are
+    then deduped by text, in the order they first occur row by row and channel
+    by channel; the text list, and so the blocks, depend only on the graph.
+    """
     if not queries:
         raise ValueError("at least one query is required")
-    triples = list(g)
-    relation_texts: dict[str, str] = {}  # each relation's text is computed once
+    mask = len(g.entities)  # the mask's code in the entity columns
+    names = (*g.entities, MASK_TOKEN)
+    relations = [relation_text(name) for name in g.relations]
+    masked = np.full(len(g), mask, dtype=np.intp)
+    positions, key_of_row, texts = [], [], []
+    for c, (head, tail) in enumerate(((masked, g.o), (g.s, masked), (masked, masked))):
+        # The key is the relation and the unmasked entity: the mask's code is
+        # above every entity's, so the minimum of head and tail picks it out.
+        _, first, inverse = np.unique(g.r * (mask + 1) + np.minimum(head, tail), return_index=True, return_inverse=True)
+        positions.append(first * len(CHANNELS) + c)
+        key_of_row.append(inverse + len(texts))
+        keys = zip(head[first].tolist(), g.r[first].tolist(), tail[first].tolist())
+        texts += [f"{names[h]} {relations[r]} {names[t]}" for h, r, t in keys]
+    order = np.argsort(np.concatenate(positions))
     row_of: dict[str, int] = {}  # distinct masked text -> its row
-    rows = []
-    for t in triples:
-        relation = relation_texts.get(t.relation.name)
-        if relation is None:
-            relation = relation_texts[t.relation.name] = t.relation.text
-        rows += [row_of.setdefault(text, len(row_of)) for text in _masked_forms(t, relation)]
+    row_of_key = np.empty(len(texts), dtype=np.intp)
+    row_of_key[order] = [row_of.setdefault(texts[j], len(row_of)) for j in order.tolist()]
     vectors = embed_batch(list(queries) + list(row_of), provider, cache)
     query_vecs = vectors[: len(queries)]
     masked_vecs = vectors[len(queries):]
@@ -123,8 +128,19 @@ def score_graph(
         acc = scores[start : start + BLOCK_ROWS]
         for qv in query_vecs:
             acc += block @ qv
-    channel_scores = scores[np.asarray(rows, dtype=np.intp)].reshape(len(triples), len(CHANNELS))
-    totals = channel_scores[:, 0] + channel_scores[:, 1] + channel_scores[:, 2]
+    channel_scores = scores[row_of_key[np.stack(key_of_row, axis=1)]]
+    return channel_scores, channel_scores[:, 0] + channel_scores[:, 1] + channel_scores[:, 2]
+
+
+def score_graph(
+    g: Sequence[Triple],
+    queries: Sequence[str],
+    provider: EmbeddingProvider,
+    cache: EmbeddingCache | None = None,
+) -> list[ScoredTriple]:
+    """Score every triple against every query across the three mask channels."""
+    triples = list(g)
+    channel_scores, totals = score_columns(GraphColumns.of(t.key for t in triples), queries, provider, cache)
     return [
         ScoredTriple(triple=t, channel_scores=tuple(cs), total_score=total)
         for t, cs, total in zip(triples, channel_scores.tolist(), totals.tolist())

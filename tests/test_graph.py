@@ -14,6 +14,7 @@ from kgqa.graph import (
     Triple,
     extract_paths,
     group_by_endpoints,
+    intern_graph,
     load_graph,
     load_json_graph,
     load_tsv_graph,
@@ -60,6 +61,18 @@ class TestLoadGraph:
         g = load_graph(random_records(rng, 80))
         assert len(g) == 80
         assert all(g[t.index] is t for t in g)
+
+    def test_columns_intern_each_string_once(self):
+        g = intern_graph([["a", " r ", "b"], ["b", "r", "a"], ["a", "r", "b"], ["c", "s", "a"]])
+        assert (g.entities, g.relations) == (("a", "b", "c"), ("r", "s"))
+        assert [g.s.tolist(), g.r.tolist(), g.o.tolist()] == [[0, 1, 2], [0, 0, 1], [1, 0, 0]]
+
+    def test_triples_share_refs(self):
+        g = load_graph(random_records(Random(12), 60))
+        refs = {}
+        for t in g:
+            assert refs.setdefault(t.subject.id, t.subject) is t.subject
+            assert refs.setdefault(t.object.id, t.object) is t.object
 
     def test_json_and_tsv_loaders_identical(self):
         records = [["a b", "r.s_t", "c"], ["d", "r2", "e f"], ["g", "r3", "h"]]

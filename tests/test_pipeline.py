@@ -19,7 +19,8 @@ from kgqa import cli, pipeline
 from kgqa.embedding import EmbeddingCache
 from kgqa.fixtures import build_mini_dataset, write_fixture
 from kgqa.gateway import estimate_tokens
-from kgqa.graph import load_graph, textualize_triple
+from kgqa.graph import Triple, load_graph, textualize_triple
+from kgqa.pruning import ScoredTriple, score_graph, select_top_k
 from kgqa.pipeline import (
     DatasetError,
     PipelineContext,
@@ -371,6 +372,60 @@ class TestConcurrentEnrich:
         assert outputs[1] == outputs[None]
 
 
+def pruned_rows(stage_dir):
+    return [json.loads(line) for line in (stage_dir / "pruned.jsonl").read_text(encoding="utf-8").splitlines()]
+
+
+class TestColumnarPrune:
+    """The prune stage scores interned code columns and builds rows for the kept triples only."""
+
+    @pytest.fixture(scope="class")
+    def large_fixture(self):
+        return build_mini_dataset(n_questions=3, seed=11, min_triples=1000, max_triples=2000)
+
+    @pytest.mark.parametrize("k", [10, 300, "all"])
+    def test_kept_rows_equal_select_top_k(self, tmp_path, large_fixture, k):
+        records, script = large_fixture
+        top_k = max(len(r.graph) for r in records) if k == "all" else k
+        ctx = make_ctx(records, script, tmp_path / "stage", top_k=top_k)
+        run_stage("parse", ctx)
+        run_stage("prune", ctx)
+        parsed = pipeline._read_rows(tmp_path / "stage" / "parsed.jsonl")
+        expected = []
+        for record in sorted(records, key=lambda r: r.id):
+            g = load_graph(record.graph)
+            assert 1000 <= len(g) <= 2000
+            pruned = select_top_k(score_graph(g, parsed[record.id]["flat"] or [record.question], ctx.embedder), top_k)
+            kept = [
+                {"s": st.triple.subject.id, "r": st.triple.relation.name, "o": st.triple.object.id,
+                 "index": st.triple.index, "scores": list(st.channel_scores), "total": st.total_score}
+                for st in pruned.kept
+            ]
+            expected.append({"id": record.id, "k": pruned.k, "source_size": pruned.source_size, "kept": kept})
+        # JSON keeps each float's shortest repr, so equal rows mean bit-equal scores.
+        assert pruned_rows(tmp_path / "stage") == expected
+
+    def test_builds_no_triple_per_source_triple(self, tmp_path, large_fixture):
+        records, script = large_fixture
+        ctx = make_ctx(records, script, tmp_path / "stage")
+        run_stage("parse", ctx)
+        with mock.patch.object(Triple, "__init__", side_effect=AssertionError("Triple built")), \
+                mock.patch.object(ScoredTriple, "__init__", side_effect=AssertionError("ScoredTriple built")):
+            artifact = run_stage("prune", ctx)
+        assert (artifact.processed, artifact.failed) == (3, 0)
+
+    def test_bad_graph_line_fails_only_its_record(self, tmp_path, small_fixture):
+        records, script = small_fixture
+        bad = replace(records[1], graph=(records[1].graph[0], ("", "r", "b"), *records[1].graph[1:]))
+        ctx = make_ctx([records[0], bad, records[2]], script, tmp_path / "stage")
+        run_stage("parse", ctx)
+        artifact = run_stage("prune", ctx)
+        assert (artifact.processed, artifact.failed) == (2, 1)
+        errors = [json.loads(line) for line in (tmp_path / "stage" / "errors" / "prune.jsonl").read_text().splitlines()]
+        assert [(e["id"], e["error"]) for e in errors] == [(bad.id, "line 2: empty field in ('', 'r', 'b')")]
+        assert [row["id"] for row in pruned_rows(tmp_path / "stage")] == sorted(r.id for r in (records[0], records[2]))
+
+
 class TestSweepK:
     def test_rows_and_monotonic_coverage(self, tmp_path, small_fixture):
         records, script = small_fixture
@@ -711,6 +766,10 @@ class TestCli:
             ("backoff_base", "0.5"),
             ("positive_threshold", "0.5"),
             ("positive_threshold", True),
+            ("prices", "x"),
+            ("prices", {"input_per_token": -1}),
+            ("stages", 5),
+            ("stage_temperatures", []),
         ],
     )
     def test_invalid_retry_config_is_clean_error(self, tmp_path, capsys, key, value):
@@ -736,6 +795,7 @@ class TestCli:
             ("llm", {"kind": "echo", "model": "m"}),
             ("llm", {"kind": "stub", "script": {}, "on_mising": "echo"}),
             ("template_dir", "no-such-template-dir"),
+            ("embedder", {"kind": "reference", "endpoint": "x"}),
         ],
     )
     @pytest.mark.parametrize("command", ["parse", "run"])

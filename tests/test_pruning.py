@@ -5,7 +5,8 @@ from random import Random
 import pytest
 
 from kgqa.embedding import embed_reference, similarity
-from kgqa.graph import EntityRef, Relation, Triple, load_graph, textualize_triple
+from kgqa.embedding import ReferenceEmbedder
+from kgqa.graph import EntityRef, Relation, Triple, intern_graph, load_graph, textualize_triple
 from kgqa.pruning import (
     CHANNELS,
     VANILLA,
@@ -18,6 +19,7 @@ from kgqa.pruning import (
     channel_mrr_table,
     rank_of_triple,
     render_masked,
+    score_columns,
     score_graph,
     select_top_k,
 )
@@ -104,6 +106,58 @@ class TestScoreGraph:
         b = score_graph(g, shuffled, ref)
         for st0, st1 in zip(a, b):
             assert st1.total_score == pytest.approx(st0.total_score, abs=1e-9)
+
+
+# Different keys that render the same masked text: separators that relation_text
+# folds, word splits across relation and entity, an entity spelled like the mask,
+# a duplicate record, and a relation with surrounding spaces.
+COLLISION_RECORDS = [
+    ["x", "located.in", "y"],
+    ["x", "located_in", "y"],
+    ["x", "a b", "c"],
+    ["x", "a", "b c"],
+    ["[MASK]", "r", "z"],
+    ["w", " r ", "[MASK]"],
+    ["[MASK]", "r", "z"],
+    ["q", "r", "z"],
+]
+
+
+class CountingEmbedder(ReferenceEmbedder):
+    def __init__(self):
+        super().__init__()
+        self.seen: list[str] = []
+
+    def embed_many(self, texts):
+        self.seen += texts
+        return super().embed_many(texts)
+
+
+class TestScoreColumns:
+    QUERIES = ["where is x", "a b c", "where is x"]
+
+    def test_equal_masked_texts_get_equal_scores(self, ref):
+        g = load_graph(COLLISION_RECORDS)
+        channel_scores, totals = score_columns(intern_graph(COLLISION_RECORDS), self.QUERIES, ref)
+        score_of: dict[str, float] = {}
+        for t, scores in zip(g, channel_scores.tolist()):
+            for channel, score in zip(CHANNELS, scores):
+                assert score_of.setdefault(render_masked(t, channel), score) == score
+        assert len(score_of) < len(g) * len(CHANNELS)
+        scored = score_graph(g, self.QUERIES, ref)
+        assert [st.channel_scores for st in scored] == [tuple(cs) for cs in channel_scores.tolist()]
+        assert [st.total_score for st in scored] == totals.tolist()
+
+    def test_each_distinct_text_embedded_once_in_first_occurrence_order(self):
+        g = load_graph(COLLISION_RECORDS)
+        embedder = CountingEmbedder()
+        score_columns(intern_graph(COLLISION_RECORDS), self.QUERIES, embedder)
+        masked = [render_masked(t, channel) for t in g for channel in CHANNELS]
+        assert embedder.seen == list(dict.fromkeys(self.QUERIES + masked))
+
+    def test_empty_graph(self, ref):
+        channel_scores, totals = score_columns(intern_graph([]), ["q"], ref)
+        assert channel_scores.shape == (0, len(CHANNELS)) and totals.shape == (0,)
 
 
 class TestSelectTopK:

@@ -9,9 +9,7 @@ evaluates both answers and graph quality with cost accounting.
 from .answering import AnswerSet, build_qa_prompt, normalize_answer, parse_final_answers
 from .embedding import (
     EmbeddingCache,
-    EmbeddingProviderSpec,
     ReferenceEmbedder,
-    build_embedder,
     embed_batch,
     embed_reference,
     similarity,

@@ -80,7 +80,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     try:
         config = RunConfig.from_file(args.config) if args.config else RunConfig()
         return dataclasses.replace(config, **overrides)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise StageError(f"invalid config: {exc}") from exc
 
 
@@ -150,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise StageError(f"no ledger at {ledger_path}; run the pipeline first")
             ledger = CostLedger.from_dict(json.loads(ledger_path.read_text(encoding="utf-8")))
             print(format_cost_report(cost_report(ledger, config.price_table()), label=config.llm.get("kind", "run")))
-    except StageError as exc:
+    except (StageError, OSError, ValueError) as exc:  # bad input: a value, a dataset line or a missing file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -17,7 +17,6 @@ import re
 import threading
 import time
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Protocol, Sequence
 
@@ -124,7 +123,7 @@ class RemoteEmbedder:
         self,
         endpoint: str,
         model: str,
-        dimension: int,
+        dimension: int = DEFAULT_DIMENSION,
         api_key_env: str | None = None,
         timeout: float = 60.0,
         session=None,
@@ -283,31 +282,3 @@ def embed_batch(
             if cache is not None:
                 cache.put(provider.provider_id, text, vec)
     return [local[text] for text in texts]
-
-
-@dataclass(frozen=True)
-class EmbeddingProviderSpec:
-    """Configuration for constructing an embedding provider."""
-
-    kind: str = "reference"
-    dimension: int = DEFAULT_DIMENSION
-    endpoint: str | None = None
-    model: str | None = None
-    api_key_env: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.dimension <= 0:
-            raise ValueError("dimension must be positive")
-
-
-def build_embedder(spec: EmbeddingProviderSpec) -> EmbeddingProvider:
-    if spec.kind == "reference":
-        unused = [name for name in ("endpoint", "model", "api_key_env") if getattr(spec, name) is not None]
-        if unused:
-            raise ValueError(f"unknown keys for embedder kind 'reference': {unused}")
-        return ReferenceEmbedder(spec.dimension)
-    if spec.kind == "remote":
-        if not spec.endpoint or not spec.model:
-            raise ValueError("remote embedder needs endpoint and model")
-        return RemoteEmbedder(spec.endpoint, spec.model, spec.dimension, api_key_env=spec.api_key_env)
-    raise ValueError(f"unknown embedder kind: {spec.kind}")

@@ -134,7 +134,7 @@ class ConstantScorer:
     def __init__(self, value: float = 0.7):
         if not 0.0 <= value <= 1.0:
             raise ValueError("score must be within [0, 1]")
-        self.value = value
+        self.value = float(value)
 
     def __call__(self, triples: Sequence[Triple]) -> list[float]:
         return [self.value] * len(triples)

@@ -18,6 +18,7 @@ available for golden tests.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import math
 import os
@@ -365,19 +366,21 @@ class ScriptedStubProvider:
 
     Lookup order: strict prompt-hash entries (when enabled) take precedence,
     then (template, question id). `on_missing` selects between raising and
-    echoing the prompt back.
+    echoing the prompt back. A string `script` names a JSON file holding the script.
     """
 
     provider_id = "scripted-stub"
 
     def __init__(
         self,
-        script: Mapping[str, Mapping[str, str]] | None = None,
+        script: Mapping[str, Mapping[str, str]] | str | None = None,
         on_missing: str = "error",
         prompt_hash_script: Mapping[str, str] | None = None,
     ):
         if on_missing not in ("error", "echo"):
             raise ValueError("on_missing must be 'error' or 'echo'")
+        if isinstance(script, str):
+            script = json.loads(Path(script).read_text(encoding="utf-8"))
         self.script = {tpl: dict(entries) for tpl, entries in (script or {}).items()}
         self.prompt_hash_script = dict(prompt_hash_script or {})
         self.on_missing = on_missing

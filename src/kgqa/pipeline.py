@@ -24,14 +24,14 @@ import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .answering import build_qa_prompt, parse_final_answers
 from .atomic import write_atomic
-from .embedding import EmbeddingCache, EmbeddingProviderSpec, build_embedder
+from .embedding import EmbeddingCache, ReferenceEmbedder, RemoteEmbedder
 from .enrichment import (
     QUERY_FILTER_TEMPLATE_NAME,
     associate_queries,
@@ -137,13 +137,22 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
     return records
 
 
+def _strings(value, name: str) -> tuple[str, ...]:
+    """The items of the list `value` as strings."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{name} must be a list, not {value!r}")
+    return tuple(map(str, value))
+
+
 def dataset_record_from_dict(obj: Mapping) -> DatasetRecord:
+    if not isinstance(obj["question"], str):
+        raise TypeError(f"question must be a string, not {obj['question']!r}")
     record = DatasetRecord(
         id=str(obj["id"]),
-        question=str(obj["question"]),
-        answers=tuple(str(a) for a in obj["answers"]),
-        topic_entities=tuple(str(e) for e in obj.get("topic_entities", [])),
-        graph=tuple((str(s), str(r), str(o)) for s, r, o in obj.get("graph", [])),
+        question=obj["question"],
+        answers=_strings(obj["answers"], "answers"),
+        topic_entities=_strings(obj.get("topic_entities", []), "topic_entities"),
+        graph=tuple((s, r, o) for s, r, o in (_strings(t, "a graph triple") for t in obj.get("graph", []))),
     )
     if not record.id:
         raise ValueError("record id must be non-empty")
@@ -160,9 +169,63 @@ def write_dataset(records: Sequence[DatasetRecord | Mapping], path: str | Path) 
     return path
 
 
-def _is_number(value, kind=(int, float)) -> bool:
-    """Whether `value` is an instance of `kind`; a bool is never a number here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _finite_number(value, kind=(int, float)) -> bool:
+    """Whether `value` is a `kind` that is an int or a finite float; a bool is never a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool) and (isinstance(value, int) or math.isfinite(value))
+
+
+def _or_null(check: tuple) -> tuple:
+    return (lambda value: value is None or check[0](value), f"{check[1]} or null")
+
+
+# (check, requirement) pairs: a value passes when check(value) is true, and
+# a failure reads "<name> must be <requirement>, not <value>".
+_INTEGER = (lambda value: _finite_number(value, int), "an integer")
+_NUMBER = (_finite_number, "a number")
+_COUNT = (lambda value: _finite_number(value, int) and value >= 1, "an integer >= 1")
+_RATE = (lambda value: _finite_number(value) and value >= 0, "a finite number >= 0")
+_FLAG = (lambda value: isinstance(value, bool), "true or false")
+_PATH = (lambda value: isinstance(value, (str, PurePath)), "a path")
+_OBJECT = (lambda value: isinstance(value, dict), "an object")
+_TEXT = (lambda value: isinstance(value, str) and value != "", "a non-empty string")
+_SCRIPT = _or_null((lambda value: isinstance(value, (dict, str)), "an object or a JSON file path"))
+_KEY_ENV = _or_null((lambda value: isinstance(value, str), "an environment variable name"))
+_TIMEOUT = _or_null((lambda value: _finite_number(value) and value > 0, "a finite number of seconds > 0"))
+_PRICE_NAMES = ("input_per_token", "output_per_token")
+
+# One check per RunConfig field.
+CONFIG_TABLE = {
+    "top_k": _COUNT,
+    "temperature": _RATE,
+    "stage_temperatures": (
+        lambda value: isinstance(value, dict) and all(k in CALL_TEMPLATES and _RATE[0](t) for k, t in value.items()),
+        f"an object mapping templates among {CALL_TEMPLATES} to finite numbers >= 0",
+    ),
+    "tau": (lambda value: _finite_number(value) or value == math.inf, "a finite number or +inf"),
+    "payload_cap": _or_null(_COUNT),
+    "provider_query_filter": _FLAG,
+    "ablation": (lambda value: value in ABLATIONS, f"one of {ABLATIONS}"),
+    "workers": _COUNT,
+    "stages": _or_null((
+        lambda value: isinstance(value, (list, tuple)) and all(isinstance(s, str) and s in _FULL_PLAN for s in value),
+        f"a list of stage names among {_FULL_PLAN}",
+    )),
+    "template_dir": _or_null(_PATH),
+    "cache_dir": _or_null(_PATH),
+    "ascii_fold": _FLAG,
+    "positive_threshold": _or_null((lambda value: _finite_number(value) and 0 <= value <= 1, "a number within [0, 1]")),
+    "redundancy_mode": (lambda value: value in GROUP_MODES, f"one of {GROUP_MODES}"),
+    "max_attempts": _COUNT,
+    "backoff_base": _RATE,
+    "max_in_flight": _or_null(_COUNT),
+    "llm": _OBJECT,
+    "embedder": _OBJECT,
+    "kgc": _OBJECT,
+    "prices": (
+        lambda value: isinstance(value, dict) and set(value) <= set(_PRICE_NAMES) and all(map(_RATE[0], value.values())),
+        f"an object of {' and '.join(_PRICE_NAMES)} numbers >= 0",
+    ),
+}
 
 
 @dataclass
@@ -178,7 +241,7 @@ class RunConfig:
     provider_query_filter: bool = False
     ablation: str = "full"
     workers: int = 1
-    stages: tuple[str, ...] | None = None
+    stages: Sequence[str] | None = None
     template_dir: str | None = None
     cache_dir: str | None = None
     ascii_fold: bool = False
@@ -193,51 +256,10 @@ class RunConfig:
     prices: dict = field(default_factory=lambda: {"input_per_token": 1.5e-07, "output_per_token": 6.0e-07})
 
     def __post_init__(self) -> None:
-        # The annotations name the int and float fields; an int is a valid float.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = {"int": int, "float": (int, float)}.get(f.type.removesuffix(" | None"))
-            if kind is None or (value is None and f.type.endswith(" | None")):
-                continue
-            if not _is_number(value, kind):
-                raise ValueError(f"{f.name} must be {'an integer' if kind is int else 'a number'}, not {value!r}")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValueError("temperature must be finite and >= 0")
-        if not isinstance(self.stage_temperatures, dict):
-            raise ValueError(f"stage_temperatures must be a dict of template temperatures, not {self.stage_temperatures!r}")
-        for name, value in self.stage_temperatures.items():
-            if name not in CALL_TEMPLATES:
-                raise ValueError(f"stage_temperatures must be keyed by templates among {CALL_TEMPLATES}, not {name!r}")
-            if not (_is_number(value) and math.isfinite(value) and value >= 0):
-                raise ValueError(f"stage_temperatures must be finite numbers >= 0, not {name}={value!r}")
-        if not (math.isfinite(self.tau) or self.tau == math.inf):
-            raise ValueError("tau must be finite (or +inf to disable query association)")
-        if self.payload_cap is not None and self.payload_cap < 1:
-            raise ValueError("payload_cap must be >= 1 (or null for no cap)")
-        if self.ablation not in ABLATIONS:
-            raise ValueError(f"ablation must be one of {ABLATIONS}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
-            raise ValueError("backoff_base must be finite and >= 0")
-        if self.max_in_flight is not None and self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1 (or null for no bound)")
-        if self.positive_threshold is not None and not 0 <= self.positive_threshold <= 1:
-            raise ValueError("positive_threshold must be within [0, 1] (or null for no threshold)")
-        if self.redundancy_mode not in GROUP_MODES:
-            raise ValueError(f"redundancy_mode must be one of {GROUP_MODES}")
-        if self.stages is not None:
-            if not (isinstance(self.stages, (list, tuple)) and all(isinstance(stage, str) for stage in self.stages)):
-                raise ValueError(f"stages must be a list of stage names, not {self.stages!r}")
-            self.stages = tuple(self.stages)
-            for stage in self.stages:
-                if stage not in STAGE_TABLE:
-                    raise ValueError(f"unknown stage {stage!r}")
-        self.price_table()
+        for name, (check, requirement) in CONFIG_TABLE.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ValueError(f"{name} must be {requirement}, not {value!r}")
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunConfig":
@@ -253,61 +275,51 @@ class RunConfig:
 
     def price_table(self) -> PriceTable:
         """The per-token prices; a price `prices` leaves out is 0."""
-        names = ("input_per_token", "output_per_token")
-        values = [self.prices.get(name, 0.0) for name in names] if isinstance(self.prices, dict) else None
-        if values is None or set(self.prices) - set(names) or not all(
-            _is_number(v) and math.isfinite(v) and v >= 0 for v in values
-        ):
-            raise ValueError(f"prices must be a dict of {' and '.join(names)} numbers >= 0, not {self.prices!r}")
-        return PriceTable(*map(float, values))
+        return PriceTable(*(float(self.prices.get(name, 0.0)) for name in _PRICE_NAMES))
 
     def temperature_for(self, template_name: str) -> float:
         return float(self.stage_temperatures.get(template_name, self.temperature))
 
     def plan(self) -> tuple[str, ...]:
-        return self.stages if self.stages is not None else ABLATION_TABLE[self.ablation].plan
+        return tuple(self.stages) if self.stages is not None else ABLATION_TABLE[self.ablation].plan
 
 
-def build_llm_provider(config: RunConfig):
-    spec = dict(config.llm)
-    kind = spec.pop("kind", "echo")
-    if kind == "echo":
-        provider = EchoProvider()
-    elif kind == "stub":
-        script = spec.pop("script", {})
-        if isinstance(script, str):
-            script = json.loads(Path(script).read_text(encoding="utf-8"))
-        provider = ScriptedStubProvider(
-            script=script,
-            on_missing=spec.pop("on_missing", "error"),
-            prompt_hash_script=spec.pop("prompt_hash_script", None),
-        )
-    elif kind == "remote":
-        provider = RemoteChatProvider(
-            model=spec.pop("model"),
-            endpoint=spec.pop("endpoint", "https://api.openai.com/v1/chat/completions"),
-            api_key_env=spec.pop("api_key_env", "OPENAI_API_KEY"),
-            timeout=spec.pop("timeout", 120.0),
-        )
-    else:
-        raise ValueError(f"unknown llm provider kind: {kind!r}")
-    if spec:
-        raise ValueError(f"unknown keys for llm provider kind {kind!r}: {sorted(spec)}")
-    return provider
+# section -> kind -> (constructor, {key: check}); a spec without a `kind`
+# takes its section's first kind. Range checks the constructors make
+# (dimension, constant value, on_missing) are not repeated here.
+PROVIDER_TABLE = {
+    "llm": {
+        "echo": (EchoProvider, {}),
+        "stub": (ScriptedStubProvider, {"script": _SCRIPT, "on_missing": _TEXT, "prompt_hash_script": _or_null(_OBJECT)}),
+        "remote": (RemoteChatProvider, {"model": _TEXT, "endpoint": _TEXT, "api_key_env": _KEY_ENV, "timeout": _TIMEOUT}),
+    },
+    "embedder": {
+        "reference": (ReferenceEmbedder, {"dimension": _INTEGER}),
+        "remote": (RemoteEmbedder, {"endpoint": _TEXT, "model": _TEXT, "dimension": _INTEGER, "api_key_env": _KEY_ENV}),
+    },
+    "kgc": {
+        "constant": (ConstantScorer, {"value": _NUMBER}),
+        "constant-stub": (ConstantScorer, {"value": _NUMBER}),
+        "remote": (RemoteKGCScorer, {"endpoint": _TEXT, "timeout": _TIMEOUT}),
+    },
+}
 
 
-def build_scorer(spec: Mapping):
-    spec = dict(spec)
-    kind = spec.pop("kind", "constant")
-    if kind in ("constant", "constant-stub"):
-        scorer = ConstantScorer(float(spec.pop("value", 0.7)))
-    elif kind == "remote":
-        scorer = RemoteKGCScorer(endpoint=spec.pop("endpoint"), timeout=float(spec.pop("timeout", 60.0)))
-    else:
-        raise ValueError(f"unknown kgc scorer kind: {kind!r}")
-    if spec:
-        raise ValueError(f"unknown keys for kgc scorer kind {kind!r}: {sorted(spec)}")
-    return scorer
+def build_provider(section: str, spec: Mapping):
+    """The provider, embedder or scorer that the `section` spec of a config describes."""
+    kinds = PROVIDER_TABLE[section]
+    options = dict(spec)
+    kind = options.pop("kind", next(iter(kinds)))
+    if kind not in tuple(kinds):
+        raise ValueError(f"{section}.kind must be one of {tuple(kinds)}, not {kind!r}")
+    constructor, checks = kinds[kind]
+    for key, value in options.items():
+        if key not in checks:
+            raise ValueError(f"{section} kind {kind!r} takes no key {key!r}; it takes {sorted(checks)}")
+        check, requirement = checks[key]
+        if not check(value):
+            raise ValueError(f"{section}.{key} must be {requirement}, not {value!r}")
+    return constructor(**options)
 
 
 @dataclass(frozen=True)
@@ -331,11 +343,11 @@ class PipelineContext:
         _check_filename_collisions(self.dataset)
         try:
             self.templates = load_templates(config.template_dir)
-            self.embedder = build_embedder(EmbeddingProviderSpec(**config.embedder))
-            self.scorer = build_scorer(config.kgc)
-            llm = build_llm_provider(config)
+            self.embedder = build_provider("embedder", config.embedder)
+            self.scorer = build_provider("kgc", config.kgc)
+            llm = build_provider("llm", config.llm)
             ledger = CostLedger(config.price_table())
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OSError, TypeError, ValueError) as exc:
             raise StageError(f"invalid config: {exc}") from exc
         self.stage_dir = Path(stage_dir)
         self.stage_dir.mkdir(parents=True, exist_ok=True)

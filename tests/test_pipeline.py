@@ -8,7 +8,7 @@ import os
 import pathlib
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
@@ -66,6 +66,17 @@ class TestDataset:
     def test_missing_answers_rejected(self):
         with pytest.raises(ValueError, match="answers"):
             dataset_record_from_dict({"id": "a", "question": "q", "answers": []})
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("answers", "Paris"), ("graph", ["abc"]), ("question", None), ("topic_entities", "Paris"), ("graph", "abc")],
+    )
+    def test_wrong_type_rejected_with_line_number(self, tmp_path, key, value):
+        rows = [{"id": "a", "question": "q", "answers": ["x"]}, {"id": "b", "question": "q", "answers": ["x"], key: value}]
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(DatasetError, match="^line 2: .* must be a (list|string), not "):
+            load_dataset(path)
 
     def test_empty_graph_allowed(self):
         record = dataset_record_from_dict({"id": "a", "question": "q", "answers": ["x"]})
@@ -506,6 +517,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="payload_cap"):
             RunConfig(payload_cap=cap)
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_every_field_has_a_check(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            RunConfig(**{name: object()})
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config"):
             RunConfig.from_dict({"not_a_key": 1})
@@ -770,6 +786,10 @@ class TestCli:
             ("prices", {"input_per_token": -1}),
             ("stages", 5),
             ("stage_temperatures", []),
+            ("ascii_fold", "no"),
+            ("provider_query_filter", "no"),
+            ("provider_query_filter", 1),
+            ("cache_dir", 5),
         ],
     )
     def test_invalid_retry_config_is_clean_error(self, tmp_path, capsys, key, value):
@@ -796,6 +816,14 @@ class TestCli:
             ("llm", {"kind": "stub", "script": {}, "on_mising": "echo"}),
             ("template_dir", "no-such-template-dir"),
             ("embedder", {"kind": "reference", "endpoint": "x"}),
+            ("embedder", {"kind": "reference", "dimension": 2.5}),
+            ("embedder", {"kind": "reference", "dimension": True}),
+            ("kgc", {"kind": "constant", "value": "0.5"}),
+            ("kgc", {"kind": "constant", "value": True}),
+            ("llm", {"kind": "stub", "script": "no-such-stub-script.json"}),
+            ("llm", {"kind": "stub", "script": 5}),
+            ("llm", {"kind": "remote", "model": "m", "timeout": -1}),
+            ("llm", {"kind": "remote", "model": "m", "timeout": "x"}),
         ],
     )
     @pytest.mark.parametrize("command", ["parse", "run"])
@@ -807,6 +835,31 @@ class TestCli:
         assert cli.main([command, *common]) == 2
         assert "error: invalid config: " in capsys.readouterr().err
         assert not (tmp_path / "stage").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-k", "--ks", "0"],
+            ["sweep-k", "--ks", "abc"],
+            ["metrics", "--variants", "bogus"],
+            ["parse", "--dataset", "no-such-dataset.jsonl"],
+            ["parse", "--config", "no-such-config.json"],
+            ["parse", "--dataset", "{malformed}"],
+        ],
+        ids=["ks-zero", "ks-text", "unknown-variant", "missing-dataset", "missing-config", "malformed-dataset"],
+    )
+    def test_input_error_is_one_error_line(self, tmp_path, capsys, argv):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        malformed = tmp_path / "malformed.jsonl"
+        malformed.write_text(paths["dataset"].read_text() + "{not json\n")
+        inputs = {"--dataset": str(paths["dataset"]), "--config": str(paths["config"])}
+        argv = [str(malformed) if arg == "{malformed}" else arg for arg in argv]
+        for flag, value in inputs.items():
+            if flag not in argv:
+                argv += [flag, value]
+        assert cli.main([*argv, "--stage-dir", str(tmp_path / "stage")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_stage_failing_every_record_exits_1(self, tmp_path, capsys):
         paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)

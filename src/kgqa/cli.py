@@ -13,6 +13,7 @@ from .gateway import CostLedger, cost_report, format_cost_report
 from .pipeline import (
     ABLATIONS,
     STAGE_TABLE,
+    VARIANT_STAGES,
     DatasetRecord,
     PipelineContext,
     RunConfig,
@@ -87,7 +88,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 def _records(args: argparse.Namespace) -> list[DatasetRecord]:
     if not args.dataset:
         raise StageError("--dataset is required for this command")
-    return load_dataset(args.dataset)
+    try:
+        return load_dataset(args.dataset)
+    except (OSError, ValueError) as exc:  # a missing or unreadable file, or a line that breaks the schema
+        raise StageError(f"invalid dataset: {exc}") from exc
 
 
 def _context(args: argparse.Namespace, config: RunConfig) -> PipelineContext:
@@ -111,21 +115,16 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "run":
             records = _records(args)
             report, ledger = run_all(config, records, args.stage_dir, resume=args.resume)
-            print(json.dumps({
-                "hits1": report.hits1,
-                "f1": report.f1,
-                "precision": report.precision,
-                "recall": report.recall,
-                "acc": report.acc,
-                "n": report.n,
-                "calls": ledger.total_calls(),
-            }, indent=2))
+            summary = {key: value for key, value in report.to_dict().items() if key not in ("per_question", "notes")}
+            print(json.dumps({**summary, "calls": ledger.total_calls()}, indent=2))
             if records and "eval" in config.plan() and report.n == 0:
                 print("error: the report covers no record; see the errors directory", file=sys.stderr)
                 return 1
         elif args.command == "sweep-k":
+            ks = [int(k) if k.strip().isdecimal() else 0 for k in str(args.ks).split(",") if k.strip()]
+            if not ks or min(ks) < 1:
+                raise StageError(f"--ks must be comma-separated integers >= 1, not {args.ks!r}")
             ctx = _context(args, config)
-            ks = [int(k) for k in str(args.ks).split(",") if k.strip()]
             out = args.out or (ctx.stage_dir / "sweep_k.csv")
             rows = sweep_k(ctx, ks, out)
             ctx.save_state()
@@ -133,8 +132,10 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"k={row['k']:>5}  coverage={row['coverage']:.4f}  tokens={row['tokens']}  cost={row['cost']:.6g}")
             print(f"wrote {out}")
         elif args.command == "metrics":
-            ctx = _context(args, config)
             variants = [v.strip() for v in str(args.variants).split(",") if v.strip()]
+            if not set(variants) <= set(VARIANT_STAGES):
+                raise StageError(f"--variants must be comma-separated names from {tuple(VARIANT_STAGES)}, not {args.variants!r}")
+            ctx = _context(args, config)
             out_dir = args.out_dir or (ctx.stage_dir / "quality")
             reports = quality_metrics(ctx, variants, out_dir, dataset_name=args.dataset.stem, with_dumps=args.dumps)
             ctx.save_state()
@@ -150,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise StageError(f"no ledger at {ledger_path}; run the pipeline first")
             ledger = CostLedger.from_dict(json.loads(ledger_path.read_text(encoding="utf-8")))
             print(format_cost_report(cost_report(ledger, config.price_table()), label=config.llm.get("kind", "run")))
-    except (StageError, OSError, ValueError) as exc:  # bad input: a value, a dataset line or a missing file
+    except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -137,11 +137,11 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
     return records
 
 
-def _strings(value, name: str) -> tuple[str, ...]:
-    """The items of the list `value` as strings."""
+def _strings(value, name: str, item=str) -> tuple:
+    """The items of the list `value`, each passed through `item` (by default made a string)."""
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"{name} must be a list, not {value!r}")
-    return tuple(map(str, value))
+    return tuple(map(item, value))
 
 
 def dataset_record_from_dict(obj: Mapping) -> DatasetRecord:
@@ -152,7 +152,7 @@ def dataset_record_from_dict(obj: Mapping) -> DatasetRecord:
         question=obj["question"],
         answers=_strings(obj["answers"], "answers"),
         topic_entities=_strings(obj.get("topic_entities", []), "topic_entities"),
-        graph=tuple((s, r, o) for s, r, o in (_strings(t, "a graph triple") for t in obj.get("graph", []))),
+        graph=tuple((s, r, o) for s, r, o in _strings(obj.get("graph", []), "graph", lambda t: _strings(t, "a graph triple"))),
     )
     if not record.id:
         raise ValueError("record id must be non-empty")
@@ -190,7 +190,7 @@ _OBJECT = (lambda value: isinstance(value, dict), "an object")
 _TEXT = (lambda value: isinstance(value, str) and value != "", "a non-empty string")
 _SCRIPT = _or_null((lambda value: isinstance(value, (dict, str)), "an object or a JSON file path"))
 _KEY_ENV = _or_null((lambda value: isinstance(value, str), "an environment variable name"))
-_TIMEOUT = _or_null((lambda value: _finite_number(value) and value > 0, "a finite number of seconds > 0"))
+_SECONDS = (lambda value: _finite_number(value) and value > 0, "a finite number of seconds > 0")
 _PRICE_NAMES = ("input_per_token", "output_per_token")
 
 # One check per RunConfig field.
@@ -291,7 +291,7 @@ PROVIDER_TABLE = {
     "llm": {
         "echo": (EchoProvider, {}),
         "stub": (ScriptedStubProvider, {"script": _SCRIPT, "on_missing": _TEXT, "prompt_hash_script": _or_null(_OBJECT)}),
-        "remote": (RemoteChatProvider, {"model": _TEXT, "endpoint": _TEXT, "api_key_env": _KEY_ENV, "timeout": _TIMEOUT}),
+        "remote": (RemoteChatProvider, {"model": _TEXT, "endpoint": _TEXT, "api_key_env": _KEY_ENV, "timeout": _or_null(_SECONDS)}),
     },
     "embedder": {
         "reference": (ReferenceEmbedder, {"dimension": _INTEGER}),
@@ -300,7 +300,7 @@ PROVIDER_TABLE = {
     "kgc": {
         "constant": (ConstantScorer, {"value": _NUMBER}),
         "constant-stub": (ConstantScorer, {"value": _NUMBER}),
-        "remote": (RemoteKGCScorer, {"endpoint": _TEXT, "timeout": _TIMEOUT}),
+        "remote": (RemoteKGCScorer, {"endpoint": _TEXT, "timeout": _SECONDS}),
     },
 }
 
@@ -854,15 +854,15 @@ def _pooled(values: Sequence):
     return type(values[0])(mean / len(values), *sums)
 
 
-_VARIANT_STAGES = {"vanilla": (), "pruned": ("prune",), "enriched": ("prune", "enrich")}
+VARIANT_STAGES = {"vanilla": (), "pruned": ("prune",), "enriched": ("prune", "enrich")}
 
 
 def _variant_triples(ctx: PipelineContext, variant: str) -> dict[str, list[Triple]]:
     """Per-question triples of a graph variant, for the records whose rows all exist."""
-    if variant not in _VARIANT_STAGES:
+    if variant not in VARIANT_STAGES:
         raise ValueError(f"unknown variant {variant!r}")
     rows = []
-    for stage in _VARIANT_STAGES[variant]:
+    for stage in VARIANT_STAGES[variant]:
         path = ctx.stage_dir / STAGE_TABLE[stage].file
         if not path.exists():
             raise StageError(

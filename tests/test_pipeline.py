@@ -69,7 +69,8 @@ class TestDataset:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("answers", "Paris"), ("graph", ["abc"]), ("question", None), ("topic_entities", "Paris"), ("graph", "abc")],
+        [("answers", "Paris"), ("graph", ["abc"]), ("question", None), ("topic_entities", "Paris"), ("graph", "abc"),
+         ("graph", ""), ("graph", {})],
     )
     def test_wrong_type_rejected_with_line_number(self, tmp_path, key, value):
         rows = [{"id": "a", "question": "q", "answers": ["x"]}, {"id": "b", "question": "q", "answers": ["x"], key: value}]
@@ -824,6 +825,7 @@ class TestCli:
             ("llm", {"kind": "stub", "script": 5}),
             ("llm", {"kind": "remote", "model": "m", "timeout": -1}),
             ("llm", {"kind": "remote", "model": "m", "timeout": "x"}),
+            ("kgc", {"kind": "remote", "endpoint": "x", "timeout": None}),
         ],
     )
     @pytest.mark.parametrize("command", ["parse", "run"])
@@ -860,6 +862,17 @@ class TestCli:
         assert cli.main([*argv, "--stage-dir", str(tmp_path / "stage")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_runtime_fault_is_not_an_input_error(self, tmp_path, monkeypatch):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+
+        def broken_stage(*args, **kwargs):
+            raise ValueError("fault inside a stage")
+
+        monkeypatch.setattr(cli, "run_stage", broken_stage)
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
+        with pytest.raises(ValueError, match="fault inside a stage"):
+            cli.main(["parse", *common])
 
     def test_stage_failing_every_record_exits_1(self, tmp_path, capsys):
         paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)

@@ -18,7 +18,7 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class EmbeddingProvider(Protocol):
     provider_id: str
     dimension: int
 
-    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]: ...
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray | list: ...  # (n, d) float64 rows; [] for no texts
 
 
 class ReferenceEmbedder:
@@ -90,8 +90,8 @@ class ReferenceEmbedder:
         # share it, and a racing insert stores the same value twice.
         self._slots: dict[str, int] = {}
 
-    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
-        """Rows of one count matrix, each divided by its norm.
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray | list:
+        """One (n, d) count matrix, each row divided by its norm.
 
         Bit-identical to `embed_reference`: the counts are small integers, so
         their sum of squares is exact in any order, and the square root and
@@ -109,7 +109,7 @@ class ReferenceEmbedder:
         counts = counts.astype(np.float64, copy=False).reshape(len(texts), d)  # int64 when `flat` is empty
         norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))[:, None]
         np.divide(counts, norms, out=counts, where=norms > 0.0)
-        return list(counts)
+        return counts
 
 
 class RemoteEmbedder:
@@ -140,7 +140,7 @@ class RemoteEmbedder:
         self._session = session if session is not None else http_session()
         self.provider_id = f"remote-{model}-{dimension}"
 
-    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray | list:
         if not texts:
             return []
         payload = {"input": list(texts), "model": self.model}
@@ -154,15 +154,40 @@ class RemoteEmbedder:
             raise EmbeddingError(f"embedding request failed: {exc!r}") from exc
         if len(data) != len(texts):
             raise EmbeddingError(f"expected {len(texts)} embeddings, got {len(data)}")
-        out = []
-        for item in data:
+        out = np.empty((len(texts), self.dimension), dtype=np.float64)
+        for row, item in zip(out, data):
             vec = np.asarray(item["embedding"], dtype=np.float64)
             if vec.shape != (self.dimension,):
                 raise EmbeddingError(f"embedding has dimension {vec.shape}, expected {self.dimension}")
             norm = float(np.linalg.norm(vec))
-            if norm > 0.0:
-                vec = vec / norm
-            out.append(vec)
+            row[:] = vec / norm if norm > 0.0 else vec
+        return out
+
+
+class _Store:
+    """One provider's vectors: a matrix per `load` and per batch of new texts, never copied or
+    grown, and a text -> row index across them."""
+
+    def __init__(self):
+        self.matrices: list[np.ndarray] = []
+        self.starts: list[int] = [0]  # matrices[i] holds rows starts[i] to starts[i + 1]
+        self.index: dict[str, int] = {}
+
+    def add(self, texts: Sequence[str], matrix: np.ndarray) -> None:
+        self.index.update(zip(texts, range(self.starts[-1], self.starts[-1] + len(texts))))
+        self.matrices.append(matrix)
+        self.starts.append(self.starts[-1] + len(matrix))
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """The (len(rows), d) array of those rows, one indexing op per matrix they fall in."""
+        if len(self.matrices) == 1:
+            return self.matrices[0][rows]
+        which = np.searchsorted(self.starts, rows, side="right") - 1
+        order = np.argsort(which, kind="stable")  # grouped by matrix: O(n log n) however many matrices
+        out = np.empty((len(rows), self.matrices[0].shape[1]))
+        for idx in np.split(order, np.flatnonzero(np.diff(which[order])) + 1):
+            m = which[idx[0]]
+            out[idx] = self.matrices[m][rows[idx] - self.starts[m]]
         return out
 
 
@@ -178,21 +203,43 @@ class EmbeddingCache:
     """
 
     def __init__(self):
-        self._data: dict[tuple[str, str], np.ndarray] = {}
+        self._stores: dict[str, _Store] = {}
         self._lock = threading.Lock()
         self._changed = False
 
     def __len__(self) -> int:
-        return len(self._data)
+        return sum(len(store.index) for store in list(self._stores.values()))
 
-    def get(self, provider_id: str, text: str) -> np.ndarray | None:
+    def get(self, provider_id: str, text: str) -> np.ndarray | None:  # a view of the stored row
         with self._lock:
-            return self._data.get((provider_id, text))
+            store = self._stores.get(provider_id)
+            row = store.index.get(text) if store is not None else None
+            if row is None:
+                return None
+            m = int(np.searchsorted(store.starts, row, side="right")) - 1
+            return store.matrices[m][row - store.starts[m]]
 
     def put(self, provider_id: str, text: str, vector: np.ndarray) -> None:
         with self._lock:
-            self._data[(provider_id, text)] = vector
+            self._stores.setdefault(provider_id, _Store()).add([text], np.asarray(vector, dtype=np.float64)[None])
             self._changed = True
+
+    def _embed(self, texts: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
+        """`texts`' vectors as one (n, d) array; the texts the cache lacks are embedded in one call."""
+        with self._lock:
+            store = self._stores.get(provider.provider_id)
+            found = list(map(store.index.get, texts)) if store is not None else [None] * len(texts)
+            if None not in found:
+                return store.gather(np.array(found, dtype=np.intp))
+        missing = list(dict.fromkeys(text for text, row in zip(texts, found) if row is None))
+        vectors = np.asarray(provider.embed_many(missing), dtype=np.float64)
+        if vectors.ndim != 2 or len(vectors) != len(missing):
+            raise EmbeddingError(f"provider returned {len(vectors)} vectors for {len(missing)} texts")
+        with self._lock:
+            store = self._stores.setdefault(provider.provider_id, _Store())
+            store.add(missing, vectors)
+            self._changed = True
+            return store.gather(np.array(list(map(store.index.get, texts)), dtype=np.intp))
 
     def save(self, path: str | Path) -> None:
         """Write {provider id: {"texts": [...], "vectors": "<base64>"}} to `path`
@@ -202,83 +249,54 @@ class EmbeddingCache:
         with self._lock:
             if not self._changed and path.exists():
                 return
-            by_provider: dict[str, dict[str, np.ndarray]] = {}
-            for (pid, text), vec in self._data.items():
-                by_provider.setdefault(pid, {})[text] = vec
-            payload = {pid: _pack(vectors) for pid, vectors in by_provider.items()}
+            payload = {}
+            for pid, store in self._stores.items():
+                texts = sorted(store.index)
+                vectors = store.gather(np.fromiter(map(store.index.get, texts), dtype=np.intp, count=len(texts)))
+                packed = base64.b64encode(zlib.compress(vectors.astype("<f8", copy=False).tobytes(), 1))
+                payload[pid] = {"texts": texts, "vectors": packed.decode("ascii")}
             write_atomic(path, json.dumps(payload, sort_keys=True))
             self._changed = False
 
     def load(self, path: str | Path) -> int:
         """Merge persisted vectors into this cache; returns the number of entries loaded.
 
-        Loaded vectors are read-only rows of one array per provider. An
-        unreadable file (truncated, not the JSON `save` writes, or an older
+        Each provider's vectors stay the one read-only array they decode to.
+        An unreadable file (truncated, not the JSON `save` writes, or an older
         layout) loads nothing: it logs a warning and marks the cache changed,
         so the next `save` replaces the file; the vectors are recomputed on a
         miss.
         """
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            entries = {
-                (pid, text): row for pid, packed in payload.items() for text, row in _unpack(packed)
-            }
+            entries = {}
+            for pid, packed in json.loads(Path(path).read_text(encoding="utf-8")).items():
+                texts = packed["texts"]
+                if not isinstance(texts, list) or not all(isinstance(text, str) for text in texts):
+                    raise TypeError("texts must be a list of strings")
+                raw = zlib.decompress(base64.b64decode(packed["vectors"], validate=True))
+                entries[pid] = texts, np.frombuffer(raw, dtype="<f8").reshape(len(texts), -1)
         except (ValueError, TypeError, AttributeError, KeyError, zlib.error) as exc:
             logger.warning("ignoring unreadable embedding cache %s: %s", path, exc)
             with self._lock:
                 self._changed = True
             return 0
         with self._lock:
-            self._data.update(entries)
-        return len(entries)
-
-
-def _pack(vectors: dict[str, np.ndarray]) -> dict:
-    texts = sorted(vectors)
-    rows = np.stack([vectors[text] for text in texts]).astype("<f8", copy=False)
-    return {"texts": texts, "vectors": base64.b64encode(zlib.compress(rows.tobytes(), 1)).decode("ascii")}
-
-
-def _unpack(packed: dict) -> Iterator[tuple[str, np.ndarray]]:
-    """(text, vector) pairs of one provider's entry; raises on any malformed part."""
-    texts = packed["texts"]
-    if not isinstance(texts, list) or not all(isinstance(text, str) for text in texts):
-        raise TypeError("texts must be a list of strings")
-    raw = zlib.decompress(base64.b64decode(packed["vectors"], validate=True))
-    return zip(texts, np.frombuffer(raw, dtype="<f8").reshape(len(texts), -1))
+            for pid, (texts, matrix) in entries.items():
+                self._stores.setdefault(pid, _Store()).add(texts, matrix)
+        return sum(len(texts) for texts, _ in entries.values())
 
 
 def embed_batch(
     texts: Sequence[str],
     provider: EmbeddingProvider,
     cache: EmbeddingCache | None = None,
-) -> list[np.ndarray]:
-    """Embed texts preserving order; each distinct text is computed at most once.
+) -> np.ndarray | list:
+    """Embed texts preserving order, as one (n, d) array (`[]` for no texts);
+    each distinct text is computed at most once.
 
     With a cache, previously seen (provider, text) pairs are never recomputed;
     without one, deduplication still applies within the call.
     """
     if not texts:
         return []
-    local: dict[str, np.ndarray] = {}
-    missing: list[str] = []
-    seen: set[str] = set()
-    for text in texts:
-        if text in seen:
-            continue
-        seen.add(text)
-        cached = cache.get(provider.provider_id, text) if cache is not None else None
-        if cached is not None:
-            local[text] = cached
-        else:
-            missing.append(text)
-    if missing:
-        vectors = provider.embed_many(missing)
-        if len(vectors) != len(missing):
-            raise EmbeddingError(f"provider returned {len(vectors)} vectors for {len(missing)} texts")
-        for text, vec in zip(missing, vectors):
-            vec = np.asarray(vec, dtype=np.float64)
-            local[text] = vec
-            if cache is not None:
-                cache.put(provider.provider_id, text, vec)
-    return [local[text] for text in texts]
+    return (cache if cache is not None else EmbeddingCache())._embed(texts, provider)

@@ -103,12 +103,10 @@ def associate_queries(
     similarity to it strictly exceeds tau."""
     vectors = embed_batch(list(queries) + list(graph_queries), provider, cache)
     query_vecs = vectors[: len(queries)]
-    out = []
-    for i, graph_query in enumerate(graph_queries):
-        gq_vec = vectors[len(queries) + i]
-        matched = [q for q, qv in zip(queries, query_vecs) if similarity(qv, gq_vec) > tau]
-        out.append([graph_query] + [q for q in matched if q != graph_query])
-    return out
+    return [
+        [graph_query] + [q for q, qv in zip(queries, query_vecs) if similarity(qv, gq_vec) > tau and q != graph_query]
+        for graph_query, gq_vec in zip(graph_queries, vectors[len(queries):])
+    ]
 
 
 def build_query_filter_prompt(graph_queries: Sequence[str], queries: Sequence[str]) -> str:

@@ -169,10 +169,7 @@ def relevance_score(
     if not triples:
         raise ValueError("relevance needs a non-empty graph")
     vectors = embed_batch([question] + [textualize_triple(t) for t in triples], provider, cache)
-    question_vec = vectors[0]
-    total = 0.0
-    for vec in vectors[1:]:
-        total += similarity(question_vec, vec)
+    total = sum(similarity(vectors[0], vec) for vec in vectors[1:])
     return MetricValue(mean=total / len(triples), total=total)
 
 

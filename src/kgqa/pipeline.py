@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import logging
 import math
@@ -284,9 +285,9 @@ class RunConfig:
         return tuple(self.stages) if self.stages is not None else ABLATION_TABLE[self.ablation].plan
 
 
-# section -> kind -> (constructor, {key: check}); a spec without a `kind`
-# takes its section's first kind. Range checks the constructors make
-# (dimension, constant value, on_missing) are not repeated here.
+# section -> kind -> (constructor, {key: check}); a spec without a `kind` takes its section's first
+# kind. A key the constructor gives no default is required (REQUIRED_KEYS, found once: `inspect` is
+# slow). Range checks the constructors make (dimension, constant value, on_missing) are not repeated here.
 PROVIDER_TABLE = {
     "llm": {
         "echo": (EchoProvider, {}),
@@ -303,6 +304,8 @@ PROVIDER_TABLE = {
         "remote": (RemoteKGCScorer, {"endpoint": _TEXT, "timeout": _SECONDS}),
     },
 }
+REQUIRED_KEYS = {c: [k for k, p in inspect.signature(c).parameters.items() if p.default is p.empty]
+                 for kinds in PROVIDER_TABLE.values() for c, _ in kinds.values()}
 
 
 def build_provider(section: str, spec: Mapping):
@@ -319,6 +322,8 @@ def build_provider(section: str, spec: Mapping):
         check, requirement = checks[key]
         if not check(value):
             raise ValueError(f"{section}.{key} must be {requirement}, not {value!r}")
+    if missing := [key for key in REQUIRED_KEYS[constructor] if key not in options]:
+        raise ValueError(f"{section}.{missing[0]} is required for kind {kind!r}")
     return constructor(**options)
 
 

@@ -8,8 +8,8 @@ total form the pruned graph.
 
 Scoring is blocked matrix code over a graph's interned code columns
 (`score_columns`; `score_graph` wraps it for Triples). Each masked text is
-rendered once per distinct key and embedded once per distinct text, the
-vectors are stacked in row blocks of `BLOCK_ROWS`, and each block takes one
+rendered once per distinct key and embedded once per distinct text into one
+matrix, whose `BLOCK_ROWS`-row slices (views, not copies) each take one
 matrix-vector product per query, added in query order; a triple's total is
 its head, tail and both-masked channel scores added in that order.
 
@@ -120,14 +120,11 @@ def score_columns(
     row_of_key = np.empty(len(texts), dtype=np.intp)
     row_of_key[order] = [row_of.setdefault(texts[j], len(row_of)) for j in order.tolist()]
     vectors = embed_batch(list(queries) + list(row_of), provider, cache)
-    query_vecs = vectors[: len(queries)]
-    masked_vecs = vectors[len(queries):]
+    query_vecs, masked_vecs = vectors[: len(queries)], vectors[len(queries):]
     scores = np.zeros(len(masked_vecs))
     for start in range(0, len(masked_vecs), BLOCK_ROWS):
-        block = np.array(masked_vecs[start : start + BLOCK_ROWS])
-        acc = scores[start : start + BLOCK_ROWS]
-        for qv in query_vecs:
-            acc += block @ qv
+        for qv in query_vecs:  # each block is a row slice of `masked_vecs`, not a copy
+            scores[start : start + BLOCK_ROWS] += masked_vecs[start : start + BLOCK_ROWS] @ qv
     channel_scores = scores[row_of_key[np.stack(key_of_row, axis=1)]]
     return channel_scores, channel_scores[:, 0] + channel_scores[:, 1] + channel_scores[:, 2]
 

@@ -5,6 +5,8 @@ import json
 import logging
 import os
 import pathlib
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from random import Random
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgqa.embedding import (
+    DEFAULT_DIMENSION,
     EmbeddingCache,
     ReferenceEmbedder,
     embed_batch,
@@ -23,6 +26,19 @@ from kgqa.embedding import (
 )
 
 from helpers import fnv64_oracle, random_phrase
+
+
+class TableEmbedder:
+    """Returns fixed vectors from a text -> vector table, as one matrix."""
+
+    provider_id = "table"
+    dimension = 6
+
+    def __init__(self, table):
+        self.table = table
+
+    def embed_many(self, texts):
+        return np.array([self.table[text] for text in texts]) if texts else []
 
 
 class CountingEmbedder:
@@ -335,23 +351,86 @@ class TestCachePersistence:
         restored.save(path)
         assert path.read_bytes() == saved
 
-    def test_loaded_vector_is_read_only_and_returned_as_is(self, tmp_path):
+    def test_loaded_vector_is_a_read_only_view_and_gathered_bit_equal(self, tmp_path):
         path = tmp_path / "cache.json"
         cache = EmbeddingCache()
-        embed_batch(["amber mesa"], ReferenceEmbedder(), cache)
+        embed_batch(["amber mesa", "dune"], ReferenceEmbedder(), cache)
         cache.save(path)
         restored = EmbeddingCache()
         restored.load(path)
         loaded = restored.get("reference-fnv1a-256", "amber mesa")
+        # Both rows are views into the one array `load` decoded: nothing was copied per row.
+        assert not loaded.flags.owndata
+        assert loaded.base is restored.get("reference-fnv1a-256", "dune").base
         assert not loaded.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             loaded[0] = 1.0
         counting = CountingEmbedder()
         (out,) = embed_batch(["amber mesa"], counting, restored)
-        assert out is loaded
         assert counting.computed == 0
+        assert out.tobytes() == loaded.tobytes()
         assert (out == embed_reference("amber mesa")).all()
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             ReferenceEmbedder(0)
+
+
+class TestCacheMatrices:
+    TEXTS = ["amber mesa", "cobalt reed", "dune", "xenon fjord", "quartz tide"]
+
+    def test_gathers_across_matrices_in_input_order(self, tmp_path):
+        rng = np.random.default_rng(12)
+        table = {text: rng.standard_normal(6) for text in self.TEXTS}
+        overwritten = np.array([-0.0, 5e-324, float("nan"), 1e300, -1.5, 0.25])
+        first = EmbeddingCache()
+        embed_batch(self.TEXTS[:2], TableEmbedder(table), first)
+        first.save(tmp_path / "first.json")
+
+        cache = EmbeddingCache()  # four matrices: the loaded one, two batches and a put
+        cache.load(tmp_path / "first.json")
+        embed_batch([self.TEXTS[2], self.TEXTS[0], self.TEXTS[3]], TableEmbedder(table), cache)
+        embed_batch([self.TEXTS[4], self.TEXTS[2]], TableEmbedder(table), cache)
+        cache.put("table", self.TEXTS[1], overwritten)
+        assert len(cache) == len(self.TEXTS)
+        final = {**table, self.TEXTS[1]: overwritten}
+        order = ["quartz tide", "cobalt reed", "amber mesa", "dune", "cobalt reed", "xenon fjord", "quartz tide"]
+        out = embed_batch(order, TableEmbedder({}), cache)  # an empty table: any miss raises
+        assert out.tobytes() == np.array([final[text] for text in order]).tobytes()
+
+        at_once = EmbeddingCache()
+        embed_batch(self.TEXTS, TableEmbedder(final), at_once)
+        cache.save(tmp_path / "gathered.json")
+        at_once.save(tmp_path / "at_once.json")
+        assert (tmp_path / "gathered.json").read_bytes() == (tmp_path / "at_once.json").read_bytes()
+
+    def test_concurrent_batches_match_sequential(self):
+        rng = Random(21)
+        texts = [random_phrase(rng, rng.randint(1, 5)) for _ in range(600)]
+        batches = [[texts[(31 * t + 7 * i) % len(texts)] for i in range(400)] for t in range(16)]
+        sequential = EmbeddingCache()
+        expected = [embed_batch(batch, ReferenceEmbedder(), sequential) for batch in batches]
+        cache, embedder = EmbeddingCache(), ReferenceEmbedder()  # shared, as pipeline worker threads share them
+        barrier = threading.Barrier(4)
+
+        def run(worker):
+            barrier.wait()
+            return [embed_batch(batch, embedder, cache) for batch in batches[worker::4]]
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, range(4)))
+        for worker, outs in enumerate(results):
+            for out, exp in zip(outs, expected[worker::4]):
+                assert out.tobytes() == exp.tobytes()
+        assert len(cache) == len(set(texts))
+
+    @pytest.mark.parametrize("state", ["no-cache", "cold", "warm", "mixed"])
+    def test_batch_is_one_contiguous_float64_matrix(self, state):
+        cache = None if state == "no-cache" else EmbeddingCache()
+        if state in ("warm", "mixed"):
+            embed_batch(self.TEXTS[:3] if state == "mixed" else self.TEXTS, ReferenceEmbedder(), cache)
+        out = embed_batch(self.TEXTS + self.TEXTS[:2], ReferenceEmbedder(), cache)
+        assert isinstance(out, np.ndarray)
+        assert out.shape == (len(self.TEXTS) + 2, DEFAULT_DIMENSION)
+        assert out.dtype == np.float64
+        assert out.flags.c_contiguous

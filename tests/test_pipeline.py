@@ -839,6 +839,23 @@ class TestCli:
         assert not (tmp_path / "stage").exists()
 
     @pytest.mark.parametrize(
+        "key,spec,missing",
+        [
+            ("llm", {"kind": "remote"}, "model"),
+            ("embedder", {"kind": "remote", "model": "m"}, "endpoint"),
+            ("kgc", {"kind": "remote"}, "endpoint"),
+        ],
+    )
+    def test_missing_required_provider_key_names_the_key(self, tmp_path, capsys, key, spec, missing):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        config = json.loads(paths["config"].read_text())
+        paths["config"].write_text(json.dumps({**config, key: spec}))
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
+        assert cli.main(["parse", *common]) == 2
+        assert f"error: invalid config: {key}.{missing} is required for kind 'remote'\n" in capsys.readouterr().err
+        assert not (tmp_path / "stage").exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["sweep-k", "--ks", "0"],

@@ -102,6 +102,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.verbose:
         logging.basicConfig(level=logging.INFO, stream=sys.stderr)
+    # The run log goes to the stage dir; `delay` opens it at the first message, so a
+    # command rejected before the stage dir exists creates none.
+    run_log = logging.FileHandler(args.stage_dir / "run.log", encoding="utf-8", delay=True)
+    run_log.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s"))
+    pkg_logger = logging.getLogger("kgqa")
+    level = pkg_logger.level
+    pkg_logger.addHandler(run_log)
+    pkg_logger.setLevel(logging.INFO)
     try:
         config = _load_config(args)
         if args.command in STAGE_TABLE:
@@ -154,6 +162,10 @@ def main(argv: list[str] | None = None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        pkg_logger.removeHandler(run_log)
+        pkg_logger.setLevel(level)
+        run_log.close()
     return 0
 
 

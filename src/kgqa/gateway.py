@@ -32,7 +32,6 @@ from typing import Mapping, Protocol
 logger = logging.getLogger(__name__)
 
 TEMPLATE_PLACEHOLDERS: dict[str, tuple[str, ...]] = {
-    "cot_baseline": ("question",),
     "query_structuring": ("question",),
     "structural_enrich": ("quadruples", "1-hop path", "2-hop path"),
     "feature_enrich": ("entity list",),

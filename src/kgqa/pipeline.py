@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import inspect
+import itertools
 import json
 import logging
 import math
@@ -28,9 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path, PurePath
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
-from .answering import build_qa_prompt, parse_final_answers
+from .answering import build_qa_prompt, normalize_answer, parse_final_answers
 from .atomic import write_atomic
 from .embedding import EmbeddingCache, ReferenceEmbedder, RemoteEmbedder
 from .enrichment import (
@@ -65,8 +64,8 @@ from .gateway import (
     load_templates,
     user_request,
 )
-from .graph import GROUP_MODES, EntityRef, Relation, Triple, intern_graph, load_graph, textualize_triple
-from .pruning import answer_coverage, score_columns, score_graph, select_top_k
+from .graph import GROUP_MODES, EntityRef, Relation, Triple, intern_graph, load_graph, relation_text
+from .pruning import rank_rows, score_columns
 from .queries import decompose, decomposition_to_dict, fallback_graph_query
 
 logger = logging.getLogger(__name__)
@@ -264,6 +263,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunConfig":
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"config must be a JSON object, not {payload!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -369,7 +370,6 @@ class PipelineContext:
             backoff_base=config.backoff_base,
             max_in_flight=config.max_in_flight,
         )
-        _attach_run_log(self.stage_dir)
 
     def save_state(self) -> CostLedger:
         """Write `ledger.json`, folded from the row files of the plan's stages,
@@ -381,24 +381,6 @@ class PipelineContext:
             cache_dir.mkdir(parents=True, exist_ok=True)
             self.cache.save(cache_dir / "embeddings.json")
         return ledger
-
-
-def _attach_run_log(stage_dir: Path) -> None:
-    """One run-log file handler per process, pointed at the active stage dir."""
-    target = str((stage_dir / "run.log").resolve())
-    pkg_logger = logging.getLogger("kgqa")
-    for handler in list(pkg_logger.handlers):
-        if getattr(handler, "_kgqa_run_log", False):
-            if handler.baseFilename == target:
-                return
-            pkg_logger.removeHandler(handler)
-            handler.close()
-    handler = logging.FileHandler(target, encoding="utf-8")
-    handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s"))
-    handler._kgqa_run_log = True
-    pkg_logger.addHandler(handler)
-    if pkg_logger.level == logging.NOTSET:
-        pkg_logger.setLevel(logging.INFO)
 
 
 def _dumps(obj) -> str:
@@ -420,21 +402,6 @@ def _check_filename_collisions(dataset: Sequence[DatasetRecord]) -> None:
         if safe in by_safe and by_safe[safe] != record.id:
             raise DatasetError(f"ids {by_safe[safe]!r} and {record.id!r} collide as filename {safe!r}")
         by_safe[safe] = record.id
-
-
-def _manifest_path(ctx: PipelineContext) -> Path:
-    return ctx.stage_dir / "manifest.json"
-
-
-def _load_manifest(ctx: PipelineContext) -> dict:
-    path = _manifest_path(ctx)
-    if path.exists():
-        return json.loads(path.read_text(encoding="utf-8"))
-    return {}
-
-
-def _save_manifest(ctx: PipelineContext, manifest: dict) -> None:
-    write_atomic(_manifest_path(ctx), _dumps(manifest))
 
 
 def _read_rows(path: Path) -> dict[str, dict]:
@@ -522,13 +489,18 @@ def _parse_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping
     return {"id": record.id, "question": record.question, **decomposition_to_dict(decomposition)}
 
 
-def _prune_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping) -> dict:
-    parsed = _upstream_row(upstream, "parse", record.id)
+def _ranked_graph(ctx: PipelineContext, record: DatasetRecord, parsed: Mapping | None):
+    """The record's graph columns, channel scores and totals, scored against the
+    parsed `flat` queries (the question when there are none), and its rows ranked."""
     g = intern_graph(record.graph)
-    queries = list(parsed["flat"]) or [record.question]
-    channel_scores, totals = score_columns(g, queries, ctx.embedder, ctx.cache)
-    # Row i is the triple with index i, so a stable sort gives (-total, index) order.
-    kept = np.argsort(-totals, kind="stable")[: ctx.config.top_k]
+    queries = list(parsed["flat"]) if parsed else []
+    channel_scores, totals = score_columns(g, queries or [record.question], ctx.embedder, ctx.cache)
+    return g, channel_scores, totals, rank_rows(totals)
+
+
+def _prune_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping) -> dict:
+    g, channel_scores, totals, order = _ranked_graph(ctx, record, _upstream_row(upstream, "parse", record.id))
+    kept = order[: ctx.config.top_k]
     rows = zip(kept.tolist(), g.s[kept].tolist(), g.r[kept].tolist(), g.o[kept].tolist())
     return {
         "id": record.id,
@@ -659,7 +631,8 @@ def run_stage(stage: str, ctx: PipelineContext, resume: bool = True) -> StageArt
     spec = STAGE_TABLE.get(stage)
     if spec is None:
         raise StageError(f"unknown stage {stage!r}")
-    manifest = _load_manifest(ctx)
+    manifest_path = ctx.stage_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8")) if manifest_path.exists() else {}
     plan = ABLATION_TABLE[ctx.config.ablation].plan
     upstream_rows: dict[str, dict] = {}
     upstream_hashes: dict[str, str] = {}
@@ -686,7 +659,7 @@ def run_stage(stage: str, ctx: PipelineContext, resume: bool = True) -> StageArt
         processed, failed = _run_records(spec, ctx, upstream_rows, artifact_path, clear)
     content_hash = _hash_file(artifact_path)
     manifest[spec.key] = {"hash": content_hash, "upstream": upstream_hashes}
-    _save_manifest(ctx, manifest)
+    write_atomic(manifest_path, _dumps(manifest))
     logger.info("stage %s: %d processed, %d failed -> %s", stage, processed, failed, artifact_path)
     return StageArtifact(stage, artifact_path, content_hash, processed, failed, report)
 
@@ -766,31 +739,35 @@ def sweep_k(
 ) -> list[dict]:
     """Coverage, token, and cost figures for each candidate k.
 
-    Uses the parsed decompositions when that artifact exists, otherwise the
-    bare question. Tokens are the estimator totals over the textualized kept
-    triples; cost applies the configured input rate.
+    Each question's graph is scored and ranked once, as the prune stage does,
+    against its parsed decomposition when that artifact has a row for it and
+    otherwise the bare question. Tokens are the estimator totals over the
+    textualized kept triples; cost applies the configured input rate.
     """
     if not ks or any(k < 1 for k in ks):
         raise ValueError("ks must be non-empty with every k >= 1")
     parsed_path = ctx.stage_dir / STAGE_TABLE["parse"].file
     parsed_rows = _read_rows(parsed_path) if parsed_path.exists() else {}
-    scored_per_question = []
+    coverages: list[list[float]] = [[] for _ in ks]
+    tokens = [0] * len(ks)
     for record in ctx.dataset:
-        graph = load_graph(record.graph)
-        row = parsed_rows.get(record.id)
-        queries = list(row["flat"]) if row else [record.question]
-        scored_per_question.append((score_graph(graph, queries, ctx.embedder, ctx.cache), record.answers))
+        g, _, _, order = _ranked_graph(ctx, record, parsed_rows.get(record.id))
+        top = order[: max(ks)]
+        s, r, o = g.s[top].tolist(), g.r[top].tolist(), g.o[top].tolist()
+        relations = [relation_text(name) for name in g.relations]
+        texts = (f"{g.entities[a]} {relations[b]} {g.entities[c]}" for a, b, c in zip(s, r, o))
+        prefix_tokens = list(itertools.accumulate(map(estimate_tokens, texts), initial=0))
+        forms = [normalize_answer(entity, ctx.config.ascii_fold) for entity in g.entities]
+        gold = [normalize_answer(answer, ctx.config.ascii_fold) for answer in record.answers]
+        for i, k in enumerate(ks):
+            endpoints = {forms[e] for e in s[:k] + o[:k]}
+            coverages[i].append(sum(answer in endpoints for answer in gold) / len(gold))
+            tokens[i] += prefix_tokens[min(k, len(s))]
     input_rate = ctx.config.price_table().input_per_token
-    results = []
-    for k in ks:
-        coverages = []
-        tokens = 0
-        for scored, gold in scored_per_question:
-            pruned = select_top_k(scored, k)
-            coverages.append(answer_coverage(pruned, gold, ascii_fold=ctx.config.ascii_fold))
-            tokens += sum(estimate_tokens(textualize_triple(st.triple)) for st in pruned.kept)
-        coverage = sum(coverages) / len(coverages) if coverages else 0.0
-        results.append({"k": k, "coverage": coverage, "tokens": tokens, "cost": tokens * input_rate})
+    results = [
+        {"k": k, "coverage": sum(c) / len(c) if c else 0.0, "tokens": n, "cost": n * input_rate}
+        for k, c, n in zip(ks, coverages, tokens)
+    ]
     if out_path is not None:
         with Path(out_path).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=["k", "coverage", "tokens", "cost"])

@@ -4,14 +4,16 @@ Every triple is rendered three ways, masking the head entity, the tail
 entity, or both with a literal "[MASK]" token. Each masked form is scored
 against every query in the flattened decomposition by embedding dot product;
 a triple's total is the sum over the three channels. The top-K triples by
-total form the pruned graph.
+total form the pruned graph; `rank_rows` is the one ranking rule (descending
+total, ties by ascending index).
 
 Scoring is blocked matrix code over a graph's interned code columns
-(`score_columns`; `score_graph` wraps it for Triples). Each masked text is
-rendered once per distinct key and embedded once per distinct text into one
-matrix, whose `BLOCK_ROWS`-row slices (views, not copies) each take one
-matrix-vector product per query, added in query order; a triple's total is
-its head, tail and both-masked channel scores added in that order.
+(`score_columns`, which the prune stage and `sweep_k` call; `score_graph`
+and `select_top_k` are Triple adapters for tests and library callers). Each
+masked text is rendered once per distinct key and embedded once per distinct
+text into one matrix, whose `BLOCK_ROWS`-row slices (views, not copies) each
+take one matrix-vector product per query, added in query order; a triple's
+total is its head, tail and both-masked channel scores added in that order.
 
 Numeric contract:
 
@@ -144,11 +146,18 @@ def score_graph(
     ]
 
 
+def rank_rows(totals: Sequence[float], indices: Sequence[int] | None = None) -> np.ndarray:
+    """Row positions by descending total, ties by ascending index (a row's
+    position when `indices` is None). `np.lexsort` is a stable sort."""
+    negated = -np.asarray(totals, dtype=float)
+    return np.lexsort((negated,) if indices is None else (np.asarray(indices), negated))
+
+
 def select_top_k(scored: Sequence[ScoredTriple], k: int) -> PrunedGraph:
     if k < 1:
         raise ValueError("k must be >= 1")
-    ordered = sorted(scored, key=lambda st: (-st.total_score, st.triple.index))
-    return PrunedGraph(kept=tuple(ordered[:k]), k=k, source_size=len(scored))
+    order = rank_rows([st.total_score for st in scored], [st.triple.index for st in scored])
+    return PrunedGraph(kept=tuple(scored[i] for i in order[:k].tolist()), k=k, source_size=len(scored))
 
 
 def answer_coverage(pruned: PrunedGraph, gold_answers: Sequence[str], ascii_fold: bool = False) -> float:
@@ -195,7 +204,8 @@ def channel_mrr(
         if not subset:
             raise ValueError("channel subset must be non-empty")
         totals = _subset_totals(score_graph(triples, queries, provider, cache), subset)
-    return _reciprocal_rank(totals, triples, answer_set)
+    rank = rank_of_triple(totals, triples, answer_set)
+    return 1.0 / rank if rank else 0.0
 
 
 def _subset_totals(scored: Sequence[ScoredTriple], subset: Sequence[MaskChannel]) -> list[float]:
@@ -205,21 +215,15 @@ def _subset_totals(scored: Sequence[ScoredTriple], subset: Sequence[MaskChannel]
     return [reduce(operator.add, [st.channel_scores[p] for p in positions]) for st in scored]
 
 
-def _reciprocal_rank(totals: Sequence[float], triples: Sequence[Triple], answer_set: set[int]) -> float:
-    order = sorted(range(len(triples)), key=lambda i: (-totals[i], triples[i].index))
-    for rank, position in enumerate(order, start=1):
-        if triples[position].index in answer_set:
-            return 1.0 / rank
-    return 0.0
-
-
-def rank_of_triple(totals: Sequence[float], triples: Sequence[Triple], target_index: int) -> int:
-    """1-based rank of the triple with the given index under (-score, index) ordering."""
-    order = sorted(range(len(triples)), key=lambda i: (-totals[i], triples[i].index))
-    for rank, position in enumerate(order, start=1):
-        if triples[position].index == target_index:
-            return rank
-    raise ValueError(f"no triple with index {target_index}")
+def rank_of_triple(totals: Sequence[float], triples: Sequence[Triple], target: int | set[int]) -> int:
+    """1-based rank, in (-total, index) order, of the best-ranked triple whose
+    index is `target` or in the set `target`; 0 when a set matches no triple."""
+    wanted = target if isinstance(target, set) else {target}
+    order = rank_rows(totals, [t.index for t in triples]).tolist()
+    rank = next((rank for rank, position in enumerate(order, start=1) if triples[position].index in wanted), 0)
+    if not rank and not isinstance(target, set):
+        raise ValueError(f"no triple with index {target}")
+    return rank
 
 
 def channel_contributions(mrr_by_channel: dict) -> dict:
@@ -244,5 +248,6 @@ def channel_mrr_table(
     table = {VANILLA: channel_mrr(triples, queries, answers, VANILLA, provider, cache)}
     scored = score_graph(triples, queries, provider, cache)
     for name, subset in [(c.value, (c,)) for c in CHANNELS] + [("combined", CHANNELS)]:
-        table[name] = _reciprocal_rank(_subset_totals(scored, subset), triples, answers)
+        rank = rank_of_triple(_subset_totals(scored, subset), triples, answers)
+        table[name] = 1.0 / rank if rank else 0.0
     return table

@@ -37,6 +37,11 @@ class TestTemplates:
             for ph in template.placeholders:
                 assert "{" + ph + "}" in template.body
 
+    def test_template_dir_needs_only_the_templates_stages_send(self, tmp_path):
+        for name in ("query_structuring", "structural_enrich", "feature_enrich", "question_answering"):
+            (tmp_path / f"{name}.txt").write_text(load_template(name).body, encoding="utf-8")
+        assert set(load_templates(tmp_path)) == set(TEMPLATE_NAMES) == {p.stem for p in tmp_path.iterdir()}
+
     def test_render_literal_substitution(self):
         t = PromptTemplate(name="test", body="Q: {question}", placeholders=("question",))
         assert render_template(t, {"question": "x"}) == "Q: x"

@@ -8,6 +8,7 @@ import os
 import pathlib
 import threading
 import time
+import unicodedata
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -20,7 +21,7 @@ from kgqa.embedding import EmbeddingCache
 from kgqa.fixtures import build_mini_dataset, write_fixture
 from kgqa.gateway import estimate_tokens
 from kgqa.graph import Triple, load_graph, textualize_triple
-from kgqa.pruning import ScoredTriple, score_graph, select_top_k
+from kgqa.pruning import ScoredTriple, answer_coverage, score_graph, select_top_k
 from kgqa.pipeline import (
     DatasetError,
     PipelineContext,
@@ -218,6 +219,16 @@ class TestRunAll:
         by_id = {r["id"]: r for r in answers}
         for record in records:
             assert by_id[record.id]["used_triples"] == len(load_graph(record.graph))
+
+    def test_leaves_global_logging_unchanged(self, tmp_path, small_fixture):
+        records, script = small_fixture
+        pkg_logger = logging.getLogger("kgqa")
+        before = (list(pkg_logger.handlers), pkg_logger.level)
+        config = RunConfig(llm={"kind": "stub", "script": script})
+        PipelineContext(config, tmp_path / "ctx", records)
+        run_all(config, records, tmp_path / "stage")
+        assert (list(pkg_logger.handlers), pkg_logger.level) == before
+        assert not (tmp_path / "stage" / "run.log").exists()
 
     def test_determinism_byte_identical(self, tmp_path, small_fixture):
         records, script = small_fixture
@@ -478,6 +489,70 @@ class TestSweepK:
         with pytest.raises(ValueError):
             sweep_k(ctx, [])
 
+    KS = [1, 10, 10, 300, 5000]
+
+    @pytest.fixture(scope="class")
+    def large_fixture(self):
+        records, script = build_mini_dataset(n_questions=5, seed=3, min_triples=1000, max_triples=2000)
+        # An accent on every other record's gold answers, which the graph spells
+        # without one, so coverage depends on `ascii_fold`.
+        accent = lambda a: unicodedata.normalize("NFC", a[0] + "\u0301" + a[1:])
+        records = [replace(r, answers=tuple(map(accent, r.answers))) if i % 2 else r for i, r in enumerate(records)]
+        return records, script
+
+    @staticmethod
+    def reference_rows(ctx, ks):
+        """sweep_k's rows through the Triple path: score_graph, select_top_k per k, answer_coverage."""
+        parsed_path = ctx.stage_dir / "parsed.jsonl"
+        parsed = pipeline._read_rows(parsed_path) if parsed_path.exists() else {}
+        scored = []
+        for record in ctx.dataset:
+            queries = list(parsed[record.id]["flat"]) if record.id in parsed else []
+            scored.append((score_graph(load_graph(record.graph), queries or [record.question], ctx.embedder), record.answers))
+        rows = []
+        for k in ks:
+            pruned = [(select_top_k(s, k), gold) for s, gold in scored]
+            coverages = [answer_coverage(p, gold, ascii_fold=ctx.config.ascii_fold) for p, gold in pruned]
+            tokens = sum(estimate_tokens(textualize_triple(st.triple)) for p, _ in pruned for st in p.kept)
+            rows.append({"k": k, "coverage": sum(coverages) / len(coverages), "tokens": tokens,
+                         "cost": tokens * ctx.config.price_table().input_per_token})
+        return rows
+
+    @pytest.mark.parametrize("parsed", [False, True])
+    @pytest.mark.parametrize("ascii_fold", [False, True])
+    def test_rows_equal_triple_path_reference(self, tmp_path, large_fixture, ascii_fold, parsed):
+        records, script = large_fixture
+        ctx = make_ctx(records, script, tmp_path / "stage", ascii_fold=ascii_fold)
+        if parsed:
+            run_stage("parse", ctx)
+        assert all(1000 <= len(load_graph(r.graph)) <= 2000 for r in records)
+        assert sweep_k(ctx, self.KS) == self.reference_rows(ctx, self.KS)
+
+    def test_ascii_fold_changes_coverage_on_the_fixture(self, tmp_path, large_fixture):
+        records, script = large_fixture
+        coverage = [sweep_k(make_ctx(records, script, tmp_path / str(fold), ascii_fold=fold), [5000])[0]["coverage"]
+                    for fold in (False, True)]
+        assert coverage[0] < coverage[1] == 1.0
+
+    def test_builds_no_triple_per_source_triple(self, tmp_path, large_fixture):
+        records, script = large_fixture
+        ctx = make_ctx(records, script, tmp_path / "stage")
+        run_stage("parse", ctx)
+        with mock.patch.object(Triple, "__init__", side_effect=AssertionError("Triple built")), \
+                mock.patch.object(ScoredTriple, "__init__", side_effect=AssertionError("ScoredTriple built")):
+            rows = sweep_k(ctx, self.KS)
+        assert [row["k"] for row in rows] == self.KS
+
+    def test_empty_parsed_flat_falls_back_to_question(self, tmp_path, small_fixture):
+        records, script = small_fixture
+        ctx = make_ctx(records, script, tmp_path / "stage")
+        question_only = sweep_k(ctx, [1, 10, 300])
+        run_stage("parse", ctx)
+        parsed = ctx.stage_dir / "parsed.jsonl"
+        rows = [{**json.loads(line), "flat": []} for line in parsed.read_text(encoding="utf-8").splitlines()]
+        parsed.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        assert sweep_k(ctx, [1, 10, 300]) == question_only
+
 
 class TestQualityMetrics:
     def test_variants_after_run(self, tmp_path, small_fixture):
@@ -698,6 +773,25 @@ class TestCli:
         assert summary["hits1"] == 1.0
         assert summary["calls"] == 12
         assert (stage_dir / "report.json").exists()
+
+    def test_run_writes_run_log_and_restores_logging(self, tmp_path):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        pkg_logger = logging.getLogger("kgqa")
+        before = (list(pkg_logger.handlers), pkg_logger.level)
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
+        assert cli.main(["run", *common]) == 0
+        assert (list(pkg_logger.handlers), pkg_logger.level) == before
+        log = (tmp_path / "stage" / "run.log").read_text(encoding="utf-8")
+        assert "INFO kgqa.pipeline: stage eval: 2 processed, 0 failed" in log
+
+    @pytest.mark.parametrize("payload", [[], "x"])
+    def test_non_object_config_is_clean_error(self, tmp_path, capsys, payload):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        paths["config"].write_text(json.dumps(payload))
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
+        assert cli.main(["parse", *common]) == 2
+        assert f"error: invalid config: config must be a JSON object, not {payload!r}" in capsys.readouterr().err
+        assert not (tmp_path / "stage").exists()
 
     def test_stage_and_diagnostic_commands(self, tmp_path, capsys):
         paths = write_fixture(tmp_path / "fx", n_questions=3, max_triples=40)

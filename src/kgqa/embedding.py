@@ -194,12 +194,12 @@ class _Store:
 class EmbeddingCache:
     """Thread-safe (provider-id, text) -> vector cache with JSON persistence.
 
-    The persisted form maps each provider id to its sorted texts and their
-    vectors, packed as zlib-compressed little-endian float64 rows in text
-    order, so vectors round-trip bit for bit and a given set of entries
-    always writes the same bytes. The cache tracks whether it gained entries
-    since it was last loaded or saved, so an unchanged cache is not written
-    again.
+    The persisted form maps each provider id to its sorted texts, their
+    dimension, and one zlib stream of a bitmap of the vectors' nonzero float64
+    bit patterns followed by those values, so vectors round-trip bit for bit,
+    sparse ones stay small, and a given set of entries always writes the same
+    bytes. The cache tracks whether it gained entries since it was last loaded
+    or saved, so an unchanged cache is not written again.
     """
 
     def __init__(self):
@@ -242,9 +242,9 @@ class EmbeddingCache:
             return store.gather(np.array(list(map(store.index.get, texts)), dtype=np.intp))
 
     def save(self, path: str | Path) -> None:
-        """Write {provider id: {"texts": [...], "vectors": "<base64>"}} to `path`
-        as JSON, whole or not at all; skipped when `path` exists and no entry
-        was added since the cache was last loaded or saved."""
+        """Write {provider id: {"dimension": d, "texts": [...], "vectors": "<base64>"}}
+        to `path` as JSON, whole or not at all; skipped when `path` exists and
+        no entry was added since the cache was last loaded or saved."""
         path = Path(path)
         with self._lock:
             if not self._changed and path.exists():
@@ -253,29 +253,37 @@ class EmbeddingCache:
             for pid, store in self._stores.items():
                 texts = sorted(store.index)
                 vectors = store.gather(np.fromiter(map(store.index.get, texts), dtype=np.intp, count=len(texts)))
-                packed = base64.b64encode(zlib.compress(vectors.astype("<f8", copy=False).tobytes(), 1))
-                payload[pid] = {"texts": texts, "vectors": packed.decode("ascii")}
+                nonzero = vectors.view(np.uint64) != 0  # the bit pattern, so -0.0 and NaN payloads are kept
+                values = vectors[nonzero].astype("<f8", copy=False)
+                packed = base64.b64encode(zlib.compress(np.packbits(nonzero).tobytes() + values.tobytes(), 1))
+                payload[pid] = {"dimension": vectors.shape[1], "texts": texts, "vectors": packed.decode("ascii")}
             write_atomic(path, json.dumps(payload, sort_keys=True))
             self._changed = False
 
     def load(self, path: str | Path) -> int:
         """Merge persisted vectors into this cache; returns the number of entries loaded.
 
-        Each provider's vectors stay the one read-only array they decode to.
+        Each provider's vectors decode into one preallocated read-only matrix.
         An unreadable file (truncated, not the JSON `save` writes, or an older
-        layout) loads nothing: it logs a warning and marks the cache changed,
-        so the next `save` replaces the file; the vectors are recomputed on a
-        miss.
+        layout such as dense rows without "dimension") loads nothing: it logs
+        a warning and marks the cache changed, so the next `save` replaces the
+        file; the vectors are recomputed on a miss.
         """
         try:
             entries = {}
             for pid, packed in json.loads(Path(path).read_text(encoding="utf-8")).items():
-                texts = packed["texts"]
-                if not isinstance(texts, list) or not all(isinstance(text, str) for text in texts):
-                    raise TypeError("texts must be a list of strings")
+                texts, dim = packed["texts"], packed["dimension"]
+                if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts) or type(dim) is not int or dim < 1:
+                    raise TypeError(f"texts must be a list of strings and dimension an int >= 1, not {dim!r}")
                 raw = zlib.decompress(base64.b64decode(packed["vectors"], validate=True))
-                entries[pid] = texts, np.frombuffer(raw, dtype="<f8").reshape(len(texts), -1)
-        except (ValueError, TypeError, AttributeError, KeyError, zlib.error) as exc:
+                bits = np.frombuffer(raw, np.uint8, -(-len(texts) * dim // 8))  # raises before any allocation
+                matrix = np.zeros((len(texts), dim))
+                nonzero = np.unpackbits(bits, count=matrix.size).view(bool).reshape(matrix.shape)
+                # reshape, so one stored value cannot broadcast over a longer mask
+                matrix[nonzero] = np.frombuffer(raw, "<f8", offset=len(bits)).reshape(np.count_nonzero(nonzero))
+                matrix.flags.writeable = False
+                entries[pid] = texts, matrix
+        except (ValueError, TypeError, AttributeError, KeyError, OverflowError, zlib.error) as exc:
             logger.warning("ignoring unreadable embedding cache %s: %s", path, exc)
             with self._lock:
                 self._changed = True

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import base64
+import json
+import zlib
+from pathlib import Path
 from random import Random
+
+import numpy as np
 
 from kgqa.gateway import (
     ChatProvider,
@@ -76,3 +82,14 @@ class FlakyProvider:
         if self.calls <= self.failures:
             raise TransportError(f"injected failure {self.calls}/{self.failures}")
         return self.inner.generate(request)
+
+
+def write_dense_cache(path: Path, entries: dict[str, dict[str, np.ndarray]]) -> None:
+    """Write {provider id: {text: vector}} in the embedding cache layout that came before
+    the nonzero bitmap: sorted texts and zlib-compressed dense float64 rows, no dimension."""
+    payload = {}
+    for pid, vectors in entries.items():
+        texts = sorted(vectors)
+        rows = np.array([vectors[text] for text in texts], dtype="<f8")
+        payload[pid] = {"texts": texts, "vectors": base64.b64encode(zlib.compress(rows.tobytes(), 1)).decode("ascii")}
+    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")

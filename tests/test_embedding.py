@@ -6,6 +6,8 @@ import logging
 import os
 import pathlib
 import threading
+import tracemalloc
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from random import Random
 
@@ -25,7 +27,7 @@ from kgqa.embedding import (
     tokenize,
 )
 
-from helpers import fnv64_oracle, random_phrase
+from helpers import fnv64_oracle, random_phrase, write_dense_cache
 
 
 class TableEmbedder:
@@ -434,3 +436,107 @@ class TestCacheMatrices:
         assert out.shape == (len(self.TEXTS) + 2, DEFAULT_DIMENSION)
         assert out.dtype == np.float64
         assert out.flags.c_contiguous
+
+
+class TestCacheLayout:
+    """The persisted vectors: a bitmap of nonzero float64 bit patterns, then those values."""
+
+    TEXTS = ["amber mesa", "cobalt reed", "dune", "", "xenon fjord quartz tide", "heron"]
+
+    def saved(self, tmp_path, provider=None):
+        path = tmp_path / "cache.json"
+        cache = EmbeddingCache()
+        embed_batch(self.TEXTS, provider or ReferenceEmbedder(), cache)
+        cache.save(path)
+        return path
+
+    def load_warns(self, path, caplog) -> EmbeddingCache:
+        cache = EmbeddingCache()
+        with caplog.at_level(logging.WARNING, logger="kgqa.embedding"):
+            assert cache.load(path) == 0
+        assert len(cache) == 0
+        assert "unreadable embedding cache" in caplog.text
+        return cache
+
+    def test_dense_previous_layout_loads_empty_and_is_rewritten(self, tmp_path, caplog):
+        reference = {text: embed_reference(text) for text in self.TEXTS}
+        saved = self.saved(tmp_path).read_bytes()
+        path = tmp_path / "dense.json"
+        write_dense_cache(path, {"reference-fnv1a-256": reference})
+        assert "dimension" not in json.loads(path.read_text())["reference-fnv1a-256"]
+        cache = self.load_warns(path, caplog)
+        counting = CountingEmbedder()
+        embed_batch(self.TEXTS, counting, cache)
+        assert counting.computed == len(self.TEXTS)
+        cache.save(path)
+        assert path.read_bytes() == saved
+        assert json.loads(path.read_text())["reference-fnv1a-256"]["dimension"] == DEFAULT_DIMENSION
+        restored = EmbeddingCache()
+        assert restored.load(path) == len(self.TEXTS)
+        for text, vec in reference.items():
+            assert restored.get("reference-fnv1a-256", text).tobytes() == vec.tobytes()
+
+    @pytest.mark.parametrize("dimension", [0, -1, True, 2.5, "256", 2**40], ids=repr)
+    def test_bad_dimension_loads_empty(self, tmp_path, caplog, dimension):
+        path = self.saved(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["reference-fnv1a-256"]["dimension"] = dimension
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            cache = self.load_warns(path, caplog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the bitmap slice fails before a (6, 2**40) matrix is allocated
+        embed_batch(self.TEXTS, ReferenceEmbedder(), cache)
+        cache.save(path)
+        assert EmbeddingCache().load(path) == len(self.TEXTS)
+
+    def test_zero_rows_negative_zero_and_nan_payloads_round_trip(self, tmp_path):
+        nan_payload = np.array([0x7FF8_0000_0000_1234, 0xFFF0_0000_0000_0001], dtype=np.uint64).view(np.float64)
+        rows = {
+            "zeros": np.zeros(5),
+            "negative zeros": np.full(5, -0.0),
+            "nan payloads": np.array([0.0, nan_payload[0], -0.0, nan_payload[1], 5e-324]),
+        }
+        cache = EmbeddingCache()
+        for text, vec in rows.items():
+            cache.put("edge-5", text, vec)
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        raw = zlib.decompress(base64.b64decode(json.loads(path.read_text())["edge-5"]["vectors"]))
+        assert len(raw) == 2 + 8 * 9  # 15 bits, and every value but the four +0.0
+        restored = EmbeddingCache()
+        assert restored.load(path) == len(rows)
+        for text, vec in rows.items():
+            assert restored.get("edge-5", text).tobytes() == vec.tobytes()
+
+    @pytest.mark.parametrize("dimension", [DEFAULT_DIMENSION, 13])
+    def test_payload_is_bitmap_then_nonzero_values(self, tmp_path, dimension):
+        provider = ReferenceEmbedder(dimension)
+        path = self.saved(tmp_path, provider=provider)
+        packed = json.loads(path.read_text())[provider.provider_id]
+        assert packed["dimension"] == dimension
+        dense = np.array([embed_reference(text, dimension) for text in packed["texts"]])
+        n_bits, nnz = dense.size, np.count_nonzero(dense)
+        raw = zlib.decompress(base64.b64decode(packed["vectors"]))
+        assert len(raw) == -(-n_bits // 8) + 8 * nnz
+        assert raw[: -(-n_bits // 8)] == np.packbits(dense != 0).tobytes()
+        assert raw[-(-n_bits // 8) :] == dense[dense != 0].astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("damage", ["one-value", "extra-value", "short-bitmap"])
+    def test_value_count_must_match_bitmap(self, tmp_path, caplog, damage):
+        path = self.saved(tmp_path)
+        payload = json.loads(path.read_text())
+        packed = payload["reference-fnv1a-256"]
+        raw = zlib.decompress(base64.b64decode(packed["vectors"]))
+        n_bytes = len(self.TEXTS) * DEFAULT_DIMENSION // 8
+        raw = {
+            "one-value": raw[:n_bytes] + raw[n_bytes : n_bytes + 8],  # must not broadcast over the mask
+            "extra-value": raw + raw[-8:],
+            "short-bitmap": raw[: n_bytes - 1],
+        }[damage]
+        packed["vectors"] = base64.b64encode(zlib.compress(raw, 1)).decode("ascii")
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        self.load_warns(path, caplog)

@@ -12,12 +12,13 @@ import unicodedata
 from dataclasses import fields, replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgqa import cli, pipeline
-from kgqa.embedding import EmbeddingCache
+from kgqa.embedding import EmbeddingCache, ReferenceEmbedder
 from kgqa.fixtures import build_mini_dataset, write_fixture
 from kgqa.gateway import estimate_tokens
 from kgqa.graph import Triple, load_graph, textualize_triple
@@ -35,6 +36,8 @@ from kgqa.pipeline import (
     sweep_k,
     write_dataset,
 )
+
+from helpers import write_dense_cache
 
 ARTIFACTS = ("parsed.jsonl", "pruned.jsonl", "enriched.jsonl", "answers.jsonl", "report.json", "ledger.json")
 
@@ -751,6 +754,35 @@ class TestEmbeddingCacheFile:
         assert json.loads(cache_file.read_text()) == {}
         run_all(config, records, tmp_path / "stage", resume=False)
         assert cache_file.read_bytes() == saved
+
+    def test_dense_previous_layout_is_migrated_on_first_run(self, tmp_path, small_fixture, caplog):
+        records, script = small_fixture
+        run_all(self.config(script, tmp_path / "cold-cache"), records, tmp_path / "cold")
+        cold_file = tmp_path / "cold-cache" / "embeddings.json"
+        entries = {}
+        for (pid, text), vector in cache_file_entries(cold_file).items():
+            entries.setdefault(pid, {})[text] = np.frombuffer(vector, dtype=np.float64)
+        cache_file = tmp_path / "cache" / "embeddings.json"
+        cache_file.parent.mkdir()
+        write_dense_cache(cache_file, entries)
+        config = self.config(script, tmp_path / "cache")
+
+        with caplog.at_level(logging.WARNING, logger="kgqa.embedding"):
+            run_all(config, records, tmp_path / "migrated")
+        assert ["unreadable embedding cache" in r.getMessage() for r in caplog.records] == [True]
+        names = (*ARTIFACTS, "manifest.json")
+        assert {name: (tmp_path / "migrated" / name).read_bytes() for name in names} == {
+            name: (tmp_path / "cold" / name).read_bytes() for name in names
+        }
+        assert cache_file.read_bytes() == cold_file.read_bytes()
+        assert all("dimension" in packed for packed in json.loads(cache_file.read_text()).values())
+
+        os.utime(cache_file, ns=(10**9, 10**9))
+        before = file_state(cache_file)
+        with mock.patch.object(ReferenceEmbedder, "embed_many", autospec=True, side_effect=ReferenceEmbedder.embed_many) as spy:
+            run_all(config, records, tmp_path / "warm")
+        assert spy.call_count == 0
+        assert file_state(cache_file) == before
 
 
 class TestCli:

@@ -81,7 +81,6 @@ from .pruning import (
     PrunedGraph,
     ScoredTriple,
     answer_coverage,
-    channel_contributions,
     channel_mrr,
     render_masked,
     score_graph,

@@ -164,30 +164,49 @@ class RemoteEmbedder:
         return out
 
 
-class _Store:
-    """One provider's vectors: a matrix per `load` and per batch of new texts, never copied or
-    grown, and a text -> row index across them."""
+def _spans(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:  # firsts[i] .. firsts[i] + counts[i] - 1, joined
+    return np.arange(counts.sum()) + np.repeat(firsts + counts - np.cumsum(counts), counts)
 
-    def __init__(self):
-        self.matrices: list[np.ndarray] = []
-        self.starts: list[int] = [0]  # matrices[i] holds rows starts[i] to starts[i + 1]
+
+class _Store:
+    """One provider's vectors in the layout `save` writes: chunks never copied or grown, one per `load`
+    and per batch of new texts, each a row-aligned (n, ceil(d/8)) bitmap of the float64s whose bit
+    pattern is nonzero, those values row by row, and each row's first-value offset; so a row costs
+    ceil(d/8) + 8 bytes plus 8 per nonzero value. A text -> row index spans the chunks."""
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+        self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.starts: list[int] = [0]  # chunks[i] holds rows starts[i] to starts[i + 1]
         self.index: dict[str, int] = {}
 
-    def add(self, texts: Sequence[str], matrix: np.ndarray) -> None:
+    def add(self, texts: Sequence[str], nonzero: np.ndarray, values: np.ndarray) -> None:
+        if nonzero.shape[1] != self.dimension:
+            raise EmbeddingError(f"vectors of dimension {nonzero.shape[1]} for a cache of dimension {self.dimension}")
+        offsets = np.concatenate(([0], np.cumsum(np.count_nonzero(nonzero, axis=1))))
+        self.chunks.append((np.packbits(nonzero, axis=1), values, offsets))
         self.index.update(zip(texts, range(self.starts[-1], self.starts[-1] + len(texts))))
-        self.matrices.append(matrix)
-        self.starts.append(self.starts[-1] + len(matrix))
+        self.starts.append(self.starts[-1] + len(texts))
+
+    def select(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The bitmap rows and the values of `rows`, in their order, one indexing op per chunk they fall in."""
+        which = np.searchsorted(self.starts, rows, side="right") - 1
+        order = np.argsort(which, kind="stable")  # grouped by chunk: O(n log n) however many chunks
+        bits, counts, parts = np.empty((len(rows), -(-self.dimension // 8)), np.uint8), np.empty(len(rows), np.intp), []
+        for idx in np.split(order, np.flatnonzero(np.diff(which[order])) + 1) if len(rows) else ():
+            (chunk_bits, values, offsets), local = self.chunks[which[idx[0]]], rows[idx] - self.starts[which[idx[0]]]
+            bits[idx], counts[idx] = chunk_bits[local], offsets[local + 1] - offsets[local]
+            parts.append(values[_spans(offsets[local], counts[idx])])
+        if len(parts) < 2:  # one chunk or none: the values are in row order already
+            return bits, parts[0] if parts else np.empty(0)
+        firsts = (np.cumsum(counts[order]) - counts[order])[np.argsort(order)]  # each row's first value in the parts joined
+        return bits, np.concatenate(parts)[_spans(firsts, counts)]
 
     def gather(self, rows: np.ndarray) -> np.ndarray:
-        """The (len(rows), d) array of those rows, one indexing op per matrix they fall in."""
-        if len(self.matrices) == 1:
-            return self.matrices[0][rows]
-        which = np.searchsorted(self.starts, rows, side="right") - 1
-        order = np.argsort(which, kind="stable")  # grouped by matrix: O(n log n) however many matrices
-        out = np.empty((len(rows), self.matrices[0].shape[1]))
-        for idx in np.split(order, np.flatnonzero(np.diff(which[order])) + 1):
-            m = which[idx[0]]
-            out[idx] = self.matrices[m][rows[idx] - self.starts[m]]
+        """A fresh (len(rows), d) array of those rows, filled by one boolean-mask assignment."""
+        bits, values = self.select(rows)
+        out = np.zeros((len(rows), self.dimension))
+        out[np.unpackbits(bits, axis=1, count=self.dimension).view(bool)] = values
         return out
 
 
@@ -198,7 +217,8 @@ class EmbeddingCache:
     dimension, and one zlib stream of a bitmap of the vectors' nonzero float64
     bit patterns followed by those values, so vectors round-trip bit for bit,
     sparse ones stay small, and a given set of entries always writes the same
-    bytes. The cache tracks whether it gained entries since it was last loaded
+    bytes. Memory keeps the same layout (`_Store`); only lookups make dense
+    rows. The cache tracks whether it gained entries since it was last loaded
     or saved, so an unchanged cache is not written again.
     """
 
@@ -210,18 +230,19 @@ class EmbeddingCache:
     def __len__(self) -> int:
         return sum(len(store.index) for store in list(self._stores.values()))
 
-    def get(self, provider_id: str, text: str) -> np.ndarray | None:  # a view of the stored row
+    def get(self, provider_id: str, text: str) -> np.ndarray | None:  # a fresh dense row, not a view
         with self._lock:
             store = self._stores.get(provider_id)
             row = store.index.get(text) if store is not None else None
-            if row is None:
-                return None
-            m = int(np.searchsorted(store.starts, row, side="right")) - 1
-            return store.matrices[m][row - store.starts[m]]
+            return None if row is None else store.gather(np.array([row]))[0]
 
     def put(self, provider_id: str, text: str, vector: np.ndarray) -> None:
-        with self._lock:
-            self._stores.setdefault(provider_id, _Store()).add([text], np.asarray(vector, dtype=np.float64)[None])
+        self._add(provider_id, [text], np.asarray(vector, dtype=np.float64)[None])
+
+    def _add(self, provider_id: str, texts: Sequence[str], matrix: np.ndarray) -> None:
+        nonzero = matrix.view(np.uint64) != 0  # the bit pattern, so -0.0 and NaN payloads are kept
+        with self._lock:  # rows of another width than the stored ones raise EmbeddingError
+            self._stores.setdefault(provider_id, _Store(matrix.shape[1])).add(texts, nonzero, matrix[nonzero])
             self._changed = True
 
     def _embed(self, texts: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
@@ -235,11 +256,8 @@ class EmbeddingCache:
         vectors = np.asarray(provider.embed_many(missing), dtype=np.float64)
         if vectors.ndim != 2 or len(vectors) != len(missing):
             raise EmbeddingError(f"provider returned {len(vectors)} vectors for {len(missing)} texts")
-        with self._lock:
-            store = self._stores.setdefault(provider.provider_id, _Store())
-            store.add(missing, vectors)
-            self._changed = True
-            return store.gather(np.array(list(map(store.index.get, texts)), dtype=np.intp))
+        self._add(provider.provider_id, missing, vectors)
+        return self._embed(texts, provider)  # every text is stored now, and entries are never removed
 
     def save(self, path: str | Path) -> None:
         """Write {provider id: {"dimension": d, "texts": [...], "vectors": "<base64>"}}
@@ -252,22 +270,21 @@ class EmbeddingCache:
             payload = {}
             for pid, store in self._stores.items():
                 texts = sorted(store.index)
-                vectors = store.gather(np.fromiter(map(store.index.get, texts), dtype=np.intp, count=len(texts)))
-                nonzero = vectors.view(np.uint64) != 0  # the bit pattern, so -0.0 and NaN payloads are kept
-                values = vectors[nonzero].astype("<f8", copy=False)
-                packed = base64.b64encode(zlib.compress(np.packbits(nonzero).tobytes() + values.tobytes(), 1))
-                payload[pid] = {"dimension": vectors.shape[1], "texts": texts, "vectors": packed.decode("ascii")}
+                bits, values = store.select(np.fromiter(map(store.index.get, texts), dtype=np.intp, count=len(texts)))
+                flat = np.packbits(np.unpackbits(bits, axis=1, count=store.dimension))  # rows joined, no padding
+                packed = base64.b64encode(zlib.compress(flat.tobytes() + values.astype("<f8", copy=False).tobytes(), 1))
+                payload[pid] = {"dimension": store.dimension, "texts": texts, "vectors": packed.decode("ascii")}
             write_atomic(path, json.dumps(payload, sort_keys=True))
             self._changed = False
 
     def load(self, path: str | Path) -> int:
         """Merge persisted vectors into this cache; returns the number of entries loaded.
 
-        Each provider's vectors decode into one preallocated read-only matrix.
-        An unreadable file (truncated, not the JSON `save` writes, or an older
-        layout such as dense rows without "dimension") loads nothing: it logs
-        a warning and marks the cache changed, so the next `save` replaces the
-        file; the vectors are recomputed on a miss.
+        Each provider's bitmap and values become one chunk. An unreadable file
+        (truncated, not the JSON `save` writes, values not one per set bit, or
+        an older layout such as dense rows without "dimension") loads nothing:
+        it logs a warning and marks the cache changed, so the next `save`
+        replaces the file; the vectors are recomputed on a miss.
         """
         try:
             entries = {}
@@ -277,28 +294,20 @@ class EmbeddingCache:
                     raise TypeError(f"texts must be a list of strings and dimension an int >= 1, not {dim!r}")
                 raw = zlib.decompress(base64.b64decode(packed["vectors"], validate=True))
                 bits = np.frombuffer(raw, np.uint8, -(-len(texts) * dim // 8))  # raises before any allocation
-                matrix = np.zeros((len(texts), dim))
-                nonzero = np.unpackbits(bits, count=matrix.size).view(bool).reshape(matrix.shape)
-                # reshape, so one stored value cannot broadcast over a longer mask
-                matrix[nonzero] = np.frombuffer(raw, "<f8", offset=len(bits)).reshape(np.count_nonzero(nonzero))
-                matrix.flags.writeable = False
-                entries[pid] = texts, matrix
+                nonzero = np.unpackbits(bits, count=len(texts) * dim).view(bool).reshape(len(texts), dim)
+                entries[pid] = texts, nonzero, np.frombuffer(raw[len(bits) :], "<f8").reshape(np.count_nonzero(nonzero))
         except (ValueError, TypeError, AttributeError, KeyError, OverflowError, zlib.error) as exc:
             logger.warning("ignoring unreadable embedding cache %s: %s", path, exc)
             with self._lock:
                 self._changed = True
             return 0
         with self._lock:
-            for pid, (texts, matrix) in entries.items():
-                self._stores.setdefault(pid, _Store()).add(texts, matrix)
-        return sum(len(texts) for texts, _ in entries.values())
+            for pid, (texts, nonzero, values) in entries.items():
+                self._stores.setdefault(pid, _Store(nonzero.shape[1])).add(texts, nonzero, values)
+        return sum(len(texts) for texts, _, _ in entries.values())
 
 
-def embed_batch(
-    texts: Sequence[str],
-    provider: EmbeddingProvider,
-    cache: EmbeddingCache | None = None,
-) -> np.ndarray | list:
+def embed_batch(texts: Sequence[str], provider: EmbeddingProvider, cache: EmbeddingCache | None = None) -> np.ndarray | list:
     """Embed texts preserving order, as one (n, d) array (`[]` for no texts);
     each distinct text is computed at most once.
 

@@ -226,14 +226,6 @@ def rank_of_triple(totals: Sequence[float], triples: Sequence[Triple], target: i
     return rank
 
 
-def channel_contributions(mrr_by_channel: dict) -> dict:
-    """Each channel's share of the summed MRR mass."""
-    total = sum(mrr_by_channel.values())
-    if total == 0:
-        return {key: 0.0 for key in mrr_by_channel}
-    return {key: value / total for key, value in mrr_by_channel.items()}
-
-
 def channel_mrr_table(
     g: Sequence[Triple],
     queries: Sequence[str],

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from kgqa.embedding import (
     DEFAULT_DIMENSION,
     EmbeddingCache,
+    EmbeddingError,
     ReferenceEmbedder,
     embed_batch,
     embed_reference,
@@ -353,7 +354,7 @@ class TestCachePersistence:
         restored.save(path)
         assert path.read_bytes() == saved
 
-    def test_loaded_vector_is_a_read_only_view_and_gathered_bit_equal(self, tmp_path):
+    def test_loaded_vector_is_a_fresh_copy_and_gathered_bit_equal(self, tmp_path):
         path = tmp_path / "cache.json"
         cache = EmbeddingCache()
         embed_batch(["amber mesa", "dune"], ReferenceEmbedder(), cache)
@@ -361,17 +362,33 @@ class TestCachePersistence:
         restored = EmbeddingCache()
         restored.load(path)
         loaded = restored.get("reference-fnv1a-256", "amber mesa")
-        # Both rows are views into the one array `load` decoded: nothing was copied per row.
-        assert not loaded.flags.owndata
-        assert loaded.base is restored.get("reference-fnv1a-256", "dune").base
-        assert not loaded.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            loaded[0] = 1.0
+        expected = loaded.tobytes()
+        # Each get densifies a fresh row: writing into it leaves the cache as it was.
+        loaded[:] = 1.0
+        again = restored.get("reference-fnv1a-256", "amber mesa")
+        assert again.tobytes() == expected == embed_reference("amber mesa").tobytes()
         counting = CountingEmbedder()
         (out,) = embed_batch(["amber mesa"], counting, restored)
         assert counting.computed == 0
-        assert out.tobytes() == loaded.tobytes()
+        assert out.tobytes() == expected
         assert (out == embed_reference("amber mesa")).all()
+
+    def test_loaded_reference_vectors_retain_under_an_eighth_of_dense(self, tmp_path):
+        rng = Random(6)
+        texts = [f"{random_phrase(rng, rng.randint(1, 5))} {i}" for i in range(5000)]
+        path = tmp_path / "cache.json"
+        cache = EmbeddingCache()
+        embed_batch(texts, ReferenceEmbedder(), cache)
+        cache.save(path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            restored = EmbeddingCache()
+            assert restored.load(path) == len(texts)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert retained < len(texts) * DEFAULT_DIMENSION * 8 / 8
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
@@ -540,3 +557,105 @@ class TestCacheLayout:
         packed["vectors"] = base64.b64encode(zlib.compress(raw, 1)).decode("ascii")
         path.write_text(json.dumps(payload), encoding="utf-8")
         self.load_warns(path, caplog)
+
+
+class TestBitmapStore:
+    """In memory the cache keeps the file's layout: a row-aligned bitmap, the nonzero values, and offsets."""
+
+    NAN_PAYLOADS = np.array([0x7FF8_0000_0000_1234, 0xFFF0_0000_0000_0001], dtype=np.uint64).view(np.float64)
+
+    def round_trips(self, tmp_path, pid, rows: dict[str, np.ndarray]) -> None:
+        """`rows` come back bit for bit from get and embed_batch, before and after save -> load."""
+        cache = EmbeddingCache()
+        for text, vec in rows.items():
+            cache.put(pid, text, vec)
+        embedder = TableEmbedder({})  # an empty table: any miss raises
+        embedder.provider_id = pid
+        path = tmp_path / f"{pid}.json"
+        cache.save(path)
+        restored = EmbeddingCache()
+        assert restored.load(path) == len(rows)
+        expected = np.array(list(rows.values())).view(np.uint64)
+        for store in (cache, restored):
+            for text, vec in rows.items():
+                assert (store.get(pid, text).view(np.uint64) == vec.view(np.uint64)).all()
+            assert (embed_batch(list(rows), embedder, store).view(np.uint64) == expected).all()
+
+    def test_negative_zero_nan_payload_and_zero_row(self, tmp_path):
+        self.round_trips(
+            tmp_path,
+            "edge-4",
+            {
+                "zeros": np.zeros(4),
+                "negative zeros": np.full(4, -0.0),
+                "nan payloads": np.array([self.NAN_PAYLOADS[0], 0.0, -0.0, self.NAN_PAYLOADS[1]]),
+                "mixed": np.array([0.0, 5e-324, 0.0, -1.5]),
+            },
+        )
+
+    @pytest.mark.parametrize("dimension", [1, 7, 12, 257])
+    def test_dimensions_round_trip(self, tmp_path, dimension):
+        rng = np.random.default_rng(dimension)
+        rows = {}
+        for i in range(9):
+            vec = rng.standard_normal(dimension) * (rng.random(dimension) < 0.3)
+            vec[rng.random(dimension) < 0.1] = -0.0
+            rows[f"text {i}"] = vec
+        rows["nan"] = np.full(dimension, self.NAN_PAYLOADS[0])
+        self.round_trips(tmp_path, f"edge-{dimension}", rows)
+
+    def test_gather_over_chunks_in_random_order_with_repeats(self, tmp_path):
+        rng = Random(8)
+        texts = list(dict.fromkeys(random_phrase(rng, rng.randint(1, 5)) for _ in range(400)))
+        first = EmbeddingCache()
+        embed_batch(texts[:100], ReferenceEmbedder(), first)
+        first.save(tmp_path / "first.json")
+        cache = EmbeddingCache()  # the loaded chunk, three batches and two puts
+        cache.load(tmp_path / "first.json")
+        for lo, hi in ((100, 180), (180, 300), (300, len(texts) - 2)):
+            embed_batch(texts[lo:hi], ReferenceEmbedder(), cache)
+        for text in texts[-2:]:
+            cache.put("reference-fnv1a-256", text, embed_reference(text))
+        order = [rng.choice(texts) for _ in range(1500)]
+        counting = CountingEmbedder()
+        out = embed_batch(order, counting, cache)
+        assert counting.computed == 0
+        assert out.tobytes() == np.array([embed_reference(text) for text in order]).tobytes()
+
+    def test_embed_batch_retains_under_an_eighth_of_dense(self):
+        rng = Random(7)
+        texts = [f"{random_phrase(rng, rng.randint(1, 5))} {i}" for i in range(5000)]
+        embedder = ReferenceEmbedder()
+        embed_batch(texts, embedder, EmbeddingCache())  # fills the embedder's token slots first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cache = EmbeddingCache()
+            out = embed_batch(texts, embedder, cache)
+            assert out.shape == (len(texts), DEFAULT_DIMENSION)
+            del out
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == len(texts)
+        assert retained < len(texts) * DEFAULT_DIMENSION * 8 / 8
+
+    def test_batch_of_another_width_raises_and_is_not_stored(self, tmp_path):
+        table = {text: np.arange(6.0) + i for i, text in enumerate(["amber mesa", "dune"])}
+        cache = EmbeddingCache()
+        embed_batch(["amber mesa"], TableEmbedder(table), cache)
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        narrow = TableEmbedder({"dune": np.ones(4), "cobalt reed": np.ones(4)})  # same provider id, 4 wide
+        with pytest.raises(EmbeddingError, match="dimension 4"):
+            embed_batch(["amber mesa", "dune", "cobalt reed"], narrow, cache)
+        with pytest.raises(EmbeddingError, match="dimension 4"):
+            cache.put("table", "dune", np.ones(4))
+        assert len(cache) == 1
+        cache.save(path)  # nothing was added, so the file stays as it was and later saves still work
+        restored = EmbeddingCache()
+        assert restored.load(path) == 1
+        out = embed_batch(["dune", "amber mesa"], TableEmbedder(table), restored)
+        assert out.tobytes() == np.array([table["dune"], table["amber mesa"]]).tobytes()
+        restored.save(path)
+        assert EmbeddingCache().load(path) == 2

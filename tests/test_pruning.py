@@ -14,7 +14,6 @@ from kgqa.pruning import (
     PrunedGraph,
     ScoredTriple,
     answer_coverage,
-    channel_contributions,
     channel_mrr,
     channel_mrr_table,
     rank_of_triple,
@@ -230,11 +229,6 @@ class TestChannelMrr:
         ])
         mrr = channel_mrr(g, ["apple"], {2}, VANILLA, ref)
         assert mrr == pytest.approx(1 / 3)
-
-    def test_contributions_normalize(self):
-        contributions = channel_contributions({"a": 0.1, "b": 0.1, "c": 0.2})
-        assert contributions == {"a": 0.25, "b": 0.25, "c": 0.5}
-        assert channel_contributions({"a": 0.0}) == {"a": 0.0}
 
     def test_empty_answer_set_rejected(self, ref):
         with pytest.raises(ValueError):

@@ -60,8 +60,6 @@ from .graph import (
     extract_paths,
     group_by_endpoints,
     load_graph,
-    load_json_graph,
-    load_tsv_graph,
     textualize_triple,
 )
 from .pipeline import (
@@ -80,8 +78,6 @@ from .pruning import (
     MaskChannel,
     PrunedGraph,
     ScoredTriple,
-    answer_coverage,
-    channel_mrr,
     render_masked,
     score_graph,
     select_top_k,

@@ -26,6 +26,8 @@ from .atomic import write_atomic
 from .gateway import http_session, post_json, with_retries
 
 DEFAULT_DIMENSION = 256
+# Inputs per remote embedding request: the per-request cap OpenAI documents.
+MAX_INPUTS_PER_REQUEST = 2048
 
 FNV64_OFFSET_BASIS = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -141,26 +143,30 @@ class RemoteEmbedder:
         self.provider_id = f"remote-{model}-{dimension}"
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray | list:
+        """One request, with its own retries, per `MAX_INPUTS_PER_REQUEST` texts; rows in input order."""
         if not texts:
             return []
-        payload = {"input": list(texts), "model": self.model}
-        try:
-            body = with_retries(
-                lambda: post_json(self._session, self.endpoint, payload, self.api_key_env, self.timeout),
-                sleep=self._sleep,
-            )
-            data = body["data"]
-        except (RuntimeError, KeyError, TypeError) as exc:
-            raise EmbeddingError(f"embedding request failed: {exc!r}") from exc
-        if len(data) != len(texts):
-            raise EmbeddingError(f"expected {len(texts)} embeddings, got {len(data)}")
+        texts = list(texts)
         out = np.empty((len(texts), self.dimension), dtype=np.float64)
-        for row, item in zip(out, data):
-            vec = np.asarray(item["embedding"], dtype=np.float64)
-            if vec.shape != (self.dimension,):
-                raise EmbeddingError(f"embedding has dimension {vec.shape}, expected {self.dimension}")
-            norm = float(np.linalg.norm(vec))
-            row[:] = vec / norm if norm > 0.0 else vec
+        for start in range(0, len(texts), MAX_INPUTS_PER_REQUEST):
+            batch = texts[start : start + MAX_INPUTS_PER_REQUEST]
+            payload = {"input": batch, "model": self.model}
+            try:
+                body = with_retries(
+                    lambda: post_json(self._session, self.endpoint, payload, self.api_key_env, self.timeout),
+                    sleep=self._sleep,
+                )
+                data = body["data"]
+            except (RuntimeError, KeyError, TypeError) as exc:
+                raise EmbeddingError(f"embedding request failed: {exc!r}") from exc
+            if len(data) != len(batch):
+                raise EmbeddingError(f"expected {len(batch)} embeddings, got {len(data)}")
+            for row, item in zip(out[start:], data):
+                vec = np.asarray(item["embedding"], dtype=np.float64)
+                if vec.shape != (self.dimension,):
+                    raise EmbeddingError(f"embedding has dimension {vec.shape}, expected {self.dimension}")
+                norm = float(np.linalg.norm(vec))
+                row[:] = vec / norm if norm > 0.0 else vec
         return out
 
 

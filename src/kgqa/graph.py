@@ -1,15 +1,14 @@
 """Knowledge-graph triples: loading, paths, textualization.
 
-A graph is a tuple of frozen Triples, built once from triple records (JSON
-array-of-arrays or TSV), so it is safe to share across worker threads. The
-loader interns entity ids and relation names into code columns first
-(`GraphColumns`); hot paths such as pruning work on those columns and build
-Triples only for the rows they keep.
+A graph is a tuple of frozen Triples, built once from (s, r, o) records (a
+dataset record's `graph` field), so it is safe to share across worker
+threads. The loader interns entity ids and relation names into code columns
+first (`GraphColumns`); hot paths such as pruning work on those columns and
+build Triples only for the rows they keep.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -153,23 +152,6 @@ def load_graph(records: Iterable[Sequence[str]]) -> tuple[Triple, ...]:
     relations = [Relation(r) for r in g.relations]
     rows = zip(g.s.tolist(), g.r.tolist(), g.o.tolist())
     return tuple(Triple(entities[s], relations[r], entities[o], index=i) for i, (s, r, o) in enumerate(rows))
-
-
-def load_json_graph(text: str) -> tuple[Triple, ...]:
-    """Load from a JSON array of [s, r, o] arrays."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphLoadError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise GraphLoadError("top-level JSON value must be an array of triples")
-    return load_graph(data)
-
-
-def load_tsv_graph(text: str) -> tuple[Triple, ...]:
-    """Load from tab-separated lines, one triple per line; blank lines are ignored."""
-    records = [line.split("\t") for line in text.splitlines() if line.strip()]
-    return load_graph(records)
 
 
 def textualize_triple(t: Triple) -> str:

@@ -1,4 +1,4 @@
-"""Focus-aware multi-channel triple pruning and retrieval diagnostics.
+"""Focus-aware multi-channel triple pruning.
 
 Every triple is rendered three ways, masking the head entity, the tail
 entity, or both with a literal "[MASK]" token. Each masked form is scored
@@ -8,8 +8,9 @@ total form the pruned graph; `rank_rows` is the one ranking rule (descending
 total, ties by ascending index).
 
 Scoring is blocked matrix code over a graph's interned code columns
-(`score_columns`, which the prune stage and `sweep_k` call; `score_graph`
-and `select_top_k` are Triple adapters for tests and library callers). Each
+(`score_columns`, which the prune stage and `sweep_k` call). `score_graph`
+and `select_top_k` are Triple adapters kept because benchmarks/spans.py wraps
+them by name; the channel diagnostics live in tests/helpers.py. Each
 masked text is rendered once per distinct key and embedded once per distinct
 text into one matrix, whose `BLOCK_ROWS`-row slices (views, not copies) each
 take one matrix-vector product per query, added in query order; a triple's
@@ -32,17 +33,14 @@ Numeric contract:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .answering import normalize_answer
-from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch, similarity
-from .graph import GraphColumns, Triple, relation_text, textualize_triple
+from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch
+from .graph import GraphColumns, Triple, relation_text
 
 MASK_TOKEN = "[MASK]"
 
@@ -58,8 +56,6 @@ CHANNELS: tuple[MaskChannel, ...] = (
     MaskChannel.TAIL_MASKED,
     MaskChannel.BOTH_MASKED,
 )
-
-VANILLA = "vanilla"
 
 # Rows per scoring block: 512 triples' worth of masked texts, about 3 MB of
 # float64 at the default dimension 256, whatever the size of the graph.
@@ -158,88 +154,3 @@ def select_top_k(scored: Sequence[ScoredTriple], k: int) -> PrunedGraph:
         raise ValueError("k must be >= 1")
     order = rank_rows([st.total_score for st in scored], [st.triple.index for st in scored])
     return PrunedGraph(kept=tuple(scored[i] for i in order[:k].tolist()), k=k, source_size=len(scored))
-
-
-def answer_coverage(pruned: PrunedGraph, gold_answers: Sequence[str], ascii_fold: bool = False) -> float:
-    """Fraction of gold answers present as a normalized endpoint of any kept triple."""
-    if not gold_answers:
-        raise ValueError("gold answer set must be non-empty")
-    endpoint_forms: set[str] = set()
-    for st in pruned.kept:
-        for entity in (st.triple.subject, st.triple.object):
-            endpoint_forms.add(normalize_answer(entity.id, ascii_fold))
-    found = sum(1 for answer in gold_answers if normalize_answer(answer, ascii_fold) in endpoint_forms)
-    return found / len(gold_answers)
-
-
-def channel_mrr(
-    g: Sequence[Triple],
-    queries: Sequence[str],
-    answer_indices: Iterable[int],
-    channels: Sequence[MaskChannel] | str = VANILLA,
-    provider: EmbeddingProvider | None = None,
-    cache: EmbeddingCache | None = None,
-) -> float:
-    """Reciprocal rank of the best-ranked answer triple under the chosen scoring.
-
-    Vanilla mode ranks by similarity between the raw question (queries[0])
-    and the unmasked triple text; a channel subset ranks by the masked-channel
-    sums restricted to those channels, over all queries.
-    """
-    answer_set = set(answer_indices)
-    if not answer_set:
-        raise ValueError("answer triple index set must be non-empty")
-    if not queries:
-        raise ValueError("at least one query is required")
-    if provider is None:
-        raise ValueError("an embedding provider is required")
-    triples = list(g)
-    if channels == VANILLA:
-        texts = [textualize_triple(t) for t in triples]
-        vectors = embed_batch([queries[0]] + texts, provider, cache)
-        qv = vectors[0]
-        totals = [similarity(qv, v) for v in vectors[1:]]
-    else:
-        subset = list(channels)  # type: ignore[arg-type]
-        if not subset:
-            raise ValueError("channel subset must be non-empty")
-        totals = _subset_totals(score_graph(triples, queries, provider, cache), subset)
-    rank = rank_of_triple(totals, triples, answer_set)
-    return 1.0 / rank if rank else 0.0
-
-
-def _subset_totals(scored: Sequence[ScoredTriple], subset: Sequence[MaskChannel]) -> list[float]:
-    """Each triple's scores on the subset's channels, added with `+` in CHANNELS
-    order as `score_graph` adds its total, so the full subset gives the total."""
-    positions = sorted(CHANNELS.index(c) for c in subset)
-    return [reduce(operator.add, [st.channel_scores[p] for p in positions]) for st in scored]
-
-
-def rank_of_triple(totals: Sequence[float], triples: Sequence[Triple], target: int | set[int]) -> int:
-    """1-based rank, in (-total, index) order, of the best-ranked triple whose
-    index is `target` or in the set `target`; 0 when a set matches no triple."""
-    wanted = target if isinstance(target, set) else {target}
-    order = rank_rows(totals, [t.index for t in triples]).tolist()
-    rank = next((rank for rank, position in enumerate(order, start=1) if triples[position].index in wanted), 0)
-    if not rank and not isinstance(target, set):
-        raise ValueError(f"no triple with index {target}")
-    return rank
-
-
-def channel_mrr_table(
-    g: Sequence[Triple],
-    queries: Sequence[str],
-    answer_indices: Iterable[int],
-    provider: EmbeddingProvider,
-    cache: EmbeddingCache | None = None,
-) -> dict[str, float]:
-    """Per-question MRR row: vanilla, each single channel, and the combined
-    score; the graph is scored once for the four channel rows."""
-    answers = set(answer_indices)
-    triples = list(g)
-    table = {VANILLA: channel_mrr(triples, queries, answers, VANILLA, provider, cache)}
-    scored = score_graph(triples, queries, provider, cache)
-    for name, subset in [(c.value, (c,)) for c in CHANNELS] + [("combined", CHANNELS)]:
-        rank = rank_of_triple(_subset_totals(scored, subset), triples, answers)
-        table[name] = 1.0 / rank if rank else 0.0
-    return table

@@ -1,15 +1,20 @@
-"""Shared generators and independent oracles used across the test suite."""
+"""Shared generators, independent oracles and retrieval diagnostics used across the test suite."""
 
 from __future__ import annotations
 
 import base64
 import json
+import operator
 import zlib
+from functools import reduce
 from pathlib import Path
 from random import Random
 
 import numpy as np
 
+from kgqa import pruning
+from kgqa.answering import normalize_answer
+from kgqa.embedding import embed_batch, similarity
 from kgqa.gateway import (
     ChatProvider,
     ChatRequest,
@@ -19,7 +24,10 @@ from kgqa.gateway import (
     ScriptedStubProvider,
     TransportError,
 )
-from kgqa.graph import Triple, load_graph
+from kgqa.graph import GraphColumns, Triple, load_graph, textualize_triple
+from kgqa.pruning import CHANNELS, rank_rows
+
+VANILLA = "vanilla"
 
 WORDS = (
     "amber", "basalt", "cobalt", "dune", "ember", "fjord", "garnet", "heron",
@@ -93,3 +101,65 @@ def write_dense_cache(path: Path, entries: dict[str, dict[str, np.ndarray]]) -> 
         rows = np.array([vectors[text] for text in texts], dtype="<f8")
         payload[pid] = {"texts": texts, "vectors": base64.b64encode(zlib.compress(rows.tobytes(), 1)).decode("ascii")}
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+
+
+def answer_coverage(pruned: pruning.PrunedGraph, gold_answers, ascii_fold: bool = False) -> float:
+    """Fraction of gold answers present as a normalized endpoint of any kept triple."""
+    if not gold_answers:
+        raise ValueError("gold answer set must be non-empty")
+    endpoints = {normalize_answer(e.id, ascii_fold) for st in pruned.kept for e in (st.triple.subject, st.triple.object)}
+    return sum(normalize_answer(answer, ascii_fold) in endpoints for answer in gold_answers) / len(gold_answers)
+
+
+def rank_of_triple(totals, triples, target: int | set[int]) -> int:
+    """1-based rank, in (-total, index) order, of the best-ranked triple whose
+    index is `target` or in the set `target`; 0 when a set matches no triple."""
+    wanted = target if isinstance(target, set) else {target}
+    order = rank_rows(totals, [t.index for t in triples]).tolist()
+    rank = next((rank for rank, position in enumerate(order, start=1) if triples[position].index in wanted), 0)
+    if not rank and not isinstance(target, set):
+        raise ValueError(f"no triple with index {target}")
+    return rank
+
+
+def subset_totals(channel_scores: np.ndarray, subset) -> np.ndarray:
+    """Each row's `score_columns` scores on the subset's channels, added with `+` left
+    to right in CHANNELS order, so the full subset gives `score_columns`' total bit for bit."""
+    return reduce(operator.add, [channel_scores[:, CHANNELS.index(c)] for c in CHANNELS if c in subset])
+
+
+def channel_scores(triples, queries, provider, cache=None) -> np.ndarray:
+    """The triples' (n, 3) `score_columns` channel scores, looked up on the module so a spy sees the call."""
+    return pruning.score_columns(GraphColumns.of(t.key for t in triples), queries, provider, cache)[0]
+
+
+def channel_mrr(g, queries, answer_indices, channels, provider, cache=None) -> float:
+    """Reciprocal rank of the best-ranked answer triple under the chosen scoring.
+
+    VANILLA ranks by similarity between the raw question (queries[0]) and the
+    unmasked triple text; a channel subset ranks by `subset_totals` over all queries.
+    """
+    answers = set(answer_indices)
+    if not answers:
+        raise ValueError("answer triple index set must be non-empty")
+    triples = list(g)
+    if channels == VANILLA:
+        vectors = embed_batch([queries[0]] + [textualize_triple(t) for t in triples], provider, cache)
+        totals = [similarity(vectors[0], v) for v in vectors[1:]]
+    else:
+        totals = subset_totals(channel_scores(triples, queries, provider, cache), channels)
+    rank = rank_of_triple(totals, triples, answers)
+    return 1.0 / rank if rank else 0.0
+
+
+def channel_mrr_table(g, queries, answer_indices, provider, cache=None) -> dict[str, float]:
+    """Per-question MRR row: vanilla, each single channel, and the combined
+    score; the graph is scored once for the four channel rows."""
+    answers = set(answer_indices)
+    triples = list(g)
+    table = {VANILLA: channel_mrr(triples, queries, answers, VANILLA, provider, cache)}
+    scores = channel_scores(triples, queries, provider, cache)
+    for name, subset in [(c.value, (c,)) for c in CHANNELS] + [("combined", CHANNELS)]:
+        rank = rank_of_triple(subset_totals(scores, subset), triples, answers)
+        table[name] = 1.0 / rank if rank else 0.0
+    return table

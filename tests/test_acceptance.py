@@ -23,10 +23,10 @@ from kgqa.fixtures import build_mini_dataset, write_fixture
 from kgqa.gateway import CostLedger, PriceTable, cost_report, estimate_tokens
 from kgqa.graph import EntityRef, Relation, Triple, load_graph, textualize_triple
 from kgqa.pipeline import PipelineContext, RunConfig, run_all, sweep_k
-from kgqa.pruning import CHANNELS, VANILLA, channel_mrr, rank_of_triple, render_masked, score_graph, select_top_k
+from kgqa.pruning import CHANNELS, render_masked, score_graph, select_top_k
 from kgqa.queries import parse_decomposition_tree, serialize_decomposition
 
-from helpers import WORDS, random_graph, random_queries
+from helpers import VANILLA, WORDS, answer_coverage, channel_mrr, random_graph, random_queries, rank_of_triple
 from sample_outputs import (
     FEATURE_EXAMPLE,
     FEATURE_EXAMPLE_TRIPLES,
@@ -155,8 +155,6 @@ class TestCriterion4CoverageMonotonicity:
                 scored = score_graph(g, [record.question], ctx.embedder, ctx.cache)
                 kept_sets = []
                 coverages = []
-                from kgqa.pruning import answer_coverage
-
                 for k in ks:
                     pruned = select_top_k(scored, k)
                     kept_sets.append({st.triple.index for st in pruned.kept})

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 from random import Random
 
 import pytest
@@ -16,8 +15,6 @@ from kgqa.graph import (
     group_by_endpoints,
     intern_graph,
     load_graph,
-    load_json_graph,
-    load_tsv_graph,
     textualize_triple,
 )
 
@@ -73,16 +70,6 @@ class TestLoadGraph:
         for t in g:
             assert refs.setdefault(t.subject.id, t.subject) is t.subject
             assert refs.setdefault(t.object.id, t.object) is t.object
-
-    def test_json_and_tsv_loaders_identical(self):
-        records = [["a b", "r.s_t", "c"], ["d", "r2", "e f"], ["g", "r3", "h"]]
-        g_json = load_json_graph(json.dumps(records))
-        g_tsv = load_tsv_graph("\n".join("\t".join(row) for row in records))
-        assert [(t.key, t.index) for t in g_json] == [(t.key, t.index) for t in g_tsv]
-
-    def test_bad_json(self):
-        with pytest.raises(GraphLoadError):
-            load_json_graph("not json")
 
 
 class TestEntitySemantics:

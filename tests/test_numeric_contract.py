@@ -20,7 +20,9 @@ from kgqa.embedding import ReferenceEmbedder, embed_reference
 from kgqa.fixtures import build_mini_dataset
 from kgqa.graph import load_graph
 from kgqa.pipeline import PipelineContext, RunConfig, run_stage
-from kgqa.pruning import CHANNELS, VANILLA, channel_mrr, channel_mrr_table, render_masked, score_graph
+from kgqa.pruning import CHANNELS, render_masked, score_graph
+
+from helpers import VANILLA, channel_mrr, channel_mrr_table, channel_scores, subset_totals
 
 TOLERANCE = 1e-12
 
@@ -129,8 +131,8 @@ class TestScoreGraphAgainstLoop:
 class TestChannelMrrTable:
     def test_combined_ranks_by_the_kept_total(self, large_case):
         for g, queries in large_case:
-            scored = score_graph(g, queries, ReferenceEmbedder())
-            assert pruning._subset_totals(scored, CHANNELS) == [st.total_score for st in scored]
+            full = subset_totals(channel_scores(list(g), queries, ReferenceEmbedder()), CHANNELS)
+            assert full.tolist() == [st.total_score for st in score_graph(g, queries, ReferenceEmbedder())]
 
     def test_equals_separate_calls_and_scores_once(self, large_case):
         ref = ReferenceEmbedder()
@@ -140,7 +142,7 @@ class TestChannelMrrTable:
             for channel in CHANNELS:
                 expected[channel.value] = channel_mrr(g, queries, answers, (channel,), ref)
             expected["combined"] = channel_mrr(g, queries, answers, CHANNELS, ref)
-            with mock.patch.object(pruning, "score_graph", wraps=pruning.score_graph) as spy:
+            with mock.patch.object(pruning, "score_columns", wraps=pruning.score_columns) as spy:
                 table = channel_mrr_table(g, queries, answers, ref)
             assert spy.call_count == 1
             assert table == expected

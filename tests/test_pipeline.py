@@ -22,7 +22,7 @@ from kgqa.embedding import EmbeddingCache, ReferenceEmbedder
 from kgqa.fixtures import build_mini_dataset, write_fixture
 from kgqa.gateway import estimate_tokens
 from kgqa.graph import Triple, load_graph, textualize_triple
-from kgqa.pruning import ScoredTriple, answer_coverage, score_graph, select_top_k
+from kgqa.pruning import ScoredTriple, score_graph, select_top_k
 from kgqa.pipeline import (
     DatasetError,
     PipelineContext,
@@ -37,7 +37,7 @@ from kgqa.pipeline import (
     write_dataset,
 )
 
-from helpers import write_dense_cache
+from helpers import answer_coverage, write_dense_cache
 
 ARTIFACTS = ("parsed.jsonl", "pruned.jsonl", "enriched.jsonl", "answers.jsonl", "report.json", "ledger.json")
 

@@ -9,21 +9,24 @@ from kgqa.embedding import ReferenceEmbedder
 from kgqa.graph import EntityRef, Relation, Triple, intern_graph, load_graph, textualize_triple
 from kgqa.pruning import (
     CHANNELS,
-    VANILLA,
     MaskChannel,
     PrunedGraph,
     ScoredTriple,
-    answer_coverage,
-    channel_mrr,
-    channel_mrr_table,
-    rank_of_triple,
     render_masked,
     score_columns,
     score_graph,
     select_top_k,
 )
 
-from helpers import random_graph, random_queries
+from helpers import (
+    VANILLA,
+    answer_coverage,
+    channel_mrr,
+    channel_mrr_table,
+    random_graph,
+    random_queries,
+    rank_of_triple,
+)
 
 
 def triple(s, r, o, index=0):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kgqa.evaluation
-from kgqa.embedding import EmbeddingError, RemoteEmbedder
+from kgqa.embedding import MAX_INPUTS_PER_REQUEST, EmbeddingCache, EmbeddingError, RemoteEmbedder, embed_batch
 from kgqa.evaluation import RemoteKGCScorer
 from kgqa.gateway import (
     CostLedger,
@@ -119,6 +119,29 @@ class TestRemoteEmbedder:
         embedder, session = self.make([])
         assert embedder.embed_many([]) == []
         assert session.requests == []
+
+    def test_large_batch_split_into_capped_requests(self):
+        texts = [f"t{i}" for i in range(5000)]
+        vectors = [[1, i, i % 7, 0] for i in range(5000)]
+        slices = [slice(0, 2048), slice(2048, 4096), slice(4096, 5000)]
+        responses = [FakeResponse(payload=embedding_payload(vectors[s])) for s in slices]
+        embedder, session = self.make(responses)
+        out = embedder.embed_many(texts)
+        assert MAX_INPUTS_PER_REQUEST == 2048
+        assert [len(r["json"]["input"]) for r in session.requests] == [2048, 2048, 904]
+        assert [text for r in session.requests for text in r["json"]["input"]] == texts
+        for s, response in zip(slices, responses):
+            alone, _ = self.make([response])
+            assert (out[s] == alone.embed_many(texts[s])).all()
+
+    def test_failed_later_request_stores_nothing(self):
+        first = FakeResponse(payload=embedding_payload([[1, 0, 0, 0]] * 2048))
+        embedder, session = self.make([first, FakeResponse(status_code=400, payload={"error": "bad"})])
+        cache = EmbeddingCache()
+        with pytest.raises(EmbeddingError):
+            embed_batch([f"t{i}" for i in range(5000)], embedder, cache)
+        assert len(session.requests) == 2
+        assert len(cache) == 0
 
 
 def chat_payload(content, usage=None):

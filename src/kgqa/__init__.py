@@ -37,9 +37,7 @@ from .evaluation import (
     semantic_richness,
 )
 from .gateway import (
-    ChatMessage,
     ChatRequest,
-    ChatResponse,
     CostLedger,
     Gateway,
     PriceTable,

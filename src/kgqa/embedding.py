@@ -26,7 +26,7 @@ from .atomic import write_atomic
 from .gateway import http_session, post_json, with_retries
 
 DEFAULT_DIMENSION = 256
-# Inputs per remote embedding request: the per-request cap OpenAI documents.
+# Inputs per remote embedding or KGC-scoring request: the per-request cap OpenAI documents for embeddings.
 MAX_INPUTS_PER_REQUEST = 2048
 
 FNV64_OFFSET_BASIS = 0xCBF29CE484222325

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch, similarity
-from .gateway import PromptTemplate, render_template, user_request
+from .gateway import ChatRequest, PromptTemplate, render_template
 from .graph import EntityRef, Relation, Triple, extract_paths
 
 if TYPE_CHECKING:
@@ -167,9 +167,7 @@ def associate_queries_via_provider(
     to the embedder-based association.
     """
     prompt = build_query_filter_prompt(graph_queries, queries)
-    response = gateway.complete(
-        user_request(prompt, temperature=temperature, template=QUERY_FILTER_TEMPLATE_NAME, question_id=question_id)
-    )
+    response = gateway.complete(ChatRequest(prompt, temperature, QUERY_FILTER_TEMPLATE_NAME, question_id))
     parsed = parse_query_filter_output(response.content, len(graph_queries), queries)
     if parsed is None:
         logger.warning("question %s: unusable query-filter output, falling back to embedder association", question_id)

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .answering import AnswerSet, normalize_all
-from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch, similarity
+from .embedding import MAX_INPUTS_PER_REQUEST, EmbeddingCache, EmbeddingProvider, embed_batch, similarity
 from .gateway import http_session, post_json, with_retries
 from .graph import Triple, group_by_endpoints, relation_text, textualize_triple
 
@@ -142,7 +142,7 @@ class ConstantScorer:
 
 class RemoteKGCScorer:
     """HTTP plausibility scorer: {"input": [triple text, ...]} -> {"data": [{"score": f}, ...]},
-    one request per graph."""
+    one request, with its own retries, per `MAX_INPUTS_PER_REQUEST` triples of a graph."""
 
     def __init__(self, endpoint: str, timeout: float = 60.0, session=None):
         self.endpoint = endpoint
@@ -150,11 +150,15 @@ class RemoteKGCScorer:
         self._session = session if session is not None else http_session()
 
     def __call__(self, triples: Sequence[Triple]) -> list[float]:
-        payload = {"input": [textualize_triple(t) for t in triples]}
-        body = with_retries(lambda: post_json(self._session, self.endpoint, payload, None, self.timeout))
-        scores = [float(item["score"]) for item in body["data"]]
-        if len(scores) != len(triples):
-            raise ValueError(f"KGC scorer returned {len(scores)} scores for {len(triples)} triples")
+        texts = [textualize_triple(t) for t in triples]
+        scores: list[float] = []
+        for start in range(0, len(texts), MAX_INPUTS_PER_REQUEST):
+            payload = {"input": texts[start : start + MAX_INPUTS_PER_REQUEST]}
+            body = with_retries(lambda: post_json(self._session, self.endpoint, payload, None, self.timeout))
+            batch = [float(item["score"]) for item in body["data"]]
+            if len(batch) != len(payload["input"]):
+                raise ValueError(f"KGC scorer returned {len(batch)} scores for {len(payload['input'])} triples")
+            scores += batch
         return scores
 
 

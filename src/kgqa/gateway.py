@@ -145,59 +145,22 @@ def render_template(template: PromptTemplate, bindings: Mapping[str, str]) -> st
 
 
 @dataclass(frozen=True)
-class ChatMessage:
-    role: str
-    content: str
-
-    def __post_init__(self) -> None:
-        if self.role not in ("system", "user"):
-            raise ValueError(f"role must be 'system' or 'user', got {self.role!r}")
-
-
-@dataclass(frozen=True)
 class ChatRequest:
-    """One chat completion request; generation defaults follow the pipeline config."""
+    """One single-user-message chat request; the temperature default follows the pipeline config."""
 
-    messages: tuple[ChatMessage, ...]
+    prompt: str
     temperature: float = 0.2
-    top_p: float = 1.0
-    n: int = 1
-    max_tokens: int | None = None  # None = provider maximum
     template: str | None = None
     question_id: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.messages:
-            raise ValueError("request needs at least one message")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-
-    @property
-    def prompt_text(self) -> str:
-        return "\n".join(m.content for m in self.messages)
-
-
-def user_request(prompt: str, **kwargs) -> ChatRequest:
-    return ChatRequest(messages=(ChatMessage("user", prompt),), **kwargs)
-
-
-@dataclass(frozen=True)
-class ChatResponse:
-    content: str
-    prompt_tokens: int
-    completion_tokens: int
-    provider_id: str
-
-    def __post_init__(self) -> None:
-        if self.prompt_tokens < 0 or self.completion_tokens < 0:
-            raise ValueError("token counts must be >= 0")
 
 
 @dataclass(frozen=True)
 class ProviderReply:
-    """Raw provider output; token counts are None when the provider reports no usage."""
+    """Provider output; a token count is None when unreported. `Gateway.complete` returns both set."""
 
     content: str
     prompt_tokens: int | None = None
@@ -284,12 +247,10 @@ class CostLedger:
         return self.totals().calls
 
     def to_dict(self) -> dict:
-        totals = self.totals()
+        per_question, totals, total_cost = _priced(self, self.prices)
         return {
-            "per_question": {
-                qid: {**asdict(e), "cost": e.cost(self.prices)} for qid, e in sorted(self.per_question().items())
-            },
-            "totals": {**asdict(totals), "cost": totals.cost(self.prices)},
+            "per_question": {qid: {**asdict(usage), "cost": cost} for qid, (usage, cost) in per_question.items()},
+            "totals": {**asdict(totals), "cost": total_cost},
             "prices": asdict(self.prices),
         }
 
@@ -316,33 +277,37 @@ class CostReport:
     mean_cost: float
 
 
+def _priced(ledger: CostLedger, prices: PriceTable) -> tuple[dict[str, tuple[QuestionUsage, float]], QuestionUsage, float]:
+    """{question id: (usage, cost)} in question-id order, the summed usage, and the total
+    cost: the per-question costs added in that order. ledger.json and cost_report both use it."""
+    per_question = {qid: (usage, usage.cost(prices)) for qid, usage in sorted(ledger.per_question().items())}
+    totals = sum((usage for usage, _ in per_question.values()), QuestionUsage())
+    return per_question, totals, sum((cost for _, cost in per_question.values()), 0.0)
+
+
 def cost_report(ledger: CostLedger, prices: PriceTable | None = None) -> CostReport:
-    """Per-question and aggregate cost at the given per-token rates."""
-    prices = prices or ledger.prices
-    per_question = {}
-    for qid, usage in sorted(ledger.per_question().items()):
-        per_question[qid] = {
-            "calls": usage.calls,
-            "prompt_tokens": usage.prompt_tokens,
-            "completion_tokens": usage.completion_tokens,
-            "total_tokens": usage.total_tokens,
-            "cost": usage.cost(prices),
-        }
+    """Per-question and aggregate cost at the given per-token rates (the ledger's by default)."""
+    per_question, totals, total_cost = _priced(ledger, prices or ledger.prices)
     n = len(per_question)
-    total_calls = sum(e["calls"] for e in per_question.values())
-    total_prompt = sum(e["prompt_tokens"] for e in per_question.values())
-    total_completion = sum(e["completion_tokens"] for e in per_question.values())
-    total_cost = sum(e["cost"] for e in per_question.values())
     return CostReport(
-        per_question=per_question,
+        per_question={
+            qid: {
+                "calls": usage.calls,
+                "prompt_tokens": usage.prompt_tokens,
+                "completion_tokens": usage.completion_tokens,
+                "total_tokens": usage.total_tokens,
+                "cost": cost,
+            }
+            for qid, (usage, cost) in per_question.items()
+        },
         n_questions=n,
-        total_calls=total_calls,
-        total_prompt_tokens=total_prompt,
-        total_completion_tokens=total_completion,
-        total_tokens=total_prompt + total_completion,
+        total_calls=totals.calls,
+        total_prompt_tokens=totals.prompt_tokens,
+        total_completion_tokens=totals.completion_tokens,
+        total_tokens=totals.total_tokens,
         total_cost=total_cost,
-        mean_calls=total_calls / n if n else 0.0,
-        mean_tokens=(total_prompt + total_completion) / n if n else 0.0,
+        mean_calls=totals.calls / n if n else 0.0,
+        mean_tokens=totals.total_tokens / n if n else 0.0,
         mean_cost=total_cost / n if n else 0.0,
     )
 
@@ -390,14 +355,14 @@ class ScriptedStubProvider:
 
     def generate(self, request: ChatRequest) -> ProviderReply:
         if self.prompt_hash_script:
-            content = self.prompt_hash_script.get(self.prompt_hash(request.prompt_text))
+            content = self.prompt_hash_script.get(self.prompt_hash(request.prompt))
             if content is not None:
                 return ProviderReply(content=content)
         entries = self.script.get(request.template or "", {})
         content = entries.get(request.question_id or "")
         if content is None:
             if self.on_missing == "echo":
-                return ProviderReply(content=request.prompt_text)
+                return ProviderReply(content=request.prompt)
             raise StubKeyError(f"no scripted response for ({request.template!r}, {request.question_id!r})")
         return ProviderReply(content=content)
 
@@ -408,15 +373,17 @@ class EchoProvider:
     provider_id = "echo"
 
     def generate(self, request: ChatRequest) -> ProviderReply:
-        return ProviderReply(content=request.prompt_text)
+        return ProviderReply(content=request.prompt)
 
 
 class RemoteChatProvider:
     """OpenAI-style chat completion endpoint.
 
-    Request: {model, messages, temperature, top_p, n, max_tokens} ->
-    response {choices: [{message: {content}}], usage: {prompt_tokens, completion_tokens}}.
-    The API key is read from the environment variable named in the config.
+    Request: {model, messages: [one user message], temperature, top_p: 1, n: 1}, with no
+    max_tokens so the provider's maximum applies -> response {choices: [{message: {content}}],
+    usage: {prompt_tokens, completion_tokens}}. A missing or null usage leaves both counts
+    to the gateway's estimate. The API key is read from the environment variable named in
+    the config.
     """
 
     def __init__(
@@ -435,18 +402,16 @@ class RemoteChatProvider:
         self.provider_id = f"remote-{model}"
 
     def generate(self, request: ChatRequest) -> ProviderReply:
-        payload: dict = {
+        payload = {
             "model": self.model,
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+            "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
-            "top_p": request.top_p,
-            "n": request.n,
+            "top_p": 1.0,
+            "n": 1,
         }
-        if request.max_tokens is not None:
-            payload["max_tokens"] = request.max_tokens
         body = post_json(self._session, self.endpoint, payload, self.api_key_env, self.timeout)
         content = body["choices"][0]["message"]["content"]
-        usage = body.get("usage", {})
+        usage = body.get("usage") or {}
         return ProviderReply(
             content=content,
             prompt_tokens=usage.get("prompt_tokens"),
@@ -479,7 +444,11 @@ class Gateway:
         self._slots = threading.Semaphore(max_in_flight) if max_in_flight is not None else None
         self._sleep = sleep
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> ProviderReply:
+        """The provider's reply with both token counts set: a count the provider did not
+        report is estimated, and one that is not an int >= 0 raises ValueError before the
+        call is recorded."""
+
         def attempt() -> ProviderReply:
             """One provider try; successful and transient-failed tries each count as an attempt."""
             try:
@@ -497,16 +466,9 @@ class Gateway:
         finally:
             if self._slots is not None:
                 self._slots.release()
-        prompt_tokens = reply.prompt_tokens
-        if prompt_tokens is None:
-            prompt_tokens = estimate_tokens(request.prompt_text)
-        completion_tokens = reply.completion_tokens
-        if completion_tokens is None:
-            completion_tokens = estimate_tokens(reply.content)
+        prompt_tokens = estimate_tokens(request.prompt) if reply.prompt_tokens is None else reply.prompt_tokens
+        completion_tokens = estimate_tokens(reply.content) if reply.completion_tokens is None else reply.completion_tokens
+        if not all(type(n) is int and n >= 0 for n in (prompt_tokens, completion_tokens)):
+            raise ValueError(f"token counts must be ints >= 0, got {prompt_tokens!r} and {completion_tokens!r}")
         self.ledger.record_call(request.question_id, prompt_tokens, completion_tokens)
-        return ChatResponse(
-            content=reply.content,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
-            provider_id=self.provider.provider_id,
-        )
+        return ProviderReply(reply.content, prompt_tokens, completion_tokens)

@@ -53,6 +53,7 @@ from .evaluation import (
     graph_quality,
 )
 from .gateway import (
+    ChatRequest,
     CostLedger,
     EchoProvider,
     Gateway,
@@ -62,7 +63,6 @@ from .gateway import (
     ScriptedStubProvider,
     estimate_tokens,
     load_templates,
-    user_request,
 )
 from .graph import GROUP_MODES, EntityRef, Relation, Triple, intern_graph, load_graph, relation_text
 from .pruning import rank_rows, score_columns
@@ -472,10 +472,7 @@ def _upstream_row(upstream_rows: Mapping[str, dict], stage: str, record_id: str)
 
 
 def _complete(ctx: PipelineContext, template: str, prompt: str, record: DatasetRecord) -> str:
-    request = user_request(
-        prompt, temperature=ctx.config.temperature_for(template), template=template, question_id=record.id
-    )
-    return ctx.gateway.complete(request).content
+    return ctx.gateway.complete(ChatRequest(prompt, ctx.config.temperature_for(template), template, record.id)).content
 
 
 def _parse_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping) -> dict:

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .gateway import ChatMessage, ChatRequest, PromptTemplate, render_template
+from .gateway import ChatRequest, PromptTemplate, render_template
 from .graph import Triple
 
 if TYPE_CHECKING:
@@ -114,12 +114,7 @@ def decompose(
     if not question:
         raise ValueError("question must be non-empty")
     prompt = render_template(template, {"question": question})
-    request = ChatRequest(
-        messages=(ChatMessage("user", prompt),),
-        temperature=temperature,
-        template=template.name,
-        question_id=question_id,
-    )
+    request = ChatRequest(prompt, temperature, template.name, question_id)
     last_error: TreeParseError | None = None
     for _ in range(2):
         response = gateway.complete(request)

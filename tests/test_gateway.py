@@ -6,13 +6,14 @@ import pytest
 
 from kgqa.gateway import (
     TEMPLATE_NAMES,
-    ChatMessage,
     ChatRequest,
     CostLedger,
     EchoProvider,
     Gateway,
     PriceTable,
     PromptTemplate,
+    ProviderReply,
+    QuestionUsage,
     ScriptedStubProvider,
     StubKeyError,
     TemplateError,
@@ -23,8 +24,8 @@ from kgqa.gateway import (
     load_template,
     load_templates,
     render_template,
-    user_request,
 )
+from kgqa.pipeline import RunConfig
 
 from helpers import FlakyProvider
 
@@ -89,23 +90,12 @@ class TestEstimateTokens:
 
 class TestRequestValidation:
     def test_defaults(self):
-        req = user_request("hello")
-        assert req.temperature == 0.2
-        assert req.top_p == 1.0
-        assert req.n == 1
-        assert req.max_tokens is None
-
-    def test_bad_role(self):
-        with pytest.raises(ValueError):
-            ChatMessage("assistant", "x")
-
-    def test_needs_message(self):
-        with pytest.raises(ValueError):
-            ChatRequest(messages=())
+        req = ChatRequest("hello")
+        assert (req.prompt, req.temperature, req.template, req.question_id) == ("hello", 0.2, None, None)
 
     def test_negative_temperature(self):
         with pytest.raises(ValueError):
-            user_request("x", temperature=-0.1)
+            ChatRequest("x", temperature=-0.1)
 
 
 class TestScriptedStub:
@@ -116,7 +106,7 @@ class TestScriptedStub:
             ledger=ledger,
             sleep=lambda _: None,
         )
-        resp = gateway.complete(user_request("prompt", template="question_answering", question_id="q1"))
+        resp = gateway.complete(ChatRequest("prompt", template="question_answering", question_id="q1"))
         assert resp.content == "Final answer:\nParis"
         assert ledger.usage("q1").calls == 1
         assert resp.prompt_tokens == estimate_tokens("prompt")
@@ -125,16 +115,16 @@ class TestScriptedStub:
     def test_missing_key_errors_by_default(self):
         provider = ScriptedStubProvider({})
         with pytest.raises(StubKeyError):
-            provider.generate(user_request("p", template="question_answering", question_id="zzz"))
+            provider.generate(ChatRequest("p", template="question_answering", question_id="zzz"))
 
     def test_missing_key_echo_mode(self):
         provider = ScriptedStubProvider({}, on_missing="echo")
-        reply = provider.generate(user_request("echo me", template="question_answering", question_id="zzz"))
+        reply = provider.generate(ChatRequest("echo me", template="question_answering", question_id="zzz"))
         assert reply.content == "echo me"
 
     def test_deterministic_across_calls(self):
         provider = ScriptedStubProvider({"cot_baseline": {"q": "stable"}})
-        req = user_request("p", template="cot_baseline", question_id="q")
+        req = ChatRequest("p", template="cot_baseline", question_id="q")
         assert provider.generate(req).content == provider.generate(req).content
 
     def test_prompt_hash_mode(self):
@@ -142,7 +132,7 @@ class TestScriptedStub:
         provider = ScriptedStubProvider(
             prompt_hash_script={ScriptedStubProvider.prompt_hash(prompt): "golden reply"}
         )
-        assert provider.generate(user_request(prompt)).content == "golden reply"
+        assert provider.generate(ChatRequest(prompt)).content == "golden reply"
 
     def test_invalid_on_missing(self):
         with pytest.raises(ValueError):
@@ -154,7 +144,7 @@ class TestRetries:
         ledger = CostLedger()
         provider = FlakyProvider(EchoProvider(), failures=2)
         gateway = Gateway(provider, ledger=ledger, max_attempts=3, sleep=lambda _: None)
-        resp = gateway.complete(user_request("hi", question_id="q1"))
+        resp = gateway.complete(ChatRequest("hi", question_id="q1"))
         assert resp.content == "hi"
         usage = ledger.usage("q1")
         assert usage.calls == 1
@@ -165,16 +155,29 @@ class TestRetries:
         provider = FlakyProvider(EchoProvider(), failures=5)
         gateway = Gateway(provider, ledger=ledger, max_attempts=3, sleep=lambda _: None)
         with pytest.raises(TransportError):
-            gateway.complete(user_request("hi", question_id="q1"))
+            gateway.complete(ChatRequest("hi", question_id="q1"))
         usage = ledger.usage("q1")
         assert usage.calls == 0
         assert usage.attempts == 3
+
+    @pytest.mark.parametrize("counts", [(-50, None), (None, -1), (2.5, 1), (3, "4"), (True, 1)])
+    def test_bad_token_counts_rejected_before_the_call_is_recorded(self, counts):
+        class BadUsage:
+            provider_id = "bad-usage"
+
+            def generate(self, request):
+                return ProviderReply("ok", *counts)
+
+        ledger = CostLedger()
+        with pytest.raises(ValueError, match="token counts"):
+            Gateway(BadUsage(), ledger=ledger, sleep=lambda _: None).complete(ChatRequest("hi", question_id="q1"))
+        assert ledger.per_question() == {"q1": QuestionUsage(attempts=1)}
 
     def test_backoff_sequence(self):
         sleeps = []
         provider = FlakyProvider(EchoProvider(), failures=3)
         gateway = Gateway(provider, max_attempts=4, backoff_base=0.5, backoff_cap=8.0, sleep=sleeps.append)
-        gateway.complete(user_request("hi"))
+        gateway.complete(ChatRequest("hi"))
         assert sleeps == [0.5, 1.0, 2.0]
 
 
@@ -235,6 +238,13 @@ class TestCostReport:
         assert "# LLM Call" in text
         assert "Total Token" in text
         assert "Total Cost" in text
+
+    def test_report_total_equals_ledger_json_total(self):
+        ledger = CostLedger(RunConfig().price_table())
+        ledger.record_call("q1", 1, 1)
+        ledger.record_call("q2", 1, 4)
+        report = cost_report(ledger)
+        assert report.total_cost == ledger.to_dict()["totals"]["cost"] == (1.5e-07 + 6e-07) + (1.5e-07 + 4 * 6e-07)
 
     def test_negative_prices_rejected(self):
         with pytest.raises(ValueError):

@@ -298,7 +298,7 @@ class TestRunAll:
 
             def generate(self, request):
                 if request.template == "structural_enrich":
-                    prompts[request.question_id] = request.prompt_text
+                    prompts[request.question_id] = request.prompt
                 return stub.generate(request)
 
         ctx.gateway.provider = Recording()

@@ -13,13 +13,13 @@ import kgqa.evaluation
 from kgqa.embedding import MAX_INPUTS_PER_REQUEST, EmbeddingCache, EmbeddingError, RemoteEmbedder, embed_batch
 from kgqa.evaluation import RemoteKGCScorer
 from kgqa.gateway import (
+    ChatRequest,
     CostLedger,
     EchoProvider,
     Gateway,
     RemoteChatProvider,
     TransportError,
     post_json,
-    user_request,
     with_retries,
 )
 from kgqa.graph import EntityRef, Relation, Triple
@@ -159,44 +159,45 @@ class TestRemoteChatProvider:
 
     def test_request_payload_shape(self):
         provider, session = self.make([FakeResponse(payload=chat_payload("hi", {"prompt_tokens": 7, "completion_tokens": 2}))])
-        reply = provider.generate(user_request("hello", temperature=0.2))
-        sent = session.requests[0]["json"]
-        assert sent["model"] == "chat-x"
-        assert sent["messages"] == [{"role": "user", "content": "hello"}]
-        assert sent["temperature"] == 0.2
-        assert sent["top_p"] == 1.0
-        assert sent["n"] == 1
-        assert "max_tokens" not in sent  # provider maximum by default
+        reply = provider.generate(ChatRequest("hello", 0.2, "question_answering", "q1"))
+        # One user message, top_p 1 and n 1; no max_tokens, so the provider maximum applies.
+        assert session.requests[0]["json"] == {
+            "model": "chat-x",
+            "messages": [{"role": "user", "content": "hello"}],
+            "temperature": 0.2,
+            "top_p": 1.0,
+            "n": 1,
+        }
         assert reply.content == "hi"
         assert reply.prompt_tokens == 7
         assert reply.completion_tokens == 2
 
-    def test_max_tokens_forwarded_when_set(self):
-        provider, session = self.make([FakeResponse(payload=chat_payload("hi"))])
-        provider.generate(user_request("hello", max_tokens=64))
-        assert session.requests[0]["json"]["max_tokens"] == 64
-
     def test_missing_usage_estimated_by_gateway(self):
         provider, _ = self.make([FakeResponse(payload=chat_payload("four byte"))])
         gateway = Gateway(provider, sleep=lambda _: None)
-        response = gateway.complete(user_request("12345678"))
+        response = gateway.complete(ChatRequest("12345678"))
         assert response.prompt_tokens == 2
         assert response.completion_tokens == 3
+
+    def test_null_usage_estimated_by_gateway(self):
+        provider, _ = self.make([FakeResponse(payload={**chat_payload("four byte"), "usage": None})])
+        response = Gateway(provider, sleep=lambda _: None).complete(ChatRequest("12345678"))
+        assert (response.prompt_tokens, response.completion_tokens) == (2, 3)
 
     def test_rate_limit_is_transport_error(self):
         provider, _ = self.make([FakeResponse(status_code=429)])
         with pytest.raises(TransportError):
-            provider.generate(user_request("x"))
+            provider.generate(ChatRequest("x"))
 
     def test_client_error_not_retryable(self):
         provider, _ = self.make([FakeResponse(status_code=400, payload={"error": "bad"})])
         with pytest.raises(RuntimeError):
-            provider.generate(user_request("x"))
+            provider.generate(ChatRequest("x"))
 
     def test_api_key_header(self, monkeypatch):
         monkeypatch.setenv("CHAT_KEY", "k123")
         provider, session = self.make([FakeResponse(payload=chat_payload("ok"))], api_key_env="CHAT_KEY")
-        provider.generate(user_request("x"))
+        provider.generate(ChatRequest("x"))
         assert session.requests[0]["headers"]["Authorization"] == "Bearer k123"
 
     def test_gateway_retries_server_errors(self):
@@ -205,7 +206,7 @@ class TestRemoteChatProvider:
         )
         ledger = CostLedger()
         gateway = Gateway(provider, ledger=ledger, sleep=lambda _: None)
-        assert gateway.complete(user_request("x", question_id="q1")).content == "ok"
+        assert gateway.complete(ChatRequest("x", question_id="q1")).content == "ok"
         assert len(session.requests) == 3
         usage = ledger.usage("q1")
         assert (usage.calls, usage.attempts) == (1, 3)
@@ -226,6 +227,44 @@ class TestRemoteKGCScorer:
         assert scorer(triples) == [0.1, 0.2, 0.3]
         assert len(session.requests) == 1
         assert session.requests[0]["json"] == {"input": ["s0 r o0", "s1 r o1", "s2 r o2"]}
+
+    def test_large_graph_split_into_capped_requests(self):
+        n = MAX_INPUTS_PER_REQUEST + 5
+        triples = [Triple(EntityRef(f"s{i}"), Relation("r"), EntityRef(f"o{i}"), index=i) for i in range(n)]
+        scores = [i / n for i in range(n)]
+        session = FakeSession(
+            [
+                FakeResponse(payload={"data": [{"score": x} for x in scores[:MAX_INPUTS_PER_REQUEST]]}),
+                FakeResponse(payload={"data": [{"score": x} for x in scores[MAX_INPUTS_PER_REQUEST:]]}),
+            ]
+        )
+        assert RemoteKGCScorer("https://kgc.example/v1", session=session)(triples) == scores
+        assert [len(r["json"]["input"]) for r in session.requests] == [MAX_INPUTS_PER_REQUEST, 5]
+        assert [text for r in session.requests for text in r["json"]["input"]] == [f"s{i} r o{i}" for i in range(n)]
+
+    def test_count_mismatch_checked_per_request(self):
+        n = MAX_INPUTS_PER_REQUEST + 2
+        triples = [Triple(EntityRef(f"s{i}"), Relation("r"), EntityRef(f"o{i}"), index=i) for i in range(n)]
+        session = FakeSession(
+            [
+                FakeResponse(payload={"data": [{"score": 0.5}] * (MAX_INPUTS_PER_REQUEST + 1)}),
+                FakeResponse(payload={"data": [{"score": 0.5}]}),
+            ]
+        )
+        with pytest.raises(ValueError, match=f"{MAX_INPUTS_PER_REQUEST + 1} scores for {MAX_INPUTS_PER_REQUEST} triples"):
+            RemoteKGCScorer("https://kgc.example/v1", session=session)(triples)
+        assert len(session.requests) == 1
+
+    def test_each_request_retried_on_its_own(self, monkeypatch):
+        monkeypatch.setattr(kgqa.evaluation, "with_retries", lambda call: with_retries(call, sleep=lambda _: None))
+        n = MAX_INPUTS_PER_REQUEST + 1
+        triples = [Triple(EntityRef(f"s{i}"), Relation("r"), EntityRef(f"o{i}"), index=i) for i in range(n)]
+        full = FakeResponse(payload={"data": [{"score": 0.5}] * MAX_INPUTS_PER_REQUEST})
+        tail = FakeResponse(payload={"data": [{"score": 0.25}]})
+        down = FakeResponse(status_code=503)
+        session = FakeSession([down, down, full, down, down, tail])
+        assert RemoteKGCScorer("https://kgc.example/v1", session=session)(triples) == [0.5] * (n - 1) + [0.25]
+        assert len(session.requests) == 6
 
     def test_score_count_mismatch_rejected(self):
         session = FakeSession([FakeResponse(payload={"data": [{"score": 0.1}]})])
@@ -289,7 +328,7 @@ class TestGatewayInFlightBound:
 
         gateway = Gateway(SlowProvider(), max_in_flight=2, sleep=lambda _: None)
         threads = [
-            threading.Thread(target=lambda: gateway.complete(user_request("x")))
+            threading.Thread(target=lambda: gateway.complete(ChatRequest("x")))
             for _ in range(8)
         ]
         for t in threads:

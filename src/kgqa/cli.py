@@ -125,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
             report, ledger = run_all(config, records, args.stage_dir, resume=args.resume)
             summary = {key: value for key, value in report.to_dict().items() if key not in ("per_question", "notes")}
             print(json.dumps({**summary, "calls": ledger.total_calls()}, indent=2))
-            if records and "eval" in config.plan() and report.n == 0:
+            if records and report.n == 0:
                 print("error: the report covers no record; see the errors directory", file=sys.stderr)
                 return 1
         elif args.command == "sweep-k":

@@ -11,13 +11,11 @@ here too: `post_json` builds the headers and classifies the status codes, and
 `with_retries` is the one bounded-retry loop.
 
 The scripted stub provider is keyed by (template name, question id) so fixture
-suites survive benign prompt-wording changes; a strict prompt-hash mode is
-available for golden tests.
+suites survive benign prompt-wording changes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -326,43 +324,21 @@ def format_cost_report(report: CostReport, label: str = "run") -> str:
 
 
 class ScriptedStubProvider:
-    """Deterministic offline provider returning canned content.
-
-    Lookup order: strict prompt-hash entries (when enabled) take precedence,
-    then (template, question id). `on_missing` selects between raising and
-    echoing the prompt back. A string `script` names a JSON file holding the script.
+    """Deterministic offline provider returning the canned content scripted for a
+    request's (template, question id); a missing key raises StubKeyError. A string
+    `script` names a JSON file holding the script.
     """
 
     provider_id = "scripted-stub"
 
-    def __init__(
-        self,
-        script: Mapping[str, Mapping[str, str]] | str | None = None,
-        on_missing: str = "error",
-        prompt_hash_script: Mapping[str, str] | None = None,
-    ):
-        if on_missing not in ("error", "echo"):
-            raise ValueError("on_missing must be 'error' or 'echo'")
+    def __init__(self, script: Mapping[str, Mapping[str, str]] | str | None = None):
         if isinstance(script, str):
             script = json.loads(Path(script).read_text(encoding="utf-8"))
         self.script = {tpl: dict(entries) for tpl, entries in (script or {}).items()}
-        self.prompt_hash_script = dict(prompt_hash_script or {})
-        self.on_missing = on_missing
-
-    @staticmethod
-    def prompt_hash(prompt: str) -> str:
-        return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
     def generate(self, request: ChatRequest) -> ProviderReply:
-        if self.prompt_hash_script:
-            content = self.prompt_hash_script.get(self.prompt_hash(request.prompt))
-            if content is not None:
-                return ProviderReply(content=content)
-        entries = self.script.get(request.template or "", {})
-        content = entries.get(request.question_id or "")
+        content = self.script.get(request.template or "", {}).get(request.question_id or "")
         if content is None:
-            if self.on_missing == "echo":
-                return ProviderReply(content=request.prompt)
             raise StubKeyError(f"no scripted response for ({request.template!r}, {request.question_id!r})")
         return ProviderReply(content=content)
 
@@ -382,8 +358,8 @@ class RemoteChatProvider:
     Request: {model, messages: [one user message], temperature, top_p: 1, n: 1}, with no
     max_tokens so the provider's maximum applies -> response {choices: [{message: {content}}],
     usage: {prompt_tokens, completion_tokens}}. A missing or null usage leaves both counts
-    to the gateway's estimate. The API key is read from the environment variable named in
-    the config.
+    to the gateway's estimate; a content that is not a string raises ValueError.
+    The API key is read from the environment variable named in the config.
     """
 
     def __init__(
@@ -411,6 +387,8 @@ class RemoteChatProvider:
         }
         body = post_json(self._session, self.endpoint, payload, self.api_key_env, self.timeout)
         content = body["choices"][0]["message"]["content"]
+        if not isinstance(content, str):
+            raise ValueError(f"reply from {self.endpoint} has no text content, got {content!r}")
         usage = body.get("usage") or {}
         return ProviderReply(
             content=content,
@@ -450,14 +428,11 @@ class Gateway:
         call is recorded."""
 
         def attempt() -> ProviderReply:
-            """One provider try; successful and transient-failed tries each count as an attempt."""
+            """One provider try; every try counts as an attempt, whatever its outcome."""
             try:
-                reply = self.provider.generate(request)
-            except TransportError:
+                return self.provider.generate(request)
+            finally:
                 self.ledger.record_attempt(request.question_id)
-                raise
-            self.ledger.record_attempt(request.question_id)
-            return reply
 
         if self._slots is not None:
             self._slots.acquire()

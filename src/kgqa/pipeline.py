@@ -206,10 +206,6 @@ CONFIG_TABLE = {
     "provider_query_filter": _FLAG,
     "ablation": (lambda value: value in ABLATIONS, f"one of {ABLATIONS}"),
     "workers": _COUNT,
-    "stages": _or_null((
-        lambda value: isinstance(value, (list, tuple)) and all(isinstance(s, str) and s in _FULL_PLAN for s in value),
-        f"a list of stage names among {_FULL_PLAN}",
-    )),
     "template_dir": _or_null(_PATH),
     "cache_dir": _or_null(_PATH),
     "ascii_fold": _FLAG,
@@ -241,7 +237,6 @@ class RunConfig:
     provider_query_filter: bool = False
     ablation: str = "full"
     workers: int = 1
-    stages: Sequence[str] | None = None
     template_dir: str | None = None
     cache_dir: str | None = None
     ascii_fold: bool = False
@@ -283,16 +278,17 @@ class RunConfig:
         return float(self.stage_temperatures.get(template_name, self.temperature))
 
     def plan(self) -> tuple[str, ...]:
-        return tuple(self.stages) if self.stages is not None else ABLATION_TABLE[self.ablation].plan
+        """The stages the ablation runs, in order; every plan ends in eval."""
+        return ABLATION_TABLE[self.ablation].plan
 
 
 # section -> kind -> (constructor, {key: check}); a spec without a `kind` takes its section's first
 # kind. A key the constructor gives no default is required (REQUIRED_KEYS, found once: `inspect` is
-# slow). Range checks the constructors make (dimension, constant value, on_missing) are not repeated here.
+# slow). Range checks the constructors make (dimension, constant value) are not repeated here.
 PROVIDER_TABLE = {
     "llm": {
         "echo": (EchoProvider, {}),
-        "stub": (ScriptedStubProvider, {"script": _SCRIPT, "on_missing": _TEXT, "prompt_hash_script": _or_null(_OBJECT)}),
+        "stub": (ScriptedStubProvider, {"script": _SCRIPT}),
         "remote": (RemoteChatProvider, {"model": _TEXT, "endpoint": _TEXT, "api_key_env": _KEY_ENV, "timeout": _or_null(_SECONDS)}),
     },
     "embedder": {
@@ -301,7 +297,6 @@ PROVIDER_TABLE = {
     },
     "kgc": {
         "constant": (ConstantScorer, {"value": _NUMBER}),
-        "constant-stub": (ConstantScorer, {"value": _NUMBER}),
         "remote": (RemoteKGCScorer, {"endpoint": _TEXT, "timeout": _SECONDS}),
     },
 }
@@ -630,7 +625,7 @@ def run_stage(stage: str, ctx: PipelineContext, resume: bool = True) -> StageArt
         raise StageError(f"unknown stage {stage!r}")
     manifest_path = ctx.stage_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8")) if manifest_path.exists() else {}
-    plan = ABLATION_TABLE[ctx.config.ablation].plan
+    plan = ctx.config.plan()
     upstream_rows: dict[str, dict] = {}
     upstream_hashes: dict[str, str] = {}
     for up in (STAGE_TABLE[name] for name in spec.upstreams if name in plan):

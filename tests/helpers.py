@@ -72,7 +72,7 @@ def random_queries(rng: Random, n: int) -> list[str]:
 
 
 def stub_gateway(script: dict, ledger: CostLedger | None = None, **kwargs) -> Gateway:
-    provider = ScriptedStubProvider(script=script, on_missing=kwargs.pop("on_missing", "error"))
+    provider = ScriptedStubProvider(script=script)
     return Gateway(provider, ledger=ledger, sleep=lambda _: None, **kwargs)
 
 

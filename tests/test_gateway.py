@@ -117,26 +117,10 @@ class TestScriptedStub:
         with pytest.raises(StubKeyError):
             provider.generate(ChatRequest("p", template="question_answering", question_id="zzz"))
 
-    def test_missing_key_echo_mode(self):
-        provider = ScriptedStubProvider({}, on_missing="echo")
-        reply = provider.generate(ChatRequest("echo me", template="question_answering", question_id="zzz"))
-        assert reply.content == "echo me"
-
     def test_deterministic_across_calls(self):
-        provider = ScriptedStubProvider({"cot_baseline": {"q": "stable"}})
-        req = ChatRequest("p", template="cot_baseline", question_id="q")
+        provider = ScriptedStubProvider({"question_answering": {"q": "stable"}})
+        req = ChatRequest("p", template="question_answering", question_id="q")
         assert provider.generate(req).content == provider.generate(req).content
-
-    def test_prompt_hash_mode(self):
-        prompt = "golden prompt"
-        provider = ScriptedStubProvider(
-            prompt_hash_script={ScriptedStubProvider.prompt_hash(prompt): "golden reply"}
-        )
-        assert provider.generate(ChatRequest(prompt)).content == "golden reply"
-
-    def test_invalid_on_missing(self):
-        with pytest.raises(ValueError):
-            ScriptedStubProvider({}, on_missing="explode")
 
 
 class TestRetries:
@@ -171,6 +155,19 @@ class TestRetries:
         ledger = CostLedger()
         with pytest.raises(ValueError, match="token counts"):
             Gateway(BadUsage(), ledger=ledger, sleep=lambda _: None).complete(ChatRequest("hi", question_id="q1"))
+        assert ledger.per_question() == {"q1": QuestionUsage(attempts=1)}
+
+    @pytest.mark.parametrize("error", [RuntimeError("HTTP 400"), KeyError("choices")])
+    def test_failed_try_that_is_not_retried_counts_as_an_attempt(self, error):
+        class Failing:
+            provider_id = "failing"
+
+            def generate(self, request):
+                raise error
+
+        ledger = CostLedger()
+        with pytest.raises(type(error)):
+            Gateway(Failing(), ledger=ledger, sleep=lambda _: None).complete(ChatRequest("hi", question_id="q1"))
         assert ledger.per_question() == {"q1": QuestionUsage(attempts=1)}
 
     def test_backoff_sequence(self):

@@ -264,13 +264,6 @@ class TestRunAll:
             outputs[workers] = artifact_bytes(tmp_path / f"w{workers}")
         assert outputs[1] == outputs[3]
 
-    def test_stages_override(self, tmp_path, small_fixture):
-        records, script = small_fixture
-        config = RunConfig(llm={"kind": "stub", "script": script}, stages=("parse",))
-        run_all(config, records, tmp_path / "stage")
-        assert (tmp_path / "stage" / "parsed.jsonl").exists()
-        assert not (tmp_path / "stage" / "pruned.jsonl").exists()
-
     def test_provider_query_filter_adds_one_call(self, tmp_path, small_fixture):
         records, script = small_fixture
         script = {**script, "query_filter": {r.id: "1: 1\n2: none" for r in records}}
@@ -911,7 +904,6 @@ class TestCli:
             ("positive_threshold", True),
             ("prices", "x"),
             ("prices", {"input_per_token": -1}),
-            ("stages", 5),
             ("stage_temperatures", []),
             ("ascii_fold", "no"),
             ("provider_query_filter", "no"),
@@ -962,6 +954,27 @@ class TestCli:
         common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
         assert cli.main([command, *common]) == 2
         assert "error: invalid config: " in capsys.readouterr().err
+        assert not (tmp_path / "stage").exists()
+
+    @pytest.mark.parametrize(
+        "key,update,message",
+        [
+            ("stages", ["parse"], "unknown config keys: ['stages']"),
+            ("llm", {"on_missing": "echo"}, "llm kind 'stub' takes no key 'on_missing'"),
+            ("llm", {"prompt_hash_script": {}}, "llm kind 'stub' takes no key 'prompt_hash_script'"),
+            ("kgc", {"kind": "constant-stub", "value": 0.7}, "kgc.kind must be one of ('constant', 'remote'), not 'constant-stub'"),
+        ],
+        ids=["stages", "stub-on-missing", "stub-prompt-hash-script", "kgc-constant-stub"],
+    )
+    @pytest.mark.parametrize("command", ["parse", "run"])
+    def test_removed_config_value_is_rejected_up_front(self, tmp_path, capsys, command, key, update, message):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        config = json.loads(paths["config"].read_text())
+        value = {**config.get(key, {}), **update} if isinstance(update, dict) else update
+        paths["config"].write_text(json.dumps({**config, key: value}))
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
+        assert cli.main([command, *common]) == 2
+        assert f"error: invalid config: {message}" in capsys.readouterr().err
         assert not (tmp_path / "stage").exists()
 
     @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from kgqa.gateway import (
     CostLedger,
     EchoProvider,
     Gateway,
+    QuestionUsage,
     RemoteChatProvider,
     TransportError,
     post_json,
@@ -183,6 +184,15 @@ class TestRemoteChatProvider:
         provider, _ = self.make([FakeResponse(payload={**chat_payload("four byte"), "usage": None})])
         response = Gateway(provider, sleep=lambda _: None).complete(ChatRequest("12345678"))
         assert (response.prompt_tokens, response.completion_tokens) == (2, 3)
+
+    @pytest.mark.parametrize("usage", [None, {"prompt_tokens": 7, "completion_tokens": 2}])
+    def test_null_content_fails_once_naming_the_endpoint(self, usage):
+        provider, session = self.make([FakeResponse(payload={**chat_payload(None), "usage": usage})])
+        ledger = CostLedger()
+        with pytest.raises(ValueError, match="https://chat.example/v1"):
+            Gateway(provider, ledger=ledger, sleep=lambda _: None).complete(ChatRequest("x", question_id="q1"))
+        assert len(session.requests) == 1
+        assert ledger.per_question() == {"q1": QuestionUsage(attempts=1)}
 
     def test_rate_limit_is_transport_error(self):
         provider, _ = self.make([FakeResponse(status_code=429)])

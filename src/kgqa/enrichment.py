@@ -10,22 +10,14 @@ malformed lines degrade to warnings rather than failures.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch, similarity
-from .gateway import ChatRequest, PromptTemplate, render_template
+from .gateway import PromptTemplate, render_template
 from .graph import EntityRef, Relation, Triple, extract_paths
-
-if TYPE_CHECKING:
-    from .gateway import Gateway
-
-logger = logging.getLogger(__name__)
-
-QUERY_FILTER_TEMPLATE_NAME = "query_filter"
 
 
 class Provenance(Enum):
@@ -107,72 +99,6 @@ def associate_queries(
         [graph_query] + [q for q, qv in zip(queries, query_vecs) if similarity(qv, gq_vec) > tau and q != graph_query]
         for graph_query, gq_vec in zip(graph_queries, vectors[len(queries):])
     ]
-
-
-def build_query_filter_prompt(graph_queries: Sequence[str], queries: Sequence[str]) -> str:
-    """Prompt asking the provider which user questions relate to each fact query."""
-    lines = [
-        "You match fact queries against user questions.",
-        "Facts:",
-    ]
-    for i, graph_query in enumerate(graph_queries, start=1):
-        lines.append(f"{i}. {graph_query}")
-    lines.append("Questions:")
-    for j, query in enumerate(queries, start=1):
-        lines.append(f"{j}. {query}")
-    lines.append(
-        "For each fact output exactly one line of the form "
-        "'<fact number>: <comma-separated question numbers>', using 'none' when no question relates."
-    )
-    return "\n".join(lines)
-
-
-_FILTER_LINE_RE = re.compile(r"^\s*(\d+)\s*:\s*(.*)$")
-
-
-def parse_query_filter_output(raw: str, n_facts: int, queries: Sequence[str]) -> list[list[str]] | None:
-    """Parse '<fact>: <question numbers>' lines; None when nothing parseable (degraded)."""
-    mapping: dict[int, list[str]] = {}
-    for line in raw.splitlines():
-        match = _FILTER_LINE_RE.match(line)
-        if not match:
-            continue
-        fact = int(match.group(1))
-        if not 1 <= fact <= n_facts:
-            continue
-        selected: list[str] = []
-        body = match.group(2).strip()
-        if body.lower() != "none":
-            for token in re.split(r"[,\s]+", body):
-                if token.isdigit() and 1 <= int(token) <= len(queries):
-                    query = queries[int(token) - 1]
-                    if query not in selected:
-                        selected.append(query)
-        mapping[fact] = selected
-    if not mapping:
-        return None
-    return [mapping.get(i + 1, []) for i in range(n_facts)]
-
-
-def associate_queries_via_provider(
-    graph_queries: Sequence[str],
-    queries: Sequence[str],
-    gateway: "Gateway",
-    question_id: str | None = None,
-    temperature: float = 0.2,
-) -> list[list[str]] | None:
-    """Provider-driven relevance filtering; one extra call, for fidelity experiments.
-
-    Returns None when the provider output is unusable so callers can fall back
-    to the embedder-based association.
-    """
-    prompt = build_query_filter_prompt(graph_queries, queries)
-    response = gateway.complete(ChatRequest(prompt, temperature, QUERY_FILTER_TEMPLATE_NAME, question_id))
-    parsed = parse_query_filter_output(response.content, len(graph_queries), queries)
-    if parsed is None:
-        logger.warning("question %s: unusable query-filter output, falling back to embedder association", question_id)
-        return None
-    return [[gq] + [q for q in selected if q != gq] for gq, selected in zip(graph_queries, parsed)]
 
 
 def filter_and_build_structural_prompt(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -90,16 +90,11 @@ class EvalReport:
     )
 
     def to_dict(self) -> dict:
-        return {
-            "hits1": self.hits1,
-            "f1": self.f1,
-            "precision": self.precision,
-            "recall": self.recall,
-            "acc": self.acc,
-            "n": self.n,
-            "per_question": self.per_question,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "notes": list(self.notes)}
+
+
+# Each report mean and the per-question entry it averages.
+_MEAN_OF = (("hits1", "hit"), ("precision", "precision"), ("recall", "recall"), ("f1", "f1"), ("acc", "exact"))
 
 
 def build_eval_report(
@@ -120,11 +115,8 @@ def build_eval_report(
         }
     report.n = len(report.per_question)
     if report.n:
-        report.hits1 = sum(e["hit"] for e in report.per_question.values()) / report.n
-        report.precision = sum(e["precision"] for e in report.per_question.values()) / report.n
-        report.recall = sum(e["recall"] for e in report.per_question.values()) / report.n
-        report.f1 = sum(e["f1"] for e in report.per_question.values()) / report.n
-        report.acc = sum(e["exact"] for e in report.per_question.values()) / report.n
+        for attr, key in _MEAN_OF:
+            setattr(report, attr, sum(e[key] for e in report.per_question.values()) / report.n)
     return report
 
 
@@ -312,9 +304,10 @@ def export_quality_report(reports: Sequence[GraphQualityReport], out_dir: str | 
         with dist_path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["i", "j", "distance"])
-            arrays = [np.asarray(v, dtype=np.float64) for v in report.embeddings]
-            for i in range(len(arrays)):
-                for j in range(i + 1, len(arrays)):
-                    writer.writerow([i, j, f"{float(np.linalg.norm(arrays[i] - arrays[j])):.8g}"])
+            matrix = np.asarray(report.embeddings, dtype=np.float64)
+            for i in range(len(matrix)):
+                d = matrix[i + 1 :] - matrix[i]
+                dists = np.sqrt(np.einsum("ij,ij->i", d, d)).tolist()
+                writer.writerows([i, j, f"{x:.8g}"] for j, x in enumerate(dists, start=i + 1))
         written.append(dist_path)
     return written

@@ -33,9 +33,7 @@ from .answering import build_qa_prompt, normalize_answer, parse_final_answers
 from .atomic import write_atomic
 from .embedding import EmbeddingCache, ReferenceEmbedder, RemoteEmbedder
 from .enrichment import (
-    QUERY_FILTER_TEMPLATE_NAME,
     associate_queries,
-    associate_queries_via_provider,
     build_feature_prompt,
     collect_entity_contexts,
     filter_and_build_structural_prompt,
@@ -53,6 +51,7 @@ from .evaluation import (
     graph_quality,
 )
 from .gateway import (
+    TEMPLATE_NAMES,
     ChatRequest,
     CostLedger,
     EchoProvider,
@@ -91,9 +90,6 @@ ABLATION_TABLE = {
 }
 
 ABLATIONS = tuple(ABLATION_TABLE)
-
-# The templates the pipeline's provider calls name: the keys `stage_temperatures` may set.
-CALL_TEMPLATES = ("query_structuring", "structural_enrich", "feature_enrich", "question_answering", QUERY_FILTER_TEMPLATE_NAME)
 
 _ID_SAFE_RE = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -198,12 +194,11 @@ CONFIG_TABLE = {
     "top_k": _COUNT,
     "temperature": _RATE,
     "stage_temperatures": (
-        lambda value: isinstance(value, dict) and all(k in CALL_TEMPLATES and _RATE[0](t) for k, t in value.items()),
-        f"an object mapping templates among {CALL_TEMPLATES} to finite numbers >= 0",
+        lambda value: isinstance(value, dict) and all(k in TEMPLATE_NAMES and _RATE[0](t) for k, t in value.items()),
+        f"an object mapping templates among {TEMPLATE_NAMES} to finite numbers >= 0",
     ),
     "tau": (lambda value: _finite_number(value) or value == math.inf, "a finite number or +inf"),
     "payload_cap": _or_null(_COUNT),
-    "provider_query_filter": _FLAG,
     "ablation": (lambda value: value in ABLATIONS, f"one of {ABLATIONS}"),
     "workers": _COUNT,
     "template_dir": _or_null(_PATH),
@@ -234,7 +229,6 @@ class RunConfig:
     stage_temperatures: dict = field(default_factory=dict)
     tau: float = 0.3
     payload_cap: int | None = 60
-    provider_query_filter: bool = False
     ablation: str = "full"
     workers: int = 1
     template_dir: str | None = None
@@ -515,17 +509,7 @@ def _enrich_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mappin
         queries = list(parsed["flat"]) or [record.question]
         payload = kept[: ctx.config.payload_cap]
         graph_queries = [fallback_graph_query(t) for t in payload]
-        associations = None
-        if ctx.config.provider_query_filter:
-            associations = associate_queries_via_provider(
-                graph_queries,
-                queries,
-                ctx.gateway,
-                question_id=record.id,
-                temperature=ctx.config.temperature_for("query_filter"),
-            )
-        if associations is None:
-            associations = associate_queries(graph_queries, queries, ctx.embedder, ctx.cache, ctx.config.tau)
+        associations = associate_queries(graph_queries, queries, ctx.embedder, ctx.cache, ctx.config.tau)
         ablation = ABLATION_TABLE[ctx.config.ablation]
 
         def feature_reply() -> str:

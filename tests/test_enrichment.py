@@ -9,15 +9,12 @@ from kgqa.enrichment import (
     EnrichedTriple,
     Provenance,
     associate_queries,
-    associate_queries_via_provider,
     build_feature_prompt,
-    build_query_filter_prompt,
     collect_entity_contexts,
     filter_and_build_structural_prompt,
     format_triple_compact,
     merge_enriched,
     parse_feature_output,
-    parse_query_filter_output,
     parse_structural_output,
 )
 from kgqa.gateway import load_template
@@ -87,6 +84,18 @@ class TestStructuralPrompt:
             payload, [["q"]] * len(payload), template=load_template("structural_enrich")
         )
         assert "2-hop:\n(a,r1,b)->(b,r3,d)\n(a,r1,b)->(b,r2,c)\n[/INST]" in prompt
+
+    def test_precomputed_associations_override_embedder(self):
+        payload = list(load_graph([["a", "r", "b"]]))
+        prompt = filter_and_build_structural_prompt(
+            payload, [["own query", "hand picked query"]], template=load_template("structural_enrich")
+        )
+        assert "(a,r,b)-own query-hand picked query" in prompt
+
+    def test_association_length_mismatch_rejected(self):
+        payload = list(load_graph([["a", "r", "b"]]))
+        with pytest.raises(ValueError, match="associations"):
+            filter_and_build_structural_prompt(payload, [], template=load_template("structural_enrich"))
 
 
 class TestStructuralParse:
@@ -195,53 +204,6 @@ class TestAssociateQueries:
         assert out[0][0] == "where is the amber mesa"
         assert "where is the amber mesa located" in out[0]
         assert "unrelated xylophone" not in out[0]
-
-
-class TestProviderQueryFilter:
-    GRAPH_QUERIES = ["what is the r of a?", "what is the s of c?"]
-    QUERIES = ["who governs a", "what is c famous for"]
-
-    def test_prompt_numbers_facts_and_questions(self):
-        prompt = build_query_filter_prompt(self.GRAPH_QUERIES, self.QUERIES)
-        assert "1. what is the r of a?" in prompt
-        assert "2. what is the s of c?" in prompt
-        assert "1. who governs a" in prompt
-
-    def test_parse_selects_by_number(self):
-        out = parse_query_filter_output("1: 2\n2: none", 2, self.QUERIES)
-        assert out == [["what is c famous for"], []]
-
-    def test_parse_ignores_out_of_range(self):
-        out = parse_query_filter_output("1: 9, 1\n7: 1", 2, self.QUERIES)
-        assert out == [["who governs a"], []]
-
-    def test_unusable_output_is_none(self):
-        assert parse_query_filter_output("no structure here", 2, self.QUERIES) is None
-
-    def test_provider_association_prepends_graph_query(self):
-        from helpers import stub_gateway
-
-        gateway = stub_gateway({"query_filter": {"q1": "1: 1\n2: none"}})
-        out = associate_queries_via_provider(self.GRAPH_QUERIES, self.QUERIES, gateway, question_id="q1")
-        assert out == [["what is the r of a?", "who governs a"], ["what is the s of c?"]]
-
-    def test_unusable_provider_output_returns_none(self):
-        from helpers import stub_gateway
-
-        gateway = stub_gateway({"query_filter": {"q1": "garbled"}})
-        assert associate_queries_via_provider(self.GRAPH_QUERIES, self.QUERIES, gateway, question_id="q1") is None
-
-    def test_precomputed_associations_override_embedder(self):
-        payload = list(load_graph([["a", "r", "b"]]))
-        prompt = filter_and_build_structural_prompt(
-            payload, [["own query", "hand picked query"]], template=load_template("structural_enrich")
-        )
-        assert "(a,r,b)-own query-hand picked query" in prompt
-
-    def test_association_length_mismatch_rejected(self):
-        payload = list(load_graph([["a", "r", "b"]]))
-        with pytest.raises(ValueError, match="associations"):
-            filter_and_build_structural_prompt(payload, [], template=load_template("structural_enrich"))
 
 
 class TestMerge:

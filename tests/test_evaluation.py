@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from random import Random
 
+import numpy as np
 import pytest
 
 from kgqa.answering import normalize_answer
@@ -108,6 +109,23 @@ class TestEvalReport:
         assert set(report.per_question) == {"q1", "q2"}
         payload = report.to_dict()
         assert set(payload) >= {"hits1", "f1", "precision", "recall", "acc", "n", "per_question", "notes"}
+
+    def test_means_are_per_question_sums_in_id_order(self):
+        rows = {"q3": (["a", "b"], ["a"]), "q1": (["a"], ["a", "b", "c"]), "q2": (["x"], ["a"])}
+        report = build_eval_report(rows)
+        entries = [report.per_question[qid] for qid in ("q1", "q2", "q3")]
+        for attr, key in (("hits1", "hit"), ("precision", "precision"), ("recall", "recall"), ("f1", "f1"), ("acc", "exact")):
+            assert getattr(report, attr) == sum(e[key] for e in entries) / 3
+        assert report.to_dict() == {
+            "per_question": report.per_question,
+            "hits1": report.hits1,
+            "f1": report.f1,
+            "precision": report.precision,
+            "recall": report.recall,
+            "acc": report.acc,
+            "n": 3,
+            "notes": list(report.notes),
+        }
 
 
 class TestRelevance:
@@ -263,6 +281,19 @@ class TestExport:
         assert len(lines) - 1 == n * (n - 1) // 2
         emb_lines = (tmp_path / "embeddings_d_v.csv").read_text().strip().splitlines()
         assert len(emb_lines) - 1 == n
+
+    def test_distances_match_per_pair_norm(self, tmp_path):
+        texts = [f"text {i} {WORDS[i % len(WORDS)]}" for i in range(50)]
+        embeddings = [[float(x) for x in embed_reference(t)] for t in texts]
+        export_quality_report([self._report("d", "v", embeddings, texts)], tmp_path)
+        rows = (tmp_path / "distances_d_v.csv").read_text().splitlines()[1:]
+        vectors = [np.asarray(v, dtype=np.float64) for v in embeddings]
+        expected = [
+            f"{i},{j},{float(np.linalg.norm(vectors[i] - vectors[j])):.8g}"
+            for i in range(len(vectors))
+            for j in range(i + 1, len(vectors))
+        ]
+        assert rows == expected
 
     def test_unwritable_path_errors(self, tmp_path):
         blocker = tmp_path / "file"

@@ -264,14 +264,6 @@ class TestRunAll:
             outputs[workers] = artifact_bytes(tmp_path / f"w{workers}")
         assert outputs[1] == outputs[3]
 
-    def test_provider_query_filter_adds_one_call(self, tmp_path, small_fixture):
-        records, script = small_fixture
-        script = {**script, "query_filter": {r.id: "1: 1\n2: none" for r in records}}
-        config = RunConfig(llm={"kind": "stub", "script": script}, provider_query_filter=True)
-        report, ledger = run_all(config, records, tmp_path / "stage")
-        assert ledger.total_calls() == 5 * len(records)
-        assert report.hits1 == 1.0
-
     def test_uncapped_payload(self, tmp_path, mini_dataset):
         records, script = mini_dataset
         config = RunConfig(llm={"kind": "stub", "script": script}, payload_cap=None)
@@ -885,7 +877,7 @@ class TestCli:
             ("temperature", math.inf),
             ("stage_temperatures", {"cot_baseline": 0.5}),
             ("stage_temperatures", {"question_answering": -1}),
-            ("stage_temperatures", {"query_filter": math.nan}),
+            ("stage_temperatures", {"feature_enrich": math.nan}),
             ("stage_temperatures", {"question_answering": "hot"}),
             ("stage_temperatures", {"question_answering": True}),
             ("top_k", "5"),
@@ -906,8 +898,6 @@ class TestCli:
             ("prices", {"input_per_token": -1}),
             ("stage_temperatures", []),
             ("ascii_fold", "no"),
-            ("provider_query_filter", "no"),
-            ("provider_query_filter", 1),
             ("cache_dir", 5),
         ],
     )
@@ -960,11 +950,25 @@ class TestCli:
         "key,update,message",
         [
             ("stages", ["parse"], "unknown config keys: ['stages']"),
+            ("provider_query_filter", True, "unknown config keys: ['provider_query_filter']"),
+            (
+                "stage_temperatures",
+                {"query_filter": 0.0},
+                "stage_temperatures must be an object mapping templates among ('query_structuring', "
+                "'structural_enrich', 'feature_enrich', 'question_answering') to finite numbers >= 0",
+            ),
             ("llm", {"on_missing": "echo"}, "llm kind 'stub' takes no key 'on_missing'"),
             ("llm", {"prompt_hash_script": {}}, "llm kind 'stub' takes no key 'prompt_hash_script'"),
             ("kgc", {"kind": "constant-stub", "value": 0.7}, "kgc.kind must be one of ('constant', 'remote'), not 'constant-stub'"),
         ],
-        ids=["stages", "stub-on-missing", "stub-prompt-hash-script", "kgc-constant-stub"],
+        ids=[
+            "stages",
+            "provider-query-filter",
+            "stage-temperatures-query-filter",
+            "stub-on-missing",
+            "stub-prompt-hash-script",
+            "kgc-constant-stub",
+        ],
     )
     @pytest.mark.parametrize("command", ["parse", "run"])
     def test_removed_config_value_is_rejected_up_front(self, tmp_path, capsys, command, key, update, message):

@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(metrics_parser)
     metrics_parser.add_argument("--variants", default="vanilla,pruned,enriched", help="comma-separated variants")
     metrics_parser.add_argument("--out-dir", type=Path, help="output directory (default stage dir/quality)")
-    metrics_parser.add_argument("--dumps", action="store_true", help="also write embedding and distance dumps")
+    metrics_parser.add_argument("--dumps", action="store_true", help="also write one embeddings_<dataset>_<variant>.csv per variant")
 
     cost_parser = sub.add_parser("cost-report", help="print the ledger in the efficiency-table layout")
     _add_common(cost_parser)

@@ -12,7 +12,6 @@ size-comparable mean; thresholds elsewhere bind to the mean.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -20,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .answering import AnswerSet, normalize_all
-from .embedding import MAX_INPUTS_PER_REQUEST, EmbeddingCache, EmbeddingProvider, embed_batch, similarity
+from .embedding import MAX_INPUTS_PER_REQUEST, EmbeddingCache, EmbeddingProvider, embed_batch
 from .gateway import http_session, post_json, with_retries
 from .graph import Triple, group_by_endpoints, relation_text, textualize_triple
 
@@ -165,7 +164,7 @@ def relevance_score(
     if not triples:
         raise ValueError("relevance needs a non-empty graph")
     vectors = embed_batch([question] + [textualize_triple(t) for t in triples], provider, cache)
-    total = sum(similarity(vectors[0], vec) for vec in vectors[1:])
+    total = sum((vectors[1:] @ vectors[0]).tolist())
     return MetricValue(mean=total / len(triples), total=total)
 
 
@@ -184,7 +183,7 @@ def semantic_richness(
         raise ValueError(f"scorer returned {len(scores)} scores for {len(triples)} triples")
     total = 0.0
     for score in map(float, scores):
-        if not 0.0 <= score <= 1.0 or math.isnan(score):
+        if not 0.0 <= score <= 1.0:
             raise ValueError(f"scorer returned {score!r}, outside [0, 1]")
         if positive_threshold is not None and score < positive_threshold:
             continue
@@ -201,22 +200,23 @@ def redundancy_score(
     """Mean relation-text similarity over unordered within-group pairs.
 
     Groups share the selected endpoints; graphs with no multi-member group
-    score 0 by definition.
+    score 0 by definition. Each group's pair similarities come from its Gram
+    matrix, summed over the upper triangle in (i, j) pair order.
     """
     triples = list(triples)
     groups = group_by_endpoints(triples, mode)
     relation_texts = sorted({relation_text(t.relation.name) for t in triples})
     vectors = embed_batch(relation_texts, provider, cache)
-    vec_by_text = dict(zip(relation_texts, vectors))
+    row_of = {text: i for i, text in enumerate(relation_texts)}
     total = 0.0
     pairs = 0
     for group in groups:
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                a = vec_by_text[relation_text(group[i].relation.name)]
-                b = vec_by_text[relation_text(group[j].relation.name)]
-                total += similarity(a, b)
-                pairs += 1
+        m = len(group)
+        if m < 2:
+            continue
+        g = vectors[[row_of[relation_text(t.relation.name)] for t in group]]
+        total = sum((g @ g.T)[~np.tri(m, dtype=bool)].tolist(), total)
+        pairs += m * (m - 1) // 2
     mean = total / pairs if pairs else 0.0
     return RedundancyResult(mean=mean, total=total, groups=len(groups), pairs=pairs)
 
@@ -229,7 +229,7 @@ class GraphQualityReport:
     semantic_richness: MetricValue
     redundancy: RedundancyResult
     triples: int
-    embeddings: list[list[float]] | None = None
+    embeddings: np.ndarray | None = None  # (n, d): row i embeds texts[i]
     texts: list[str] | None = None
 
 
@@ -243,11 +243,10 @@ def graph_quality(
     mode: str = "head_and_tail",
     cache: EmbeddingCache | None = None,
     positive_threshold: float | None = None,
-    with_embeddings: bool = False,
 ) -> GraphQualityReport:
     """All three quality metrics for one question's graph."""
     triples = list(triples)
-    report = GraphQualityReport(
+    return GraphQualityReport(
         dataset=dataset,
         variant=variant,
         relevance=relevance_score(question, triples, provider, cache),
@@ -255,11 +254,6 @@ def graph_quality(
         redundancy=redundancy_score(triples, provider, mode, cache),
         triples=len(triples),
     )
-    if with_embeddings:
-        texts = [textualize_triple(t) for t in triples]
-        report.texts = texts
-        report.embeddings = [[float(x) for x in v] for v in embed_batch(texts, provider, cache)]
-    return report
 
 
 def _slug(value: str) -> str:
@@ -269,7 +263,7 @@ def _slug(value: str) -> str:
 
 def export_quality_report(reports: Sequence[GraphQualityReport], out_dir: str | Path) -> list[Path]:
     """Write quality.csv plus, per report carrying embeddings, an embedding dump
-    and the full pairwise Euclidean distance list (C(n,2) rows)."""
+    with one row per text; distances between the rows are left to the reader."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -296,18 +290,7 @@ def export_quality_report(reports: Sequence[GraphQualityReport], out_dir: str | 
         with emb_path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "text", "values"])
-            for i, vec in enumerate(report.embeddings):
-                text = report.texts[i] if report.texts else ""
-                writer.writerow([i, text, " ".join(f"{x:.8g}" for x in vec)])
+            for i, (text, vec) in enumerate(zip(report.texts, report.embeddings)):
+                writer.writerow([i, text, " ".join(f"{x:.8g}" for x in vec.tolist())])
         written.append(emb_path)
-        dist_path = out_dir / f"distances_{stem}.csv"
-        with dist_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "j", "distance"])
-            matrix = np.asarray(report.embeddings, dtype=np.float64)
-            for i in range(len(matrix)):
-                d = matrix[i + 1 :] - matrix[i]
-                dists = np.sqrt(np.einsum("ij,ij->i", d, d)).tolist()
-                writer.writerows([i, j, f"{x:.8g}"] for j, x in enumerate(dists, start=i + 1))
-        written.append(dist_path)
     return written

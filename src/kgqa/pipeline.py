@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 from .answering import build_qa_prompt, normalize_answer, parse_final_answers
 from .atomic import write_atomic
-from .embedding import EmbeddingCache, ReferenceEmbedder, RemoteEmbedder
+from .embedding import EmbeddingCache, ReferenceEmbedder, RemoteEmbedder, embed_batch
 from .enrichment import (
     associate_queries,
     build_feature_prompt,
@@ -63,7 +63,7 @@ from .gateway import (
     estimate_tokens,
     load_templates,
 )
-from .graph import GROUP_MODES, EntityRef, Relation, Triple, intern_graph, load_graph, relation_text
+from .graph import GROUP_MODES, EntityRef, GraphLoadError, Relation, Triple, intern_graph, load_graph, relation_text, textualize_triple
 from .pruning import rank_rows, score_columns
 from .queries import decompose, decomposition_to_dict, fallback_graph_query
 
@@ -717,8 +717,9 @@ def sweep_k(
 
     Each question's graph is scored and ranked once, as the prune stage does,
     against its parsed decomposition when that artifact has a row for it and
-    otherwise the bare question. Tokens are the estimator totals over the
-    textualized kept triples; cost applies the configured input rate.
+    otherwise the bare question; a record whose graph fails to load is logged
+    and skipped. Tokens are the estimator totals over the textualized kept
+    triples; cost applies the configured input rate.
     """
     if not ks or any(k < 1 for k in ks):
         raise ValueError("ks must be non-empty with every k >= 1")
@@ -727,7 +728,11 @@ def sweep_k(
     coverages: list[list[float]] = [[] for _ in ks]
     tokens = [0] * len(ks)
     for record in ctx.dataset:
-        g, _, _, order = _ranked_graph(ctx, record, parsed_rows.get(record.id))
+        try:
+            g, _, _, order = _ranked_graph(ctx, record, parsed_rows.get(record.id))
+        except GraphLoadError as exc:
+            logger.warning("sweep-k: record %s skipped: %s", record.id, exc)
+            continue
         top = order[: max(ks)]
         s, r, o = g.s[top].tolist(), g.r[top].tolist(), g.o[top].tolist()
         relations = [relation_text(name) for name in g.relations]
@@ -763,43 +768,27 @@ def quality_metrics(
     reports = []
     for variant in variants:
         triples_by_question = _variant_triples(ctx, variant)
-        per_question = []
-        embeddings: list[list[float]] = []
-        texts: list[str] = []
-        for record in ctx.dataset:
-            triples = triples_by_question.get(record.id, [])
-            if not triples:
-                continue
-            q = graph_quality(
-                record.question,
-                triples,
-                ctx.embedder,
-                ctx.scorer,
-                dataset=dataset_name,
-                variant=variant,
-                mode=ctx.config.redundancy_mode,
-                cache=ctx.cache,
-                positive_threshold=ctx.config.positive_threshold,
-                with_embeddings=with_dumps,
-            )
-            per_question.append(q)
-            if with_dumps and q.embeddings:
-                embeddings.extend(q.embeddings)
-                texts.extend(q.texts or [])
-        if not per_question:
+        graphs = [(r.question, triples_by_question[r.id]) for r in ctx.dataset if triples_by_question.get(r.id)]
+        if not graphs:
             continue
-        reports.append(
-            GraphQualityReport(
-                dataset=dataset_name,
-                variant=variant,
-                relevance=_pooled([q.relevance for q in per_question]),
-                semantic_richness=_pooled([q.semantic_richness for q in per_question]),
-                redundancy=_pooled([q.redundancy for q in per_question]),
-                triples=sum(q.triples for q in per_question),
-                embeddings=embeddings if with_dumps else None,
-                texts=texts if with_dumps else None,
-            )
+        per_question = [
+            graph_quality(question, triples, ctx.embedder, ctx.scorer, mode=ctx.config.redundancy_mode,
+                          cache=ctx.cache, positive_threshold=ctx.config.positive_threshold)
+            for question, triples in graphs
+        ]
+        report = GraphQualityReport(
+            dataset=dataset_name,
+            variant=variant,
+            relevance=_pooled([q.relevance for q in per_question]),
+            semantic_richness=_pooled([q.semantic_richness for q in per_question]),
+            redundancy=_pooled([q.redundancy for q in per_question]),
+            triples=sum(q.triples for q in per_question),
         )
+        if with_dumps:
+            # Relevance embedded every triple text already, so these are cache hits.
+            report.texts = [textualize_triple(t) for _, triples in graphs for t in triples]
+            report.embeddings = embed_batch(report.texts, ctx.embedder, ctx.cache)
+        reports.append(report)
     if out_dir is not None:
         export_quality_report(reports, out_dir)
     return reports
@@ -816,7 +805,7 @@ VARIANT_STAGES = {"vanilla": (), "pruned": ("prune",), "enriched": ("prune", "en
 
 
 def _variant_triples(ctx: PipelineContext, variant: str) -> dict[str, list[Triple]]:
-    """Per-question triples of a graph variant, for the records whose rows all exist."""
+    """Per-question triples of a graph variant, for the records whose rows all exist and whose graph loads."""
     if variant not in VARIANT_STAGES:
         raise ValueError(f"unknown variant {variant!r}")
     rows = []
@@ -830,6 +819,10 @@ def _variant_triples(ctx: PipelineContext, variant: str) -> dict[str, list[Tripl
     out: dict[str, list[Triple]] = {}
     for record in ctx.dataset:
         found = [by_id.get(record.id) for by_id in rows]
-        if None not in found:
+        if None in found:
+            continue
+        try:
             out[record.id] = _answer_triples(record, *found)
+        except GraphLoadError as exc:
+            logger.warning("metrics: %s variant of record %s skipped: %s", variant, record.id, exc)
     return out

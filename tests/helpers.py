@@ -24,7 +24,7 @@ from kgqa.gateway import (
     ScriptedStubProvider,
     TransportError,
 )
-from kgqa.graph import GraphColumns, Triple, load_graph, textualize_triple
+from kgqa.graph import GraphColumns, Triple, group_by_endpoints, load_graph, relation_text, textualize_triple
 from kgqa.pruning import CHANNELS, rank_rows
 
 VANILLA = "vanilla"
@@ -101,6 +101,28 @@ def write_dense_cache(path: Path, entries: dict[str, dict[str, np.ndarray]]) -> 
         rows = np.array([vectors[text] for text in texts], dtype="<f8")
         payload[pid] = {"texts": texts, "vectors": base64.b64encode(zlib.compress(rows.tobytes(), 1)).decode("ascii")}
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+
+
+def relevance_oracle(question: str, triples, provider) -> float:
+    """Per-pair reference for `relevance_score`'s total: one `similarity` call per triple, summed in triple order."""
+    vectors = embed_batch([question] + [textualize_triple(t) for t in triples], provider)
+    return sum(similarity(vectors[0], vec) for vec in vectors[1:])
+
+
+def redundancy_oracle(triples, provider, mode: str) -> tuple[float, int, int]:
+    """Per-pair reference for `redundancy_score`: (total, groups, pairs), with one
+    `similarity` call per within-group pair i < j, summed in that order."""
+    groups = group_by_endpoints(triples, mode)
+    texts = sorted({relation_text(t.relation.name) for t in triples})
+    vec_by_text = dict(zip(texts, embed_batch(texts, provider)))
+    total, pairs = 0.0, 0
+    for group in groups:
+        vectors = [vec_by_text[relation_text(t.relation.name)] for t in group]
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                total += similarity(vectors[i], vectors[j])
+                pairs += 1
+    return total, len(groups), pairs
 
 
 def answer_coverage(pruned: pruning.PrunedGraph, gold_answers, ascii_fold: bool = False) -> float:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 from random import Random
 
 import numpy as np
@@ -21,9 +22,9 @@ from kgqa.evaluation import (
     relevance_score,
     semantic_richness,
 )
-from kgqa.graph import EntityRef, Relation, Triple, relation_text, textualize_triple
+from kgqa.graph import GROUP_MODES, EntityRef, Relation, Triple, group_by_endpoints, load_graph, relation_text, textualize_triple
 
-from helpers import WORDS, random_graph
+from helpers import WORDS, random_graph, random_phrase, random_records, redundancy_oracle, relevance_oracle
 
 
 def triple(s, r, o, index=0):
@@ -167,8 +168,9 @@ class TestSemanticRichness:
         assert semantic_richness(triples, scorer).mean == pytest.approx(0.5)
 
     def test_out_of_range_score_rejected(self):
-        with pytest.raises(ValueError):
-            semantic_richness([triple("a", "r", "b")], lambda ts: [1.5] * len(ts))
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="outside"):
+                semantic_richness([triple("a", "r", "b")], lambda ts: [bad] * len(ts))
 
     def test_score_count_mismatch_rejected(self):
         triples = [triple("a", "r", "b"), triple("c", "s", "d", index=1)]
@@ -237,6 +239,44 @@ class TestRedundancy:
             assert after.mean >= before.mean - 1e-12
 
 
+def clustered_graph(rng: Random, n_triples: int, n_entities: int) -> list[Triple]:
+    """Triples over a small entity pool and a small relation pool, so endpoint
+    groups have many members and repeat relations."""
+    entities, relations = WORDS[:n_entities], WORDS[:6]
+    records = [
+        [rng.choice(entities), f"{rng.choice(relations)}_{rng.choice(relations)}", rng.choice(entities)]
+        for _ in range(n_triples)
+    ]
+    return list(load_graph(records))
+
+
+class TestMatchesPairOracle:
+    """The matrix forms of relevance and redundancy against the per-pair loops they replaced."""
+
+    @staticmethod
+    def assert_matches(question, triples, provider, mode):
+        relevance = relevance_score(question, triples, provider)
+        assert relevance.total == pytest.approx(relevance_oracle(question, triples, provider), rel=1e-12)
+        result = redundancy_score(triples, provider, mode)
+        total, groups, pairs = redundancy_oracle(triples, provider, mode)
+        assert result.total == pytest.approx(total, rel=1e-12)
+        assert (result.groups, result.pairs) == (groups, pairs)
+
+    @pytest.mark.parametrize("mode", GROUP_MODES)
+    def test_random_graphs(self, ref, mode):
+        rng = Random(f"pair-oracle-{mode}")
+        for _ in range(12):
+            triples = clustered_graph(rng, rng.randint(1, 150), rng.randint(2, 8))
+            self.assert_matches(random_phrase(rng, 4), triples, ref, mode)
+
+    def test_hub_group_in_head_mode(self, ref):
+        rng = Random(5)
+        hub = [["hub", f"{rng.choice(WORDS[:6])}_{rng.choice(WORDS[:6])}", f"{word}{i}"] for i, word in enumerate(rng.choices(WORDS, k=80))]
+        triples = list(load_graph(hub + random_records(rng, 40)))
+        assert max(len(group) for group in group_by_endpoints(triples, "head")) == 80
+        self.assert_matches("which relations does hub have", triples, ref, "head")
+
+
 class TestGraphQualityBundle:
     def test_means_within_unit_interval(self, ref):
         rng = Random(8)
@@ -272,28 +312,16 @@ class TestExport:
         lines = (tmp_path / "quality.csv").read_text().strip().splitlines()
         assert len(lines) == 1
 
-    def test_distances_row_count_is_n_choose_2(self, tmp_path, ref):
-        n = 7
-        texts = [f"text {i} {WORDS[i]}" for i in range(n)]
-        embeddings = [[float(x) for x in embed_reference(t)] for t in texts]
-        export_quality_report([self._report("d", "v", embeddings, texts)], tmp_path)
-        lines = (tmp_path / "distances_d_v.csv").read_text().strip().splitlines()
-        assert len(lines) - 1 == n * (n - 1) // 2
-        emb_lines = (tmp_path / "embeddings_d_v.csv").read_text().strip().splitlines()
-        assert len(emb_lines) - 1 == n
-
-    def test_distances_match_per_pair_norm(self, tmp_path):
-        texts = [f"text {i} {WORDS[i % len(WORDS)]}" for i in range(50)]
-        embeddings = [[float(x) for x in embed_reference(t)] for t in texts]
-        export_quality_report([self._report("d", "v", embeddings, texts)], tmp_path)
-        rows = (tmp_path / "distances_d_v.csv").read_text().splitlines()[1:]
-        vectors = [np.asarray(v, dtype=np.float64) for v in embeddings]
-        expected = [
-            f"{i},{j},{float(np.linalg.norm(vectors[i] - vectors[j])):.8g}"
-            for i in range(len(vectors))
-            for j in range(i + 1, len(vectors))
-        ]
-        assert rows == expected
+    def test_embeddings_dump_has_one_row_per_text_and_no_distances(self, tmp_path):
+        texts = [f"text {i} {WORDS[i]}" for i in range(7)]
+        embeddings = np.array([embed_reference(t) for t in texts])
+        written = export_quality_report([self._report("d", "v", embeddings, texts)], tmp_path)
+        assert written == [tmp_path / "quality.csv", tmp_path / "embeddings_d_v.csv"]
+        with (tmp_path / "embeddings_d_v.csv").open(newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["index", "text", "values"]
+        assert [(row[0], row[1]) for row in rows] == [(str(i), text) for i, text in enumerate(texts)]
+        assert not list(tmp_path.glob("distances_*.csv"))
 
     def test_unwritable_path_errors(self, tmp_path):
         blocker = tmp_path / "file"

@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgqa import cli, pipeline
-from kgqa.embedding import EmbeddingCache, ReferenceEmbedder
+from kgqa.embedding import EmbeddingCache, ReferenceEmbedder, embed_batch
 from kgqa.fixtures import build_mini_dataset, write_fixture
 from kgqa.gateway import estimate_tokens
-from kgqa.graph import Triple, load_graph, textualize_triple
+from kgqa.graph import Triple, load_graph, relation_text, textualize_triple
 from kgqa.pruning import ScoredTriple, score_graph, select_top_k
 from kgqa.pipeline import (
     DatasetError,
@@ -554,6 +554,43 @@ class TestQualityMetrics:
             assert 0.0 <= report.relevance.mean <= 1.0
             assert 0.0 <= report.redundancy.mean <= 1.0
         assert (tmp_path / "quality" / "quality.csv").exists()
+
+    def test_dumps_are_embed_batch_over_triple_texts_in_dataset_order(self, tmp_path, small_fixture):
+        records, script = small_fixture
+        config = RunConfig(llm={"kind": "stub", "script": script})
+        run_all(config, records, tmp_path / "stage")
+        ctx = PipelineContext(config, tmp_path / "stage", records)
+        vanilla, pruned = quality_metrics(ctx, ("vanilla", "pruned"), tmp_path / "quality", with_dumps=True)
+        kept = {row["id"]: row["kept"] for row in pruned_rows(tmp_path / "stage")}
+        expected = {
+            "vanilla": [textualize_triple(t) for r in records for t in load_graph(r.graph)],
+            "pruned": [f"{e['s']} {relation_text(e['r'])} {e['o']}" for r in records for e in kept[r.id]],
+        }
+        for report in (vanilla, pruned):
+            assert report.texts == expected[report.variant]
+            assert report.embeddings.shape == (report.triples, ctx.embedder.dimension)
+            assert np.array_equal(report.embeddings, embed_batch(report.texts, ReferenceEmbedder()))
+            lines = (tmp_path / "quality" / f"embeddings_dataset_{report.variant}.csv").read_text(encoding="utf-8").splitlines()
+            assert len(lines) == 1 + report.triples
+        assert not list((tmp_path / "quality").glob("distances_*.csv"))
+
+    def test_bad_graph_skips_only_its_record(self, tmp_path):
+        paths = write_fixture(tmp_path / "fx", n_questions=3, max_triples=40)
+        records = load_dataset(paths["dataset"])
+        bad = replace(records[1], graph=(*records[1].graph, (records[1].graph[0][0], " ", "somewhere")))
+        write_dataset([records[0], bad, records[2]], paths["dataset"])
+        stage_dir = tmp_path / "stage"
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(stage_dir)]
+        assert cli.main(["run", *common]) == 0
+        assert cli.main(["sweep-k", *common, "--ks", "5,20"]) == 0
+        assert cli.main(["metrics", *common]) == 0
+        log = (stage_dir / "run.log").read_text(encoding="utf-8")
+        assert f"sweep-k: record {bad.id} skipped: line {len(bad.graph)}: empty field" in log
+        assert f"metrics: vanilla variant of record {bad.id} skipped: line {len(bad.graph)}: empty field" in log
+        script = json.loads(paths["script"].read_text(encoding="utf-8"))
+        ctx = make_ctx([records[0], bad, records[2]], script, stage_dir)
+        [vanilla] = quality_metrics(ctx, ("vanilla",))
+        assert vanilla.triples == len(load_graph(records[0].graph)) + len(load_graph(records[2].graph))
 
     def test_pruned_variant_requires_artifact(self, tmp_path, small_fixture):
         records, script = small_fixture

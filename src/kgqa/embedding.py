@@ -152,10 +152,7 @@ class RemoteEmbedder:
             batch = texts[start : start + MAX_INPUTS_PER_REQUEST]
             payload = {"input": batch, "model": self.model}
             try:
-                body = with_retries(
-                    lambda: post_json(self._session, self.endpoint, payload, self.api_key_env, self.timeout),
-                    sleep=self._sleep,
-                )
+                body = with_retries(lambda: post_json(self._session, self.endpoint, payload, self.api_key_env, self.timeout), self._sleep)
                 data = body["data"]
             except (RuntimeError, KeyError, TypeError) as exc:
                 raise EmbeddingError(f"embedding request failed: {exc!r}") from exc

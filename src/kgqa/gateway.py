@@ -2,13 +2,14 @@
 
 Providers implement a single `generate(request)` method. The Gateway wraps a
 provider with bounded exponential-backoff retries for transient transport
-failures, an in-flight limit, and a thread-safe usage ledger. A *logical
-call* is one successful completion regardless of how many transport attempts
-it took; the ledger counts calls and attempts separately.
+failures and a thread-safe usage ledger. A *logical call* is one successful
+completion regardless of how many transport attempts it took; the ledger
+counts calls and attempts separately.
 
 The HTTP policy of every remote client (chat, embedding, KGC scoring) lives
 here too: `post_json` builds the headers and classifies the status codes, and
-`with_retries` is the one bounded-retry loop.
+`with_retries` is the one bounded-retry loop, with one fixed policy
+(`MAX_ATTEMPTS`, `BACKOFF_BASE`) for all three clients.
 
 The scripted stub provider is keyed by (template name, question id) so fixture
 suites survive benign prompt-wording changes.
@@ -50,22 +51,23 @@ class TransportError(RuntimeError):
     """Transient failure of a remote call; `with_retries` retries these."""
 
 
-def with_retries(call, max_attempts: int = 3, backoff_base: float = 0.5, backoff_cap: float = 8.0, sleep=time.sleep):
-    """Return `call()`, retrying it only on TransportError.
+MAX_ATTEMPTS = 3
+BACKOFF_BASE = 0.5  # seconds before the second attempt, doubled before each later one
 
-    Failed attempt n is followed by a sleep of min(cap, base * 2**(n-1)) s;
-    after `max_attempts` failures the last error is re-raised as
-    TransportError("gave up after N attempts: ...").
-    """
+
+def with_retries(call, sleep=time.sleep):
+    """Return `call()`, retrying it only on TransportError: failed attempt n is followed
+    by a sleep of BACKOFF_BASE * 2**(n-1) s (0.5 s, then 1.0 s), and after MAX_ATTEMPTS
+    failures the last error is re-raised as TransportError("gave up after 3 attempts: ...")."""
     attempt = 1
     while True:
         try:
             return call()
         except TransportError as exc:
-            logger.warning("attempt %d/%d failed: %s", attempt, max_attempts, exc)
-            if attempt >= max_attempts:
+            logger.warning("attempt %d/%d failed: %s", attempt, MAX_ATTEMPTS, exc)
+            if attempt >= MAX_ATTEMPTS:
                 raise TransportError(f"gave up after {attempt} attempts: {exc}") from exc
-        sleep(min(backoff_cap, backoff_base * (2 ** (attempt - 1))))
+        sleep(BACKOFF_BASE * (2 ** (attempt - 1)))
         attempt += 1
 
 
@@ -326,7 +328,8 @@ def format_cost_report(report: CostReport, label: str = "run") -> str:
 class ScriptedStubProvider:
     """Deterministic offline provider returning the canned content scripted for a
     request's (template, question id); a missing key raises StubKeyError. A string
-    `script` names a JSON file holding the script.
+    `script` names a JSON file holding the script; a script that is not an object
+    of objects of strings raises ValueError.
     """
 
     provider_id = "scripted-stub"
@@ -334,7 +337,12 @@ class ScriptedStubProvider:
     def __init__(self, script: Mapping[str, Mapping[str, str]] | str | None = None):
         if isinstance(script, str):
             script = json.loads(Path(script).read_text(encoding="utf-8"))
-        self.script = {tpl: dict(entries) for tpl, entries in (script or {}).items()}
+        script = {} if script is None else script
+        if not isinstance(script, Mapping) or not all(
+            isinstance(entries, Mapping) and all(isinstance(c, str) for c in entries.values()) for entries in script.values()
+        ):
+            raise ValueError("stub script must be an object of objects of strings")
+        self.script = {tpl: dict(entries) for tpl, entries in script.items()}
 
     def generate(self, request: ChatRequest) -> ProviderReply:
         content = self.script.get(request.template or "", {}).get(request.question_id or "")
@@ -398,28 +406,11 @@ class RemoteChatProvider:
 
 
 class Gateway:
-    """Provider wrapper adding retries, an in-flight bound, and ledger accounting."""
+    """Provider wrapper adding retries and ledger accounting."""
 
-    def __init__(
-        self,
-        provider: ChatProvider,
-        ledger: CostLedger | None = None,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 8.0,
-        max_in_flight: int | None = None,
-        sleep=time.sleep,
-    ):
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if max_in_flight is not None and max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1 (or None for no bound)")
+    def __init__(self, provider: ChatProvider, ledger: CostLedger | None = None, sleep=time.sleep):
         self.provider = provider
         self.ledger = ledger if ledger is not None else CostLedger()
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self._slots = threading.Semaphore(max_in_flight) if max_in_flight is not None else None
         self._sleep = sleep
 
     def complete(self, request: ChatRequest) -> ProviderReply:
@@ -434,13 +425,7 @@ class Gateway:
             finally:
                 self.ledger.record_attempt(request.question_id)
 
-        if self._slots is not None:
-            self._slots.acquire()
-        try:
-            reply = with_retries(attempt, self.max_attempts, self.backoff_base, self.backoff_cap, self._sleep)
-        finally:
-            if self._slots is not None:
-                self._slots.release()
+        reply = with_retries(attempt, self._sleep)
         prompt_tokens = estimate_tokens(request.prompt) if reply.prompt_tokens is None else reply.prompt_tokens
         completion_tokens = estimate_tokens(reply.content) if reply.completion_tokens is None else reply.completion_tokens
         if not all(type(n) is int and n >= 0 for n in (prompt_tokens, completion_tokens)):

@@ -51,7 +51,6 @@ from .evaluation import (
     graph_quality,
 )
 from .gateway import (
-    TEMPLATE_NAMES,
     ChatRequest,
     CostLedger,
     EchoProvider,
@@ -133,11 +132,17 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
     return records
 
 
-def _strings(value, name: str, item=str) -> tuple:
-    """The items of the list `value`, each passed through `item` (by default made a string)."""
+def _list(value, name: str) -> list | tuple:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"{name} must be a list, not {value!r}")
-    return tuple(map(item, value))
+    return value
+
+
+def _strings(value, name: str, length: int | None = None) -> tuple:
+    """The list `value` as a tuple; it must hold only strings, and `length` of them when given."""
+    if not all(isinstance(item, str) for item in _list(value, name)) or length not in (None, len(value)):
+        raise TypeError(f"{name} must be a list of {length or 'only'} strings, not {value!r}")
+    return tuple(value)
 
 
 def dataset_record_from_dict(obj: Mapping) -> DatasetRecord:
@@ -148,7 +153,7 @@ def dataset_record_from_dict(obj: Mapping) -> DatasetRecord:
         question=obj["question"],
         answers=_strings(obj["answers"], "answers"),
         topic_entities=_strings(obj.get("topic_entities", []), "topic_entities"),
-        graph=tuple((s, r, o) for s, r, o in _strings(obj.get("graph", []), "graph", lambda t: _strings(t, "a graph triple"))),
+        graph=tuple(_strings(t, "a graph triple", 3) for t in _list(obj.get("graph", []), "graph")),
     )
     if not record.id:
         raise ValueError("record id must be non-empty")
@@ -193,10 +198,6 @@ _PRICE_NAMES = ("input_per_token", "output_per_token")
 CONFIG_TABLE = {
     "top_k": _COUNT,
     "temperature": _RATE,
-    "stage_temperatures": (
-        lambda value: isinstance(value, dict) and all(k in TEMPLATE_NAMES and _RATE[0](t) for k, t in value.items()),
-        f"an object mapping templates among {TEMPLATE_NAMES} to finite numbers >= 0",
-    ),
     "tau": (lambda value: _finite_number(value) or value == math.inf, "a finite number or +inf"),
     "payload_cap": _or_null(_COUNT),
     "ablation": (lambda value: value in ABLATIONS, f"one of {ABLATIONS}"),
@@ -206,9 +207,6 @@ CONFIG_TABLE = {
     "ascii_fold": _FLAG,
     "positive_threshold": _or_null((lambda value: _finite_number(value) and 0 <= value <= 1, "a number within [0, 1]")),
     "redundancy_mode": (lambda value: value in GROUP_MODES, f"one of {GROUP_MODES}"),
-    "max_attempts": _COUNT,
-    "backoff_base": _RATE,
-    "max_in_flight": _or_null(_COUNT),
     "llm": _OBJECT,
     "embedder": _OBJECT,
     "kgc": _OBJECT,
@@ -221,12 +219,12 @@ CONFIG_TABLE = {
 
 @dataclass
 class RunConfig:
-    """Pipeline configuration; defaults follow the evaluation protocol
-    (top k = 300, temperature 0.2, top_p 1, n 1, provider-max tokens)."""
+    """Pipeline configuration; defaults follow the evaluation protocol (top k = 300,
+    temperature 0.2 for every call, top_p 1, n 1, provider-max tokens). Retries follow
+    the one fixed policy of `kgqa.gateway`, and `workers` bounds concurrent calls."""
 
     top_k: int = 300
     temperature: float = 0.2
-    stage_temperatures: dict = field(default_factory=dict)
     tau: float = 0.3
     payload_cap: int | None = 60
     ablation: str = "full"
@@ -236,9 +234,6 @@ class RunConfig:
     ascii_fold: bool = False
     positive_threshold: float | None = None
     redundancy_mode: str = "head_and_tail"
-    max_attempts: int = 3
-    backoff_base: float = 0.5
-    max_in_flight: int | None = None
     llm: dict = field(default_factory=lambda: {"kind": "echo"})
     embedder: dict = field(default_factory=lambda: {"kind": "reference", "dimension": 256})
     kgc: dict = field(default_factory=lambda: {"kind": "constant", "value": 0.7})
@@ -267,9 +262,6 @@ class RunConfig:
     def price_table(self) -> PriceTable:
         """The per-token prices; a price `prices` leaves out is 0."""
         return PriceTable(*(float(self.prices.get(name, 0.0)) for name in _PRICE_NAMES))
-
-    def temperature_for(self, template_name: str) -> float:
-        return float(self.stage_temperatures.get(template_name, self.temperature))
 
     def plan(self) -> tuple[str, ...]:
         """The stages the ablation runs, in order; every plan ends in eval."""
@@ -352,13 +344,7 @@ class PipelineContext:
             if cache_path.exists():
                 loaded = self.cache.load(cache_path)
                 logger.info("loaded %d cached embeddings from %s", loaded, cache_path)
-        self.gateway = Gateway(
-            llm,
-            ledger=ledger,
-            max_attempts=config.max_attempts,
-            backoff_base=config.backoff_base,
-            max_in_flight=config.max_in_flight,
-        )
+        self.gateway = Gateway(llm, ledger=ledger)
 
     def save_state(self) -> CostLedger:
         """Write `ledger.json`, folded from the row files of the plan's stages,
@@ -461,17 +447,11 @@ def _upstream_row(upstream_rows: Mapping[str, dict], stage: str, record_id: str)
 
 
 def _complete(ctx: PipelineContext, template: str, prompt: str, record: DatasetRecord) -> str:
-    return ctx.gateway.complete(ChatRequest(prompt, ctx.config.temperature_for(template), template, record.id)).content
+    return ctx.gateway.complete(ChatRequest(prompt, ctx.config.temperature, template, record.id)).content
 
 
 def _parse_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping) -> dict:
-    decomposition = decompose(
-        record.question,
-        ctx.gateway,
-        ctx.templates["query_structuring"],
-        question_id=record.id,
-        temperature=ctx.config.temperature_for("query_structuring"),
-    )
+    decomposition = decompose(record.question, ctx.gateway, ctx.templates["query_structuring"], record.id, ctx.config.temperature)
     return {"id": record.id, "question": record.question, **decomposition_to_dict(decomposition)}
 
 

@@ -71,9 +71,8 @@ def random_queries(rng: Random, n: int) -> list[str]:
     return [random_phrase(rng, rng.randint(2, 5)) for _ in range(n)]
 
 
-def stub_gateway(script: dict, ledger: CostLedger | None = None, **kwargs) -> Gateway:
-    provider = ScriptedStubProvider(script=script)
-    return Gateway(provider, ledger=ledger, sleep=lambda _: None, **kwargs)
+def stub_gateway(script: dict, ledger: CostLedger | None = None) -> Gateway:
+    return Gateway(ScriptedStubProvider(script=script), ledger=ledger, sleep=lambda _: None)
 
 
 class FlakyProvider:

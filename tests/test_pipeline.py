@@ -74,13 +74,15 @@ class TestDataset:
     @pytest.mark.parametrize(
         "key,value",
         [("answers", "Paris"), ("graph", ["abc"]), ("question", None), ("topic_entities", "Paris"), ("graph", "abc"),
-         ("graph", ""), ("graph", {})],
+         ("graph", ""), ("graph", {}), ("answers", [None]), ("answers", ["x", 1]), ("topic_entities", [None]),
+         ("graph", [["a", "r", None]]), ("graph", [["a", {"k": 1}, "b"]]), ("graph", [["a", "r"]]),
+         ("graph", [["a", "r", "b", "c"]])],
     )
     def test_wrong_type_rejected_with_line_number(self, tmp_path, key, value):
         rows = [{"id": "a", "question": "q", "answers": ["x"]}, {"id": "b", "question": "q", "answers": ["x"], key: value}]
         path = tmp_path / "d.jsonl"
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        with pytest.raises(DatasetError, match="^line 2: .* must be a (list|string), not "):
+        with pytest.raises(DatasetError, match="^line 2: .* must be a (list|string|list of (only|3) strings), not "):
             load_dataset(path)
 
     def test_empty_graph_allowed(self):
@@ -299,12 +301,6 @@ class TestRunAll:
             assert [line.split(")-")[0] + ")" for line in quadruples.splitlines()] == payload
             assert paths.split("\n2-hop:")[0].splitlines() == payload
 
-    def test_stage_temperature_override(self, small_fixture):
-        _, _ = small_fixture
-        config = RunConfig(temperature=0.2, stage_temperatures={"question_answering": 0.7})
-        assert config.temperature_for("question_answering") == 0.7
-        assert config.temperature_for("query_structuring") == 0.2
-
     def test_embedding_cache_persisted_and_reloaded(self, tmp_path, small_fixture):
         records, script = small_fixture
         cache_dir = tmp_path / "cache"
@@ -355,11 +351,10 @@ class TestConcurrentEnrich:
         assert (artifact.processed, artifact.failed) == (len(records), 0)
         assert ctx.gateway.ledger.total_calls() == 3 * len(records)
 
-    def test_max_in_flight_bounds_both_enrich_calls(self, tmp_path, small_fixture):
+    def test_in_flight_calls_bounded_by_twice_workers(self, tmp_path, small_fixture):
         records, script = small_fixture
-        outputs = {}
-        for max_in_flight in (1, None):
-            ctx = make_ctx(records, script, tmp_path / f"m{max_in_flight}", workers=2, max_in_flight=max_in_flight)
+        for workers in (1, 2):
+            ctx = make_ctx(records, script, tmp_path / f"w{workers}", workers=workers)
             lock = threading.Lock()
             in_flight = [0]
             peak = [0]
@@ -377,10 +372,7 @@ class TestConcurrentEnrich:
             runner.start()
             runner.join(timeout=60)
             assert not runner.is_alive()
-            if max_in_flight == 1:
-                assert peak[0] == 1
-            outputs[max_in_flight] = artifact_bytes(ctx.stage_dir)
-        assert outputs[1] == outputs[None]
+            assert 1 <= peak[0] <= 2 * workers
 
 
 def pruned_rows(stage_dir):
@@ -902,38 +894,25 @@ class TestCli:
     @pytest.mark.parametrize(
         "key,value",
         [
-            ("max_attempts", 0),
-            ("backoff_base", -1),
-            ("max_in_flight", 0),
-            ("max_in_flight", -1),
             ("redundancy_mode", "bogus"),
             ("positive_threshold", -0.1),
             ("positive_threshold", 1.5),
             ("positive_threshold", math.nan),
             ("temperature", math.nan),
             ("temperature", math.inf),
-            ("stage_temperatures", {"cot_baseline": 0.5}),
-            ("stage_temperatures", {"question_answering": -1}),
-            ("stage_temperatures", {"feature_enrich": math.nan}),
-            ("stage_temperatures", {"question_answering": "hot"}),
-            ("stage_temperatures", {"question_answering": True}),
             ("top_k", "5"),
             ("top_k", 5.0),
             ("workers", "2"),
             ("workers", True),
-            ("max_attempts", 2.5),
             ("payload_cap", "60"),
-            ("max_in_flight", "4"),
             ("temperature", "hot"),
             ("temperature", False),
             ("tau", "0.3"),
             ("tau", None),
-            ("backoff_base", "0.5"),
             ("positive_threshold", "0.5"),
             ("positive_threshold", True),
             ("prices", "x"),
             ("prices", {"input_per_token": -1}),
-            ("stage_temperatures", []),
             ("ascii_fold", "no"),
             ("cache_dir", 5),
         ],
@@ -983,17 +962,24 @@ class TestCli:
         assert "error: invalid config: " in capsys.readouterr().err
         assert not (tmp_path / "stage").exists()
 
+    @pytest.mark.parametrize("script", [[1, 2], {"question_answering": [1]}, {"question_answering": {"q1": 5}}, "text"])
+    def test_stub_script_file_of_wrong_shape_is_clean_error(self, tmp_path, capsys, script):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        paths["script"].write_text(json.dumps(script))
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
+        assert cli.main(["parse", *common]) == 2
+        assert "error: invalid config: stub script must be an object of objects of strings" in capsys.readouterr().err
+        assert not (tmp_path / "stage").exists()
+
     @pytest.mark.parametrize(
         "key,update,message",
         [
             ("stages", ["parse"], "unknown config keys: ['stages']"),
             ("provider_query_filter", True, "unknown config keys: ['provider_query_filter']"),
-            (
-                "stage_temperatures",
-                {"query_filter": 0.0},
-                "stage_temperatures must be an object mapping templates among ('query_structuring', "
-                "'structural_enrich', 'feature_enrich', 'question_answering') to finite numbers >= 0",
-            ),
+            ("stage_temperatures", {"question_answering": 0.0}, "unknown config keys: ['stage_temperatures']"),
+            ("max_attempts", 3, "unknown config keys: ['max_attempts']"),
+            ("backoff_base", 0.5, "unknown config keys: ['backoff_base']"),
+            ("max_in_flight", 2, "unknown config keys: ['max_in_flight']"),
             ("llm", {"on_missing": "echo"}, "llm kind 'stub' takes no key 'on_missing'"),
             ("llm", {"prompt_hash_script": {}}, "llm kind 'stub' takes no key 'prompt_hash_script'"),
             ("kgc", {"kind": "constant-stub", "value": 0.7}, "kgc.kind must be one of ('constant', 'remote'), not 'constant-stub'"),
@@ -1001,7 +987,10 @@ class TestCli:
         ids=[
             "stages",
             "provider-query-filter",
-            "stage-temperatures-query-filter",
+            "stage-temperatures-question-answering",
+            "max-attempts",
+            "backoff-base",
+            "max-in-flight",
             "stub-on-missing",
             "stub-prompt-hash-script",
             "kgc-constant-stub",

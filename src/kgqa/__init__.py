@@ -51,9 +51,6 @@ from .gateway import (
     render_template,
 )
 from .graph import (
-    EntityRef,
-    Path,
-    Relation,
     Triple,
     extract_paths,
     group_by_endpoints,

@@ -43,19 +43,19 @@ def normalize_answer(s: str, ascii_fold: bool = False) -> str:
 
 def build_qa_prompt(question: str, triples: Sequence[Triple], template: PromptTemplate) -> str:
     """Render the QA template with one '(s, r, o)' line per triple, in order."""
-    lines = [f"({t.subject.id}, {t.relation.name}, {t.object.id})" for t in triples]
+    lines = [f"({t.subject}, {t.relation}, {t.object})" for t in triples]
     return render_template(template, {"question": question, "knowledge graph": "\n".join(lines)})
 
 
 def parse_final_answers(raw: str) -> AnswerSet:
-    """Extract the final answers from a QA or chain-of-thought response.
+    """Extract the final answers from a question-answering response.
 
-    Takes the text after the last 'Final answer:' marker, falling back to
-    'The answer is' (the chain-of-thought baseline format) and then the whole
-    text. Splits on '<SEP>', strips decorating braces, drops empty entries
-    and bare MIDs (the prompt forbids ID-shaped answers), normalizes, and
-    deduplicates preserving order. An empty result is allowed and simply
-    scores as wrong.
+    Takes the text after the last 'Final answer:' marker, falling back to the
+    text after the last 'The answer is' (a reply that ends in free prose) and
+    then the whole text. Splits on '<SEP>', strips decorating braces, drops
+    empty entries and bare MIDs (the prompt forbids ID-shaped answers),
+    normalizes, and deduplicates preserving order. An empty result is allowed
+    and simply scores as wrong.
     """
     region = raw
     idx = raw.rfind(FINAL_ANSWER_MARKER)

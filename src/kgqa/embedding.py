@@ -15,7 +15,6 @@ import json
 import logging
 import re
 import threading
-import time
 import zlib
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -129,7 +128,6 @@ class RemoteEmbedder:
         api_key_env: str | None = None,
         timeout: float = 60.0,
         session=None,
-        sleep=time.sleep,
     ):
         if dimension <= 0:
             raise ValueError("dimension must be positive")
@@ -138,7 +136,6 @@ class RemoteEmbedder:
         self.dimension = dimension
         self.api_key_env = api_key_env
         self.timeout = timeout
-        self._sleep = sleep
         self._session = session if session is not None else http_session()
         self.provider_id = f"remote-{model}-{dimension}"
 
@@ -152,14 +149,15 @@ class RemoteEmbedder:
             batch = texts[start : start + MAX_INPUTS_PER_REQUEST]
             payload = {"input": batch, "model": self.model}
             try:
-                body = with_retries(lambda: post_json(self._session, self.endpoint, payload, self.api_key_env, self.timeout), self._sleep)
-                data = body["data"]
-            except (RuntimeError, KeyError, TypeError) as exc:
+                body = with_retries(lambda: post_json(self._session, self.endpoint, payload, self.api_key_env, self.timeout))
+                vectors = [np.asarray(item["embedding"], dtype=np.float64) for item in body["data"]]
+            except RuntimeError as exc:
                 raise EmbeddingError(f"embedding request failed: {exc!r}") from exc
-            if len(data) != len(batch):
-                raise EmbeddingError(f"expected {len(batch)} embeddings, got {len(data)}")
-            for row, item in zip(out[start:], data):
-                vec = np.asarray(item["embedding"], dtype=np.float64)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise EmbeddingError(f"malformed reply from {self.endpoint}: {exc!r}") from exc
+            if len(vectors) != len(batch):
+                raise EmbeddingError(f"expected {len(batch)} embeddings, got {len(vectors)}")
+            for row, vec in zip(out[start:], vectors):
                 if vec.shape != (self.dimension,):
                     raise EmbeddingError(f"embedding has dimension {vec.shape}, expected {self.dimension}")
                 norm = float(np.linalg.norm(vec))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch, similarity
 from .gateway import PromptTemplate, render_template
-from .graph import EntityRef, Relation, Triple, extract_paths
+from .graph import Triple, extract_paths
 
 
 class Provenance(Enum):
@@ -69,7 +69,7 @@ class FeatureParse:
 
 
 def format_triple_compact(t: Triple) -> str:
-    return f"({t.subject.id},{t.relation.name},{t.object.id})"
+    return f"({t.subject},{t.relation},{t.object})"
 
 
 def _split_triple_line(line: str) -> tuple[str, str, str] | None:
@@ -117,8 +117,8 @@ def filter_and_build_structural_prompt(
         raise ValueError(f"{len(associations)} associations for {len(payload)} payload triples")
     lines = [format_triple_compact(t) + "".join(f"-{q}" for q in assoc) for t, assoc in zip(payload, associations)]
     paths = extract_paths(payload, max_hops=2)
-    one_hop = [format_triple_compact(p.hops[0]) for p in paths if len(p.hops) == 1]
-    two_hop = ["->".join(format_triple_compact(h) for h in p.hops) for p in paths if len(p.hops) == 2]
+    one_hop = [format_triple_compact(p[0]) for p in paths if len(p) == 1]
+    two_hop = ["->".join(map(format_triple_compact, p)) for p in paths if len(p) == 2]
     return render_template(
         template,
         {
@@ -166,8 +166,7 @@ def parse_structural_output(raw: str) -> StructuralParse:
         if fields is None:
             result.skipped += 1
             continue
-        s, r, o = fields
-        triple = Triple(EntityRef(s), Relation(r), EntityRef(o), index=len(result.triples))
+        triple = Triple(*fields, index=len(result.triples))
         result.triples.append(
             EnrichedTriple(triple=triple, provenance=provenance.get(fields, Provenance.SIMILARITY))
         )
@@ -176,7 +175,7 @@ def parse_structural_output(raw: str) -> StructuralParse:
 
 @dataclass
 class EntityContext:
-    entity: EntityRef
+    entity: str
     triples: list[Triple] = field(default_factory=list)
     queries: list[str] = field(default_factory=list)
 
@@ -193,10 +192,7 @@ def collect_entity_contexts(
     contexts: dict[str, EntityContext] = {}
     for t, assoc in zip(triples, associations):
         for entity in (t.subject, t.object):
-            ctx = contexts.get(entity.id)
-            if ctx is None:
-                ctx = EntityContext(entity=entity)
-                contexts[entity.id] = ctx
+            ctx = contexts.setdefault(entity, EntityContext(entity=entity))
             ctx.triples.append(t)
             for q in assoc:
                 if q not in ctx.queries:
@@ -210,7 +206,7 @@ def build_feature_prompt(contexts: Sequence[EntityContext], template: PromptTemp
         raise ValueError("entity list must be non-empty")
     blocks = []
     for ctx in contexts:
-        name = ctx.entity.id
+        name = ctx.entity
         triples = "-".join(format_triple_compact(t) for t in ctx.triples)
         queries = "-".join(ctx.queries)
         blocks.append(
@@ -240,11 +236,10 @@ def parse_feature_output(raw: str) -> FeatureParse:
         if fields is None:
             result.rejected += 1
             continue
-        entity, relation, ontology = fields
-        if relation not in ONTOLOGY_RELATIONS:
+        if fields[1] not in ONTOLOGY_RELATIONS:
             result.rejected += 1
             continue
-        triple = Triple(EntityRef(entity), Relation(relation), EntityRef(ontology), index=len(result.triples))
+        triple = Triple(*fields, index=len(result.triples))
         result.triples.append(EnrichedTriple(triple=triple, provenance=Provenance.HIERARCHY))
     return result
 
@@ -257,7 +252,7 @@ def merge_enriched(base: Sequence[Triple], generated: Sequence[EnrichedTriple]) 
     structural triples record the base indices they share an endpoint with.
     """
     seen = {t.key for t in base}
-    base_entities = {e.id for t in base for e in (t.subject, t.object)}
+    base_entities = {e for t in base for e in (t.subject, t.object)}
     next_index = max((t.index for t in base), default=-1) + 1
     merged: list[EnrichedTriple] = []
     for et in generated:
@@ -265,12 +260,12 @@ def merge_enriched(base: Sequence[Triple], generated: Sequence[EnrichedTriple]) 
         if key in seen:
             continue
         seen.add(key)
-        grounded = et.triple.subject.id in base_entities or et.triple.object.id in base_entities
+        grounded = et.triple.subject in base_entities or et.triple.object in base_entities
         if et.provenance is Provenance.HIERARCHY:
             sources: tuple[int, ...] = ()
         else:
-            endpoints = {et.triple.subject.id, et.triple.object.id}
-            sources = tuple(t.index for t in base if t.subject.id in endpoints or t.object.id in endpoints)
+            endpoints = {et.triple.subject, et.triple.object}
+            sources = tuple(t.index for t in base if t.subject in endpoints or t.object in endpoints)
         merged.append(
             replace(et, triple=replace(et.triple, index=next_index), grounded=grounded, source_indices=sources)
         )

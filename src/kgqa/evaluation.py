@@ -146,7 +146,10 @@ class RemoteKGCScorer:
         for start in range(0, len(texts), MAX_INPUTS_PER_REQUEST):
             payload = {"input": texts[start : start + MAX_INPUTS_PER_REQUEST]}
             body = with_retries(lambda: post_json(self._session, self.endpoint, payload, None, self.timeout))
-            batch = [float(item["score"]) for item in body["data"]]
+            try:
+                batch = [float(item["score"]) for item in body["data"]]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"malformed reply from {self.endpoint}: {exc!r}") from exc
             if len(batch) != len(payload["input"]):
                 raise ValueError(f"KGC scorer returned {len(batch)} scores for {len(payload['input'])} triples")
             scores += batch
@@ -205,7 +208,7 @@ def redundancy_score(
     """
     triples = list(triples)
     groups = group_by_endpoints(triples, mode)
-    relation_texts = sorted({relation_text(t.relation.name) for t in triples})
+    relation_texts = sorted({relation_text(t.relation) for t in triples})
     vectors = embed_batch(relation_texts, provider, cache)
     row_of = {text: i for i, text in enumerate(relation_texts)}
     total = 0.0
@@ -214,7 +217,7 @@ def redundancy_score(
         m = len(group)
         if m < 2:
             continue
-        g = vectors[[row_of[relation_text(t.relation.name)] for t in group]]
+        g = vectors[[row_of[relation_text(t.relation)] for t in group]]
         total = sum((g @ g.T)[~np.tri(m, dtype=bool)].tolist(), total)
         pairs += m * (m - 1) // 2
     mean = total / pairs if pairs else 0.0

@@ -53,6 +53,7 @@ class TransportError(RuntimeError):
 
 MAX_ATTEMPTS = 3
 BACKOFF_BASE = 0.5  # seconds before the second attempt, doubled before each later one
+DEFAULT_TEMPERATURE = 0.2  # the evaluation protocol's sampling temperature for every chat call
 
 
 def with_retries(call, sleep=time.sleep):
@@ -146,10 +147,10 @@ def render_template(template: PromptTemplate, bindings: Mapping[str, str]) -> st
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One single-user-message chat request; the temperature default follows the pipeline config."""
+    """One single-user-message chat request, by default at the pipeline config's temperature."""
 
     prompt: str
-    temperature: float = 0.2
+    temperature: float = DEFAULT_TEMPERATURE
     template: str | None = None
     question_id: str | None = None
 
@@ -366,7 +367,7 @@ class RemoteChatProvider:
     Request: {model, messages: [one user message], temperature, top_p: 1, n: 1}, with no
     max_tokens so the provider's maximum applies -> response {choices: [{message: {content}}],
     usage: {prompt_tokens, completion_tokens}}. A missing or null usage leaves both counts
-    to the gateway's estimate; a content that is not a string raises ValueError.
+    to the gateway's estimate; a malformed reply or a non-string content raises ValueError.
     The API key is read from the environment variable named in the config.
     """
 
@@ -394,10 +395,15 @@ class RemoteChatProvider:
             "n": 1,
         }
         body = post_json(self._session, self.endpoint, payload, self.api_key_env, self.timeout)
-        content = body["choices"][0]["message"]["content"]
+        try:
+            content = body["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ValueError(f"malformed reply from {self.endpoint}: {exc!r}") from exc
         if not isinstance(content, str):
             raise ValueError(f"reply from {self.endpoint} has no text content, got {content!r}")
         usage = body.get("usage") or {}
+        if not isinstance(usage, dict):
+            raise ValueError(f"malformed reply from {self.endpoint}: usage {usage!r}")
         return ProviderReply(
             content=content,
             prompt_tokens=usage.get("prompt_tokens"),

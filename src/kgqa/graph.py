@@ -1,10 +1,9 @@
 """Knowledge-graph triples: loading, paths, textualization.
 
-A graph is a tuple of frozen Triples, built once from (s, r, o) records (a
-dataset record's `graph` field), so it is safe to share across worker
-threads. The loader interns entity ids and relation names into code columns
-first (`GraphColumns`); hot paths such as pruning work on those columns and
-build Triples only for the rows they keep.
+A graph is a tuple of frozen Triples of plain strings, built once from
+(s, r, o) records (a dataset record's `graph` field), so it is safe to share
+across worker threads. `intern_graph` turns the same records into code
+columns (`GraphColumns`); hot paths such as pruning work on those columns.
 """
 
 from __future__ import annotations
@@ -30,69 +29,35 @@ class GraphLoadError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class EntityRef:
-    """Entity identified by an opaque id (Freebase MID or surface name)."""
-
-    id: str
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("entity id must be non-empty")
-
-
-@dataclass(frozen=True)
-class Relation:
-    """Relation name; dotted-path style such as 'location.country.currency_used' is allowed."""
-
-    name: str
-
-    def __post_init__(self) -> None:
-        if not self.name or self.name != self.name.strip():
-            raise ValueError(f"relation name must be non-empty with no surrounding whitespace: {self.name!r}")
-
-    @property
-    def text(self) -> str:
-        """Surface text: dot and underscore separators become single spaces."""
-        return relation_text(self.name)
-
-
 def relation_text(name: str) -> str:
+    """Surface text of a relation name: dot and underscore separators become single spaces."""
     return _SEPARATORS.sub(" ", name).strip()
 
 
 @dataclass(frozen=True)
 class Triple:
-    """One (subject, relation, object) fact.
+    """One (subject, relation, object) fact over entity ids and a relation name.
 
+    Relation names may be dotted paths such as 'location.country.currency_used'.
     index is the ordinal position within the owning graph; equality ignores it.
     """
 
-    subject: EntityRef
-    relation: Relation
-    object: EntityRef
+    subject: str
+    relation: str
+    object: str
     index: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
+        if not (self.subject and self.object):
+            raise ValueError("entity id must be non-empty")
+        if not self.relation or self.relation != self.relation.strip():
+            raise ValueError(f"relation name must be non-empty with no surrounding whitespace: {self.relation!r}")
         if self.index < 0:
             raise ValueError("triple index must be >= 0")
 
     @property
     def key(self) -> tuple[str, str, str]:
-        return (self.subject.id, self.relation.name, self.object.id)
-
-
-@dataclass(frozen=True)
-class Path:
-    """A 1-hop or 2-hop chain; for 2 hops the first object equals the second subject."""
-
-    hops: tuple[Triple, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.hops) not in (1, 2):
-            raise ValueError("a path has 1 or 2 hops")
-        if len(self.hops) == 2 and self.hops[0].object.id != self.hops[1].subject.id:
-            raise ValueError("2-hop path must join on a shared entity")
+        return (self.subject, self.relation, self.object)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,36 +110,34 @@ def intern_graph(records: Iterable[Sequence[str]]) -> GraphColumns:
 
 def load_graph(records: Iterable[Sequence[str]]) -> tuple[Triple, ...]:
     """Build a graph from (s, r, o) records as `intern_graph` does; empty input
-    yields an empty graph. Each triple's index is its position, and triples
-    share one EntityRef per entity id and one Relation per name."""
+    yields an empty graph. Each triple's index is its position."""
     g = intern_graph(records)
-    entities = [EntityRef(e) for e in g.entities]
-    relations = [Relation(r) for r in g.relations]
     rows = zip(g.s.tolist(), g.r.tolist(), g.o.tolist())
-    return tuple(Triple(entities[s], relations[r], entities[o], index=i) for i, (s, r, o) in enumerate(rows))
+    return tuple(Triple(g.entities[s], g.relations[r], g.entities[o], index=i) for i, (s, r, o) in enumerate(rows))
 
 
 def textualize_triple(t: Triple) -> str:
     """Natural-language form: 'subject relation object' with relation separators spaced out."""
-    return f"{t.subject.id} {t.relation.text} {t.object.id}"
+    return f"{t.subject} {relation_text(t.relation)} {t.object}"
 
 
-def extract_paths(triples: Sequence[Triple], max_hops: int) -> list[Path]:
-    """All 1-hop paths, plus (for max_hops=2) all ordered triple pairs joined object-to-subject.
+def extract_paths(triples: Sequence[Triple], max_hops: int) -> list[tuple[Triple, ...]]:
+    """All 1-hop paths as 1-tuples, plus (for max_hops=2) all ordered triple
+    pairs joined object-to-subject as 2-tuples.
 
     2-hop paths are ordered by the positions of their first and second triple
     in `triples`.
     """
     if max_hops not in (1, 2):
         raise ValueError("max_hops must be 1 or 2")
-    paths = [Path((t,)) for t in triples]
+    paths = [(t,) for t in triples]
     if max_hops == 2:
         by_subject: dict[str, list[Triple]] = {}
         for t in triples:
-            by_subject.setdefault(t.subject.id, []).append(t)
+            by_subject.setdefault(t.subject, []).append(t)
         for t1 in triples:
-            for t2 in by_subject.get(t1.object.id, ()):
-                paths.append(Path((t1, t2)))
+            for t2 in by_subject.get(t1.object, ()):
+                paths.append((t1, t2))
     return paths
 
 
@@ -185,10 +148,10 @@ def group_by_endpoints(g: Sequence[Triple], mode: str = "head_and_tail") -> list
     groups: dict[object, list[Triple]] = {}
     for t in g:
         if mode == "head":
-            key: object = t.subject.id
+            key: object = t.subject
         elif mode == "tail":
-            key = t.object.id
+            key = t.object
         else:
-            key = (t.subject.id, t.object.id)
+            key = (t.subject, t.object)
         groups.setdefault(key, []).append(t)
     return list(groups.values())

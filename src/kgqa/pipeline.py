@@ -51,6 +51,7 @@ from .evaluation import (
     graph_quality,
 )
 from .gateway import (
+    DEFAULT_TEMPERATURE,
     ChatRequest,
     CostLedger,
     EchoProvider,
@@ -62,7 +63,7 @@ from .gateway import (
     estimate_tokens,
     load_templates,
 )
-from .graph import GROUP_MODES, EntityRef, GraphLoadError, Relation, Triple, intern_graph, load_graph, relation_text, textualize_triple
+from .graph import GROUP_MODES, GraphLoadError, Triple, intern_graph, load_graph, relation_text, textualize_triple
 from .pruning import rank_rows, score_columns
 from .queries import decompose, decomposition_to_dict, fallback_graph_query
 
@@ -224,7 +225,7 @@ class RunConfig:
     the one fixed policy of `kgqa.gateway`, and `workers` bounds concurrent calls."""
 
     top_k: int = 300
-    temperature: float = 0.2
+    temperature: float = DEFAULT_TEMPERATURE
     tau: float = 0.3
     payload_cap: int | None = 60
     ablation: str = "full"
@@ -417,14 +418,10 @@ def _ledger_from_rows(ctx: PipelineContext) -> CostLedger:
 
 def _decode_triples(kept: Sequence[Mapping], generated: Sequence[Mapping] = ()) -> list[Triple]:
     """Triples from pruned `kept` rows, which carry their index, followed by
-    enriched `generated` rows, indexed after the highest kept index; the
-    triples share one EntityRef per entity id."""
-    refs = {i: EntityRef(i) for i in {e[side] for e in (*kept, *generated) for side in ("s", "o")}}
-    triples = [Triple(refs[e["s"]], Relation(e["r"]), refs[e["o"]], index=e["index"]) for e in kept]
+    enriched `generated` rows, indexed after the highest kept index."""
+    triples = [Triple(e["s"], e["r"], e["o"], index=e["index"]) for e in kept]
     start = max((t.index for t in triples), default=-1) + 1
-    return triples + [
-        Triple(refs[g["s"]], Relation(g["r"]), refs[g["o"]], index=start + i) for i, g in enumerate(generated)
-    ]
+    return triples + [Triple(g["s"], g["r"], g["o"], index=start + i) for i, g in enumerate(generated)]
 
 
 def _answer_triples(
@@ -516,9 +513,9 @@ def _enrich_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mappin
         "base_indices": [t.index for t in kept],
         "generated": [
             {
-                "s": et.triple.subject.id,
-                "r": et.triple.relation.name,
-                "o": et.triple.object.id,
+                "s": et.triple.subject,
+                "r": et.triple.relation,
+                "o": et.triple.object,
                 "provenance": et.provenance.value,
                 "grounded": et.grounded,
                 "sources": list(et.source_indices),

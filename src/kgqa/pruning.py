@@ -79,9 +79,9 @@ class PrunedGraph:
 
 
 def render_masked(t: Triple, channel: MaskChannel) -> str:
-    head = t.subject.id if channel is MaskChannel.TAIL_MASKED else MASK_TOKEN
-    tail = t.object.id if channel is MaskChannel.HEAD_MASKED else MASK_TOKEN
-    return f"{head} {t.relation.text} {tail}"
+    head = t.subject if channel is MaskChannel.TAIL_MASKED else MASK_TOKEN
+    tail = t.object if channel is MaskChannel.HEAD_MASKED else MASK_TOKEN
+    return f"{head} {relation_text(t.relation)} {tail}"
 
 
 def score_columns(

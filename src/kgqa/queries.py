@@ -13,8 +13,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .gateway import ChatRequest, PromptTemplate, render_template
-from .graph import Triple
+from .gateway import DEFAULT_TEMPERATURE, ChatRequest, PromptTemplate, render_template
+from .graph import Triple, relation_text
 
 if TYPE_CHECKING:
     from .gateway import Gateway
@@ -103,7 +103,7 @@ def decompose(
     gateway: "Gateway",
     template: PromptTemplate,
     question_id: str | None = None,
-    temperature: float = 0.2,
+    temperature: float = DEFAULT_TEMPERATURE,
 ) -> QueryDecomposition:
     """Ask the provider to decompose the question and parse the tree.
 
@@ -136,4 +136,4 @@ def decomposition_to_dict(decomposition: QueryDecomposition) -> dict:
 
 def fallback_graph_query(triple: Triple) -> str:
     """Deterministic graph query of a triple: the question form of the fact."""
-    return f"What is the {triple.relation.text} of {triple.subject.id}?"
+    return f"What is the {relation_text(triple.relation)} of {triple.subject}?"

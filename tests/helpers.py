@@ -112,11 +112,11 @@ def redundancy_oracle(triples, provider, mode: str) -> tuple[float, int, int]:
     """Per-pair reference for `redundancy_score`: (total, groups, pairs), with one
     `similarity` call per within-group pair i < j, summed in that order."""
     groups = group_by_endpoints(triples, mode)
-    texts = sorted({relation_text(t.relation.name) for t in triples})
+    texts = sorted({relation_text(t.relation) for t in triples})
     vec_by_text = dict(zip(texts, embed_batch(texts, provider)))
     total, pairs = 0.0, 0
     for group in groups:
-        vectors = [vec_by_text[relation_text(t.relation.name)] for t in group]
+        vectors = [vec_by_text[relation_text(t.relation)] for t in group]
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 total += similarity(vectors[i], vectors[j])
@@ -128,7 +128,7 @@ def answer_coverage(pruned: pruning.PrunedGraph, gold_answers, ascii_fold: bool 
     """Fraction of gold answers present as a normalized endpoint of any kept triple."""
     if not gold_answers:
         raise ValueError("gold answer set must be non-empty")
-    endpoints = {normalize_answer(e.id, ascii_fold) for st in pruned.kept for e in (st.triple.subject, st.triple.object)}
+    endpoints = {normalize_answer(e, ascii_fold) for st in pruned.kept for e in (st.triple.subject, st.triple.object)}
     return sum(normalize_answer(answer, ascii_fold) in endpoints for answer in gold_answers) / len(gold_answers)
 
 

@@ -21,7 +21,7 @@ from kgqa.enrichment import parse_feature_output, parse_structural_output
 from kgqa.evaluation import ConstantScorer, graph_quality, hits_at_1, prf1, redundancy_score, relevance_score
 from kgqa.fixtures import build_mini_dataset, write_fixture
 from kgqa.gateway import CostLedger, PriceTable, cost_report, estimate_tokens
-from kgqa.graph import EntityRef, Relation, Triple, load_graph, textualize_triple
+from kgqa.graph import Triple, load_graph, textualize_triple
 from kgqa.pipeline import PipelineContext, RunConfig, run_all, sweep_k
 from kgqa.pruning import CHANNELS, render_masked, score_graph, select_top_k
 from kgqa.queries import parse_decomposition_tree, serialize_decomposition
@@ -193,25 +193,20 @@ class TestCriterion5MetricInvariants:
                 )
 
                 singleton = [
-                    Triple(EntityRef(f"s{i}"), Relation(f"{rng.choice(WORDS)}_{i}"), EntityRef(f"o{i}"), index=i)
+                    Triple(f"s{i}", f"{rng.choice(WORDS)}_{i}", f"o{i}", index=i)
                     for i in range(rng.randint(1, 10))
                 ]
                 assert redundancy_score(singleton, ref).mean == 0.0
 
                 group_size = rng.randint(2, 6)
                 group = [
-                    Triple(
-                        EntityRef("hub"),
-                        Relation(f"{rng.choice(WORDS)}_{rng.choice(WORDS)}_{i}"),
-                        EntityRef("spoke"),
-                        index=i,
-                    )
+                    Triple("hub", f"{rng.choice(WORDS)}_{rng.choice(WORDS)}_{i}", "spoke", index=i)
                     for i in range(group_size)
                 ]
                 before = redundancy_score(group, ref).mean
                 duplicated = group[rng.randrange(group_size)]
                 group.append(
-                    Triple(EntityRef("hub"), Relation(duplicated.relation.name), EntityRef("spoke"), index=group_size)
+                    Triple("hub", duplicated.relation, "spoke", index=group_size)
                 )
                 after = redundancy_score(group, ref).mean
                 assert after >= before - 1e-12
@@ -232,7 +227,7 @@ class TestCriterion6GrammarRoundTrips:
 
             structural = parse_structural_output(STRUCTURAL_EXAMPLE)
             got = [
-                (t.triple.subject.id, t.triple.relation.name, t.triple.object.id, t.provenance.value)
+                (t.triple.subject, t.triple.relation, t.triple.object, t.provenance.value)
                 for t in structural.triples
             ]
             assert got == STRUCTURAL_EXAMPLE_TRIPLES
@@ -240,7 +235,7 @@ class TestCriterion6GrammarRoundTrips:
 
             feature = parse_feature_output(FEATURE_EXAMPLE)
             assert [
-                (t.triple.subject.id, t.triple.relation.name, t.triple.object.id) for t in feature.triples
+                (t.triple.subject, t.triple.relation, t.triple.object) for t in feature.triples
             ] == FEATURE_EXAMPLE_TRIPLES
 
             rejected = parse_feature_output("{result}\n(X, made_up_relation, Y)\n(ok, Hypernym_isA, Z)\n{/result}")

@@ -6,13 +6,9 @@ from hypothesis import strategies as st
 from kgqa.answering import build_qa_prompt, normalize_answer, parse_final_answers
 from kgqa.enrichment import EnrichedTriple, Provenance, merge_enriched
 from kgqa.gateway import load_template
-from kgqa.graph import EntityRef, Relation, Triple, load_graph
+from kgqa.graph import Triple, load_graph
 
 from sample_outputs import COT_ANSWER_EXAMPLE
-
-
-def triple(s, r, o, index=0):
-    return Triple(EntityRef(s), Relation(r), EntityRef(o), index=index)
 
 
 def info_lines(prompt: str) -> list[str]:
@@ -88,7 +84,7 @@ class TestParseFinalAnswers:
 
 class TestBuildQaPrompt:
     def test_single_triple_single_line(self):
-        prompt = build_qa_prompt("Who?", [triple("a", "r", "b")], load_template("question_answering"))
+        prompt = build_qa_prompt("Who?", [Triple("a", "r", "b")], load_template("question_answering"))
         lines = info_lines(prompt)
         assert lines == ["(a, r, b)"]
 
@@ -96,7 +92,7 @@ class TestBuildQaPrompt:
         rows = [[f"s{i}", f"r{i}", f"o{i}"] for i in range(300)]
         base = list(load_graph(rows))
         generated = [
-            EnrichedTriple(triple(f"g{i}", "Hypernym_isA", f"h{i}"), Provenance.HIERARCHY) for i in range(12)
+            EnrichedTriple(Triple(f"g{i}", "Hypernym_isA", f"h{i}"), Provenance.HIERARCHY) for i in range(12)
         ]
         merged = base + [et.triple for et in merge_enriched(base, generated)]
         prompt = build_qa_prompt("Who?", merged, load_template("question_answering"))
@@ -112,10 +108,10 @@ class TestBuildQaPrompt:
 
     def test_relation_name_kept_verbatim(self):
         prompt = build_qa_prompt(
-            "Who?", [triple("m.01", "people.person.nationality", "Chile")], load_template("question_answering")
+            "Who?", [Triple("m.01", "people.person.nationality", "Chile")], load_template("question_answering")
         )
         assert "(m.01, people.person.nationality, Chile)" in info_lines(prompt)[0]
 
     def test_deterministic(self):
-        args = ("Who?", [triple("a", "r", "b")], load_template("question_answering"))
+        args = ("Who?", [Triple("a", "r", "b")], load_template("question_answering"))
         assert build_qa_prompt(*args) == build_qa_prompt(*args)

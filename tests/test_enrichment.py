@@ -18,7 +18,7 @@ from kgqa.enrichment import (
     parse_structural_output,
 )
 from kgqa.gateway import load_template
-from kgqa.graph import EntityRef, Relation, Triple, load_graph
+from kgqa.graph import Triple, load_graph
 from kgqa.queries import fallback_graph_query
 
 from sample_outputs import (
@@ -27,10 +27,6 @@ from sample_outputs import (
     STRUCTURAL_EXAMPLE,
     STRUCTURAL_EXAMPLE_TRIPLES,
 )
-
-
-def triple(s, r, o, index=0):
-    return Triple(EntityRef(s), Relation(r), EntityRef(o), index=index)
 
 
 BACHELET_ROWS = [
@@ -58,7 +54,7 @@ class TestStructuralPrompt:
         ) in prompt
 
     def test_infinite_tau_keeps_only_graph_query(self, ref):
-        t = triple("a", "r", "b")
+        t = Triple("a", "r", "b")
         associations = associate_queries(["graph query text"], ["graph query text", "another query"], ref, tau=math.inf)
         assert associations == [["graph query text"]]
         prompt = filter_and_build_structural_prompt([t], associations, template=load_template("structural_enrich"))
@@ -79,7 +75,7 @@ class TestStructuralPrompt:
             filter_and_build_structural_prompt([], [], template=load_template("structural_enrich"))
 
     def test_two_hop_paths_follow_payload_position(self):
-        payload = [triple("b", "r3", "d", index=9), triple("a", "r1", "b", index=2), triple("b", "r2", "c", index=5)]
+        payload = [Triple("b", "r3", "d", index=9), Triple("a", "r1", "b", index=2), Triple("b", "r2", "c", index=5)]
         prompt = filter_and_build_structural_prompt(
             payload, [["q"]] * len(payload), template=load_template("structural_enrich")
         )
@@ -101,7 +97,7 @@ class TestStructuralPrompt:
 class TestStructuralParse:
     def test_worked_example_verbatim(self):
         parse = parse_structural_output(STRUCTURAL_EXAMPLE)
-        got = [(t.triple.subject.id, t.triple.relation.name, t.triple.object.id, t.provenance.value) for t in parse.triples]
+        got = [(t.triple.subject, t.triple.relation, t.triple.object, t.provenance.value) for t in parse.triples]
         assert got == STRUCTURAL_EXAMPLE_TRIPLES
         assert parse.skipped == 0
 
@@ -120,7 +116,7 @@ class TestStructuralParse:
         assert len(parse.triples) == 1
 
     def test_round_trip_on_formatted_triples(self):
-        triples = [triple("x y", "rel_one", "z"), triple("m.01", "people.person.rel", "w", index=1)]
+        triples = [Triple("x y", "rel_one", "z"), Triple("m.01", "people.person.rel", "w", index=1)]
         text = "\n".join(format_triple_compact(t) for t in triples)
         parse = parse_structural_output(text)
         assert [t.triple.key for t in parse.triples] == [t.key for t in triples]
@@ -133,7 +129,7 @@ class TestStructuralParse:
 
 class TestFeaturePrompt:
     def test_single_context_block(self):
-        contexts = collect_entity_contexts([triple("a", "r", "b")], [["what is the r of a?"]])
+        contexts = collect_entity_contexts([Triple("a", "r", "b")], [["what is the r of a?"]])
         prompt = build_feature_prompt(contexts, load_template("feature_enrich"))
         assert "[$a$ context]" in prompt
         assert "relavent triple(s):(a,r,b)" in prompt
@@ -150,14 +146,14 @@ class TestFeaturePrompt:
         assert "What language is spoken in this location?" in chile_block
 
     def test_entity_without_queries_allowed(self):
-        contexts = collect_entity_contexts([triple("a", "r", "b")], [[]])
+        contexts = collect_entity_contexts([Triple("a", "r", "b")], [[]])
         prompt = build_feature_prompt(contexts, load_template("feature_enrich"))
         assert "relavent user query(ies):\n" in prompt
 
     def test_entities_in_first_occurrence_order(self):
-        triples = [triple("a", "r", "b"), triple("b", "s", "c", index=1)]
+        triples = [Triple("a", "r", "b"), Triple("b", "s", "c", index=1)]
         contexts = collect_entity_contexts(triples, [["q1"], ["q2"]])
-        assert [c.entity.id for c in contexts] == ["a", "b", "c"]
+        assert [c.entity for c in contexts] == ["a", "b", "c"]
         assert contexts[1].queries == ["q1", "q2"]
 
     def test_empty_contexts_rejected(self):
@@ -168,7 +164,7 @@ class TestFeaturePrompt:
 class TestFeatureParse:
     def test_worked_example_verbatim(self):
         parse = parse_feature_output(FEATURE_EXAMPLE)
-        got = [(t.triple.subject.id, t.triple.relation.name, t.triple.object.id) for t in parse.triples]
+        got = [(t.triple.subject, t.triple.relation, t.triple.object) for t in parse.triples]
         assert got == FEATURE_EXAMPLE_TRIPLES
         assert all(t.provenance is Provenance.HIERARCHY for t in parse.triples)
         assert parse.rejected == 0
@@ -189,12 +185,12 @@ class TestFeatureParse:
     def test_last_result_block_wins(self):
         raw = "{result}\n(a, Hypernym_isA, b)\n{/result}\ntext\n{result}\n(c, Hypernym_isA, d)\n{/result}"
         parse = parse_feature_output(raw)
-        assert [t.triple.subject.id for t in parse.triples] == ["c"]
+        assert [t.triple.subject for t in parse.triples] == ["c"]
 
     def test_all_parsed_triples_use_vocabulary(self):
         parse = parse_feature_output(FEATURE_EXAMPLE)
         for et in parse.triples:
-            assert et.triple.relation.name in ONTOLOGY_RELATIONS
+            assert et.triple.relation in ONTOLOGY_RELATIONS
 
 
 class TestAssociateQueries:
@@ -209,14 +205,14 @@ class TestAssociateQueries:
 class TestMerge:
     def test_duplicate_of_base_dropped(self):
         base = list(load_graph([["a", "r", "b"]]))
-        generated = [EnrichedTriple(triple("a", "r", "b"), Provenance.SIMILARITY)]
+        generated = [EnrichedTriple(Triple("a", "r", "b"), Provenance.SIMILARITY)]
         assert merge_enriched(base, generated) == []
 
     def test_duplicate_generated_kept_once(self):
         base = list(load_graph([["a", "r", "b"]]))
         generated = [
-            EnrichedTriple(triple("a", "s", "c"), Provenance.SIMILARITY),
-            EnrichedTriple(triple("a", "s", "c"), Provenance.TRANSITIVITY),
+            EnrichedTriple(Triple("a", "s", "c"), Provenance.SIMILARITY),
+            EnrichedTriple(Triple("a", "s", "c"), Provenance.TRANSITIVITY),
         ]
         merged = merge_enriched(base, generated)
         assert len(merged) == 1
@@ -225,14 +221,14 @@ class TestMerge:
     def test_disjoint_sizes_add(self):
         base = list(load_graph([[f"s{i}", f"r{i}", f"o{i}"] for i in range(300)]))
         generated = [
-            EnrichedTriple(triple(f"g{i}", "Hypernym_isA", f"h{i}"), Provenance.HIERARCHY) for i in range(12)
+            EnrichedTriple(Triple(f"g{i}", "Hypernym_isA", f"h{i}"), Provenance.HIERARCHY) for i in range(12)
         ]
         merged = merge_enriched(base, generated)
         assert len(base) + len(merged) == 312
 
     def test_base_never_removed_and_order_stable(self):
         base = list(load_graph([["a", "r", "b"], ["c", "s", "d"]]))
-        generated = [EnrichedTriple(triple("x", "t", "y"), Provenance.SYMMETRY)]
+        generated = [EnrichedTriple(Triple("x", "t", "y"), Provenance.SYMMETRY)]
         merged = merge_enriched(base, generated)
         assert [t.key for t in base] == [("a", "r", "b"), ("c", "s", "d")]
         assert [et.triple.key for et in merged] == [("x", "t", "y")]
@@ -241,8 +237,8 @@ class TestMerge:
     def test_grounded_flag(self):
         base = list(load_graph([["a", "r", "b"]]))
         generated = [
-            EnrichedTriple(triple("a", "is_a", "Politician"), Provenance.HIERARCHY),
-            EnrichedTriple(triple("x", "t", "y"), Provenance.SIMILARITY),
+            EnrichedTriple(Triple("a", "is_a", "Politician"), Provenance.HIERARCHY),
+            EnrichedTriple(Triple("x", "t", "y"), Provenance.SIMILARITY),
         ]
         merged = merge_enriched(base, generated)
         assert merged[0].grounded is True
@@ -250,19 +246,19 @@ class TestMerge:
 
     def test_structural_sources_share_endpoints(self):
         base = list(load_graph([["a", "r", "b"], ["c", "s", "d"]]))
-        generated = [EnrichedTriple(triple("a", "fused", "d"), Provenance.TRANSITIVITY)]
+        generated = [EnrichedTriple(Triple("a", "fused", "d"), Provenance.TRANSITIVITY)]
         assert merge_enriched(base, generated)[0].source_indices == (0, 1)
 
     def test_hierarchy_sources_empty(self):
         base = list(load_graph([["a", "r", "b"]]))
-        generated = [EnrichedTriple(triple("a", "Hypernym_isA", "Thing"), Provenance.HIERARCHY)]
+        generated = [EnrichedTriple(Triple("a", "Hypernym_isA", "Thing"), Provenance.HIERARCHY)]
         assert merge_enriched(base, generated)[0].source_indices == ()
 
     def test_merged_indices_unique(self):
         base = list(load_graph([["a", "r", "b"], ["c", "s", "d"]]))
         generated = [
-            EnrichedTriple(triple("x", "t", "y"), Provenance.SIMILARITY),
-            EnrichedTriple(triple("p", "u", "q"), Provenance.SYMMETRY),
+            EnrichedTriple(Triple("x", "t", "y"), Provenance.SIMILARITY),
+            EnrichedTriple(Triple("p", "u", "q"), Provenance.SYMMETRY),
         ]
         indices = [t.index for t in base] + [et.triple.index for et in merge_enriched(base, generated)]
         assert len(indices) == len(set(indices))

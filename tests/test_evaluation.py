@@ -22,13 +22,9 @@ from kgqa.evaluation import (
     relevance_score,
     semantic_richness,
 )
-from kgqa.graph import GROUP_MODES, EntityRef, Relation, Triple, group_by_endpoints, load_graph, relation_text, textualize_triple
+from kgqa.graph import GROUP_MODES, Triple, group_by_endpoints, load_graph, relation_text, textualize_triple
 
 from helpers import WORDS, random_graph, random_phrase, random_records, redundancy_oracle, relevance_oracle
-
-
-def triple(s, r, o, index=0):
-    return Triple(EntityRef(s), Relation(r), EntityRef(o), index=index)
 
 
 def oracle_prf1(pred, gold):
@@ -131,12 +127,12 @@ class TestEvalReport:
 
 class TestRelevance:
     def test_identity_triple(self, ref):
-        t = triple("a", "r", "b")
+        t = Triple("a", "r", "b")
         result = relevance_score(textualize_triple(t), [t], ref)
         assert result.mean == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_tokens_zero(self, ref):
-        t = triple("alpha", "beta_rel", "gamma")
+        t = Triple("alpha", "beta_rel", "gamma")
         question = "delta epsilon"
         triple_tokens = {"alpha", "beta", "rel", "gamma"}
         question_tokens = {"delta", "epsilon"}
@@ -145,7 +141,7 @@ class TestRelevance:
         assert relevance_score(question, [t], ref).mean == 0.0
 
     def test_duplicate_triple_mean_unchanged_sum_doubled(self, ref):
-        t = triple("amber", "binds", "mesa")
+        t = Triple("amber", "binds", "mesa")
         single = relevance_score("amber mesa", [t], ref)
         double = relevance_score("amber mesa", [t, t], ref)
         assert double.mean == pytest.approx(single.mean, abs=1e-12)
@@ -158,29 +154,29 @@ class TestRelevance:
 
 class TestSemanticRichness:
     def test_constant_scorer(self):
-        triples = [triple("a", "r", "b"), triple("c", "s", "d", index=1)]
+        triples = [Triple("a", "r", "b"), Triple("c", "s", "d", index=1)]
         assert semantic_richness(triples, ConstantScorer(0.7)).mean == pytest.approx(0.7)
 
     def test_mixed_scores_average(self):
         scores = {("a", "r", "b"): 0.2, ("c", "s", "d"): 0.8}
         scorer = lambda ts: [scores[t.key] for t in ts]
-        triples = [triple("a", "r", "b"), triple("c", "s", "d", index=1)]
+        triples = [Triple("a", "r", "b"), Triple("c", "s", "d", index=1)]
         assert semantic_richness(triples, scorer).mean == pytest.approx(0.5)
 
     def test_out_of_range_score_rejected(self):
         for bad in (1.5, -0.1, float("nan")):
             with pytest.raises(ValueError, match="outside"):
-                semantic_richness([triple("a", "r", "b")], lambda ts: [bad] * len(ts))
+                semantic_richness([Triple("a", "r", "b")], lambda ts: [bad] * len(ts))
 
     def test_score_count_mismatch_rejected(self):
-        triples = [triple("a", "r", "b"), triple("c", "s", "d", index=1)]
+        triples = [Triple("a", "r", "b"), Triple("c", "s", "d", index=1)]
         with pytest.raises(ValueError, match="1 scores for 2 triples"):
             semantic_richness(triples, lambda ts: [0.5])
 
     def test_positive_threshold_filters(self):
         scores = {("a", "r", "b"): 0.2, ("c", "s", "d"): 0.8}
         scorer = lambda ts: [scores[t.key] for t in ts]
-        triples = [triple("a", "r", "b"), triple("c", "s", "d", index=1)]
+        triples = [Triple("a", "r", "b"), Triple("c", "s", "d", index=1)]
         assert semantic_richness(triples, scorer, positive_threshold=0.5).mean == pytest.approx(0.4)
 
     def test_constant_scorer_validation(self):
@@ -190,13 +186,13 @@ class TestSemanticRichness:
 
 class TestRedundancy:
     def test_all_singletons_zero(self, ref):
-        triples = [triple("a", "r", "b"), triple("c", "s", "d", index=1)]
+        triples = [Triple("a", "r", "b"), Triple("c", "s", "d", index=1)]
         result = redundancy_score(triples, ref)
         assert result.mean == 0.0
         assert result.pairs == 0
 
     def test_identical_relations_score_one(self, ref):
-        triples = [triple("a", "r", "b"), triple("a", "r", "b", index=1)]
+        triples = [Triple("a", "r", "b"), Triple("a", "r", "b", index=1)]
         result = redundancy_score(triples, ref)
         assert result.mean == pytest.approx(1.0, abs=1e-9)
         assert result.pairs == 1
@@ -204,13 +200,13 @@ class TestRedundancy:
     def test_mixed_group_matches_pair_enumeration(self, ref):
         r, s = "located_in", "quartz"
         x = similarity(embed_reference(relation_text(r)), embed_reference(relation_text(s)))
-        triples = [triple("a", r, "b"), triple("a", r, "b", index=1), triple("a", s, "b", index=2)]
+        triples = [Triple("a", r, "b"), Triple("a", r, "b", index=1), Triple("a", s, "b", index=2)]
         result = redundancy_score(triples, ref)
         assert result.pairs == 3
         assert result.mean == pytest.approx((1.0 + x + x) / 3, abs=1e-9)
 
     def test_head_mode_groups_by_subject(self, ref):
-        triples = [triple("a", "r", "b"), triple("a", "r", "c", index=1)]
+        triples = [Triple("a", "r", "b"), Triple("a", "r", "c", index=1)]
         assert redundancy_score(triples, ref, mode="head").pairs == 1
         assert redundancy_score(triples, ref, mode="head_and_tail").pairs == 0
 
@@ -227,13 +223,13 @@ class TestRedundancy:
         for _ in range(30):
             group_size = rng.randint(2, 6)
             triples = [
-                triple("hub", f"{rng.choice(WORDS)}_{rng.choice(WORDS)}_{i}", "spoke", index=i)
+                Triple("hub", f"{rng.choice(WORDS)}_{rng.choice(WORDS)}_{i}", "spoke", index=i)
                 for i in range(group_size)
             ]
             before = redundancy_score(triples, ref)
             duplicated = triples[rng.randrange(group_size)]
             triples.append(
-                triple("hub", duplicated.relation.name, "spoke", index=group_size)
+                Triple("hub", duplicated.relation, "spoke", index=group_size)
             )
             after = redundancy_score(triples, ref)
             assert after.mean >= before.mean - 1e-12

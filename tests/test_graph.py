@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from random import Random
 
 import pytest
@@ -7,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgqa.graph import (
-    EntityRef,
     GraphLoadError,
-    Relation,
     Triple,
     extract_paths,
     group_by_endpoints,
@@ -19,10 +18,6 @@ from kgqa.graph import (
 )
 
 from helpers import random_records
-
-
-def triple(s, r, o, index=0):
-    return Triple(EntityRef(s), Relation(r), EntityRef(o), index=index)
 
 
 class TestLoadGraph:
@@ -50,7 +45,7 @@ class TestLoadGraph:
     def test_order_stability(self):
         records = [["a", "r1", "b"], ["c", "r2", "d"], ["a", "r1", "b"], ["e", "r3", "f"]]
         g = load_graph(records)
-        assert [t.subject.id for t in g] == ["a", "c", "e"]
+        assert [t.subject for t in g] == ["a", "c", "e"]
         assert [t.index for t in g] == [0, 1, 2]
 
     def test_index_completeness(self):
@@ -64,64 +59,61 @@ class TestLoadGraph:
         assert (g.entities, g.relations) == (("a", "b", "c"), ("r", "s"))
         assert [g.s.tolist(), g.r.tolist(), g.o.tolist()] == [[0, 1, 2], [0, 0, 1], [1, 0, 0]]
 
-    def test_triples_share_refs(self):
-        g = load_graph(random_records(Random(12), 60))
-        refs = {}
-        for t in g:
-            assert refs.setdefault(t.subject.id, t.subject) is t.subject
-            assert refs.setdefault(t.object.id, t.object) is t.object
-
 
 class TestEntitySemantics:
     def test_entity_equality_by_id(self):
-        assert EntityRef("m.01") == EntityRef("m.01")
-        assert EntityRef("m.01") != EntityRef("m.02")
+        assert Triple("m.01", "r", "m.02") == Triple("m.01", "r", "m.02")
+        assert Triple("m.01", "r", "m.02") != Triple("m.01", "r", "m.03")
+        assert Triple("m.01", "r", "m.02") != Triple("m.02", "r", "m.01")
 
     def test_empty_id_rejected(self):
-        with pytest.raises(ValueError):
-            EntityRef("")
+        for subject, obj in (("", "b"), ("a", "")):
+            with pytest.raises(ValueError, match="^entity id must be non-empty$"):
+                Triple(subject, "r", obj)
 
     def test_relation_whitespace_rejected(self):
-        with pytest.raises(ValueError):
-            Relation(" padded ")
+        for relation in ("", " padded ", "padded\n", "\tpadded"):
+            message = f"relation name must be non-empty with no surrounding whitespace: {relation!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Triple("a", relation, "b")
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="triple index must be >= 0"):
+            Triple("a", "r", "b", index=-1)
 
     def test_triple_equality_ignores_index(self):
-        assert triple("a", "r", "b", index=1) == triple("a", "r", "b", index=9)
+        assert Triple("a", "r", "b", index=1) == Triple("a", "r", "b", index=9)
 
 
 class TestTextualize:
     def test_underscore_relation(self):
-        assert textualize_triple(triple("Beijing", "located_in", "China")) == "Beijing located in China"
+        assert textualize_triple(Triple("Beijing", "located_in", "China")) == "Beijing located in China"
 
     def test_dotted_relation(self):
-        assert textualize_triple(triple("a", "x.y.z_w", "b")) == "a x y z w b"
+        assert textualize_triple(Triple("a", "x.y.z_w", "b")) == "a x y z w b"
 
     def test_ids_pass_through(self):
-        assert textualize_triple(triple("m.01", "r", "m.02")) == "m.01 r m.02"
+        assert textualize_triple(Triple("m.01", "r", "m.02")) == "m.01 r m.02"
 
 
 class TestExtractPaths:
     def test_single_chain(self):
         g = load_graph([["a", "r1", "b"], ["b", "r2", "c"]])
-        two_hop = [p for p in extract_paths(g, 2) if len(p.hops) == 2]
-        assert len(two_hop) == 1
-        assert two_hop[0].hops[0].key == ("a", "r1", "b")
-        assert two_hop[0].hops[1].key == ("b", "r2", "c")
+        assert extract_paths(g, 2) == [(g[0],), (g[1],), (g[0], g[1])]
+        assert [t.key for t in extract_paths(g, 2)[2]] == [("a", "r1", "b"), ("b", "r2", "c")]
 
     def test_no_join_entity(self):
         g = load_graph([["a", "r1", "b"]])
-        assert [p for p in extract_paths(g, 2) if len(p.hops) == 2] == []
+        assert extract_paths(g, 2) == [(g[0],)]
 
     def test_branching_join(self):
         g = load_graph([["a", "r1", "b"], ["b", "r2", "c"], ["b", "r3", "d"]])
-        two_hop = [p for p in extract_paths(g, 2) if len(p.hops) == 2]
-        assert len(two_hop) == 2
+        assert extract_paths(g, 2)[3:] == [(g[0], g[1]), (g[0], g[2])]
 
     def test_one_hop_paths_are_all_triples(self):
         g = load_graph([["a", "r1", "b"], ["b", "r2", "c"]])
-        one_hop = [p for p in extract_paths(g, 1) if len(p.hops) == 1]
-        assert [p.hops[0].index for p in one_hop] == [0, 1]
-        assert extract_paths(g, 1) == one_hop
+        assert extract_paths(g, 1) == [(g[0],), (g[1],)]
+        assert [p[0].index for p in extract_paths(g, 1)] == [0, 1]
 
     def test_invalid_max_hops(self):
         g = load_graph([["a", "r", "b"]])
@@ -136,12 +128,12 @@ class TestExtractPaths:
                 (t1.index, t2.index)
                 for t1 in g
                 for t2 in g
-                if t1.object.id == t2.subject.id
+                if t1.object == t2.subject
             ]
             got = [
-                (p.hops[0].index, p.hops[1].index)
+                (p[0].index, p[1].index)
                 for p in extract_paths(g, 2)
-                if len(p.hops) == 2
+                if len(p) == 2
             ]
             assert got == sorted(expected)
 
@@ -150,7 +142,7 @@ class TestGroupByEndpoints:
     def test_head_and_tail_partition(self):
         g = load_graph([["a", "r1", "b"], ["a", "r2", "b"], ["a", "r3", "c"]])
         groups = group_by_endpoints(g, "head_and_tail")
-        assert [[t.relation.name for t in grp] for grp in groups] == [["r1", "r2"], ["r3"]]
+        assert [[t.relation for t in grp] for grp in groups] == [["r1", "r2"], ["r3"]]
 
     def test_singleton_group(self):
         g = load_graph([["a", "r1", "b"]])
@@ -192,4 +184,4 @@ def test_load_preserves_order_minus_duplicates(rows):
         if key not in [tuple(e) for e in expected]:
             expected.append(row)
     g = load_graph(records)
-    assert [[t.subject.id, t.relation.name, t.object.id] for t in g] == expected
+    assert [[t.subject, t.relation, t.object] for t in g] == expected

@@ -400,7 +400,7 @@ class TestColumnarPrune:
             assert 1000 <= len(g) <= 2000
             pruned = select_top_k(score_graph(g, parsed[record.id]["flat"] or [record.question], ctx.embedder), top_k)
             kept = [
-                {"s": st.triple.subject.id, "r": st.triple.relation.name, "o": st.triple.object.id,
+                {"s": st.triple.subject, "r": st.triple.relation, "o": st.triple.object,
                  "index": st.triple.index, "scores": list(st.channel_scores), "total": st.total_score}
                 for st in pruned.kept
             ]

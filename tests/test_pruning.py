@@ -6,7 +6,7 @@ import pytest
 
 from kgqa.embedding import embed_reference, similarity
 from kgqa.embedding import ReferenceEmbedder
-from kgqa.graph import EntityRef, Relation, Triple, intern_graph, load_graph, textualize_triple
+from kgqa.graph import Triple, intern_graph, load_graph, textualize_triple
 from kgqa.pruning import (
     CHANNELS,
     MaskChannel,
@@ -29,10 +29,6 @@ from helpers import (
 )
 
 
-def triple(s, r, o, index=0):
-    return Triple(EntityRef(s), Relation(r), EntityRef(o), index=index)
-
-
 def oracle_scores(triples, queries):
     """Brute-force channel sums computed directly from the reference embedder."""
     out = []
@@ -50,20 +46,20 @@ def oracle_scores(triples, queries):
 def scored_stub(values):
     """ScoredTriples with the given totals, indexed by position."""
     return [
-        ScoredTriple(triple("s", "r", f"o{i}", index=i), (value, 0.0, 0.0), value)
+        ScoredTriple(Triple("s", "r", f"o{i}", index=i), (value, 0.0, 0.0), value)
         for i, value in enumerate(values)
     ]
 
 
 class TestRenderMasked:
     def test_head(self):
-        assert render_masked(triple("Beijing", "located_in", "China"), MaskChannel.HEAD_MASKED) == "[MASK] located in China"
+        assert render_masked(Triple("Beijing", "located_in", "China"), MaskChannel.HEAD_MASKED) == "[MASK] located in China"
 
     def test_tail(self):
-        assert render_masked(triple("Beijing", "located_in", "China"), MaskChannel.TAIL_MASKED) == "Beijing located in [MASK]"
+        assert render_masked(Triple("Beijing", "located_in", "China"), MaskChannel.TAIL_MASKED) == "Beijing located in [MASK]"
 
     def test_both(self):
-        assert render_masked(triple("Beijing", "located_in", "China"), MaskChannel.BOTH_MASKED) == "[MASK] located in [MASK]"
+        assert render_masked(Triple("Beijing", "located_in", "China"), MaskChannel.BOTH_MASKED) == "[MASK] located in [MASK]"
 
 
 class TestScoreGraph:
@@ -216,7 +212,7 @@ class TestAnswerCoverage:
     def test_monotone_in_k(self, ref):
         rng = Random(55)
         g = random_graph(rng, 60)
-        gold = [g[7].object.id, g[20].subject.id]
+        gold = [g[7].object, g[20].subject]
         scored = score_graph(g, random_queries(rng, 3), ref)
         coverages = [answer_coverage(select_top_k(scored, k), gold) for k in (5, 10, 30, 60)]
         assert coverages == sorted(coverages)

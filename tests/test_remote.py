@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import kgqa.embedding
 import kgqa.evaluation
 from kgqa.embedding import MAX_INPUTS_PER_REQUEST, EmbeddingCache, EmbeddingError, RemoteEmbedder, embed_batch
 from kgqa.evaluation import RemoteKGCScorer
@@ -20,7 +21,7 @@ from kgqa.gateway import (
     post_json,
     with_retries,
 )
-from kgqa.graph import EntityRef, Relation, Triple
+from kgqa.graph import Triple
 
 
 class FakeResponse:
@@ -58,7 +59,6 @@ class TestRemoteEmbedder:
             "encoder-x",
             dimension=4,
             session=session,
-            sleep=lambda _: None,
             **kwargs,
         )
         return embedder, session
@@ -78,15 +78,19 @@ class TestRemoteEmbedder:
         embedder.embed_many(["x"])
         assert session.requests[0]["headers"]["Authorization"] == "Bearer sekret"
 
-    def test_server_error_retried_then_success(self):
+    def test_server_error_retried_then_success(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(kgqa.embedding, "with_retries", lambda call: with_retries(call, sleep=sleeps.append))
         embedder, session = self.make(
             [FakeResponse(status_code=500), FakeResponse(payload=embedding_payload([[1, 0, 0, 0]]))]
         )
         out = embedder.embed_many(["x"])
         assert len(session.requests) == 2
         assert len(out) == 1
+        assert sleeps == [0.5]
 
-    def test_bounded_retries_then_error(self):
+    def test_bounded_retries_then_error(self, monkeypatch):
+        monkeypatch.setattr(kgqa.embedding, "with_retries", lambda call: with_retries(call, sleep=lambda _: None))
         embedder, session = self.make([FakeResponse(status_code=500)] * 5)
         with pytest.raises(EmbeddingError, match="3 attempts"):
             embedder.embed_many(["x"])
@@ -100,6 +104,23 @@ class TestRemoteEmbedder:
     def test_non_transient_failure_not_retried(self, response):
         embedder, session = self.make([response, FakeResponse(payload=embedding_payload([[1, 0, 0, 0]]))])
         with pytest.raises(EmbeddingError):
+            embedder.embed_many(["x"])
+        assert len(session.requests) == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"data": [{"vector": [1, 0, 0, 0]}]},
+            {"data": [None]},
+            {"data": 5},
+            {"data": [{"embedding": "1, 0, 0, 0"}]},
+            ["not", "an", "object"],
+        ],
+        ids=["no-embedding-key", "null-item", "data-not-a-list", "string-embedding", "body-not-an-object"],
+    )
+    def test_malformed_reply_fails_once_naming_the_endpoint(self, payload):
+        embedder, session = self.make([FakeResponse(payload=payload), FakeResponse(payload=embedding_payload([[1, 0, 0, 0]]))])
+        with pytest.raises(EmbeddingError, match="malformed reply from https://emb.example/v1"):
             embedder.embed_many(["x"])
         assert len(session.requests) == 1
 
@@ -191,6 +212,19 @@ class TestRemoteChatProvider:
         assert len(session.requests) == 1
         assert ledger.per_question() == {"q1": QuestionUsage(attempts=1)}
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"object": "error"}, {"choices": []}, {"choices": [{"text": "hi"}]}, {"choices": None}, {**chat_payload("hi"), "usage": 5}],
+        ids=["no-choices", "empty-choices", "no-message", "null-choices", "usage-not-an-object"],
+    )
+    def test_malformed_reply_fails_once_naming_the_endpoint(self, payload):
+        provider, session = self.make([FakeResponse(payload=payload), FakeResponse(payload=chat_payload("ok"))])
+        ledger = CostLedger()
+        with pytest.raises(ValueError, match="malformed reply from https://chat.example/v1"):
+            Gateway(provider, ledger=ledger, sleep=lambda _: None).complete(ChatRequest("x", question_id="q1"))
+        assert len(session.requests) == 1
+        assert ledger.per_question() == {"q1": QuestionUsage(attempts=1)}
+
     def test_rate_limit_is_transport_error(self):
         provider, _ = self.make([FakeResponse(status_code=429)])
         with pytest.raises(TransportError):
@@ -223,21 +257,21 @@ class TestRemoteKGCScorer:
     def test_score_request_and_parse(self):
         session = FakeSession([FakeResponse(payload={"data": [{"score": 0.42}]})])
         scorer = RemoteKGCScorer("https://kgc.example/v1", session=session)
-        t = Triple(EntityRef("Beijing"), Relation("located_in"), EntityRef("China"))
+        t = Triple("Beijing", "located_in", "China")
         assert scorer([t]) == [0.42]
         assert session.requests[0]["json"] == {"input": ["Beijing located in China"]}
 
     def test_graph_scored_in_one_request(self):
         session = FakeSession([FakeResponse(payload={"data": [{"score": 0.1}, {"score": 0.2}, {"score": 0.3}]})])
         scorer = RemoteKGCScorer("https://kgc.example/v1", session=session)
-        triples = [Triple(EntityRef(f"s{i}"), Relation("r"), EntityRef(f"o{i}"), index=i) for i in range(3)]
+        triples = [Triple(f"s{i}", "r", f"o{i}", index=i) for i in range(3)]
         assert scorer(triples) == [0.1, 0.2, 0.3]
         assert len(session.requests) == 1
         assert session.requests[0]["json"] == {"input": ["s0 r o0", "s1 r o1", "s2 r o2"]}
 
     def test_large_graph_split_into_capped_requests(self):
         n = MAX_INPUTS_PER_REQUEST + 5
-        triples = [Triple(EntityRef(f"s{i}"), Relation("r"), EntityRef(f"o{i}"), index=i) for i in range(n)]
+        triples = [Triple(f"s{i}", "r", f"o{i}", index=i) for i in range(n)]
         scores = [i / n for i in range(n)]
         session = FakeSession(
             [
@@ -251,7 +285,7 @@ class TestRemoteKGCScorer:
 
     def test_count_mismatch_checked_per_request(self):
         n = MAX_INPUTS_PER_REQUEST + 2
-        triples = [Triple(EntityRef(f"s{i}"), Relation("r"), EntityRef(f"o{i}"), index=i) for i in range(n)]
+        triples = [Triple(f"s{i}", "r", f"o{i}", index=i) for i in range(n)]
         session = FakeSession(
             [
                 FakeResponse(payload={"data": [{"score": 0.5}] * (MAX_INPUTS_PER_REQUEST + 1)}),
@@ -265,7 +299,7 @@ class TestRemoteKGCScorer:
     def test_each_request_retried_on_its_own(self, monkeypatch):
         monkeypatch.setattr(kgqa.evaluation, "with_retries", lambda call: with_retries(call, sleep=lambda _: None))
         n = MAX_INPUTS_PER_REQUEST + 1
-        triples = [Triple(EntityRef(f"s{i}"), Relation("r"), EntityRef(f"o{i}"), index=i) for i in range(n)]
+        triples = [Triple(f"s{i}", "r", f"o{i}", index=i) for i in range(n)]
         full = FakeResponse(payload={"data": [{"score": 0.5}] * MAX_INPUTS_PER_REQUEST})
         tail = FakeResponse(payload={"data": [{"score": 0.25}]})
         down = FakeResponse(status_code=503)
@@ -276,7 +310,7 @@ class TestRemoteKGCScorer:
     def test_score_count_mismatch_rejected(self):
         session = FakeSession([FakeResponse(payload={"data": [{"score": 0.1}]})])
         scorer = RemoteKGCScorer("https://kgc.example/v1", session=session)
-        triples = [Triple(EntityRef(f"s{i}"), Relation("r"), EntityRef(f"o{i}"), index=i) for i in range(2)]
+        triples = [Triple(f"s{i}", "r", f"o{i}", index=i) for i in range(2)]
         with pytest.raises(ValueError, match="1 scores for 2 triples"):
             scorer(triples)
 
@@ -285,7 +319,7 @@ class TestRemoteKGCScorer:
         monkeypatch.setattr(kgqa.evaluation, "with_retries", lambda call: with_retries(call, sleep=sleeps.append))
         session = FakeSession([FakeResponse(status_code=503), FakeResponse(payload={"data": [{"score": 0.9}]})])
         scorer = RemoteKGCScorer("https://kgc.example/v1", session=session)
-        assert scorer([Triple(EntityRef("a"), Relation("r"), EntityRef("b"))]) == [0.9]
+        assert scorer([Triple("a", "r", "b")]) == [0.9]
         assert len(session.requests) == 2
         assert sleeps == [0.5]
 
@@ -294,14 +328,26 @@ class TestRemoteKGCScorer:
         session = FakeSession([FakeResponse(status_code=503)] * 4)
         scorer = RemoteKGCScorer("https://kgc.example/v1", session=session)
         with pytest.raises(TransportError, match="gave up after 3 attempts: HTTP 503"):
-            scorer([Triple(EntityRef("a"), Relation("r"), EntityRef("b"))])
+            scorer([Triple("a", "r", "b")])
         assert len(session.requests) == 3
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"scores": [0.9]}, {"data": [{"value": 0.9}]}, {"data": [{"score": "high"}]}, {"data": [None]}],
+        ids=["no-data", "no-score-key", "non-numeric-score", "null-item"],
+    )
+    def test_malformed_reply_fails_once_naming_the_endpoint(self, payload):
+        session = FakeSession([FakeResponse(payload=payload), FakeResponse(payload={"data": [{"score": 0.9}]})])
+        scorer = RemoteKGCScorer("https://kgc.example/v1", session=session)
+        with pytest.raises(ValueError, match="malformed reply from https://kgc.example/v1"):
+            scorer([Triple("a", "r", "b")])
+        assert len(session.requests) == 1
 
     def test_client_error_not_retried(self):
         session = FakeSession([FakeResponse(status_code=400), FakeResponse(payload={"data": [{"score": 0.9}]})])
         scorer = RemoteKGCScorer("https://kgc.example/v1", session=session)
         with pytest.raises(RuntimeError, match="HTTP 400"):
-            scorer([Triple(EntityRef("a"), Relation("r"), EntityRef("b"))])
+            scorer([Triple("a", "r", "b")])
         assert len(session.requests) == 1
 
 

@@ -414,10 +414,9 @@ class RemoteChatProvider:
 class Gateway:
     """Provider wrapper adding retries and ledger accounting."""
 
-    def __init__(self, provider: ChatProvider, ledger: CostLedger | None = None, sleep=time.sleep):
+    def __init__(self, provider: ChatProvider, ledger: CostLedger | None = None):
         self.provider = provider
         self.ledger = ledger if ledger is not None else CostLedger()
-        self._sleep = sleep
 
     def complete(self, request: ChatRequest) -> ProviderReply:
         """The provider's reply with both token counts set: a count the provider did not
@@ -431,7 +430,7 @@ class Gateway:
             finally:
                 self.ledger.record_attempt(request.question_id)
 
-        reply = with_retries(attempt, self._sleep)
+        reply = with_retries(attempt)
         prompt_tokens = estimate_tokens(request.prompt) if reply.prompt_tokens is None else reply.prompt_tokens
         completion_tokens = estimate_tokens(reply.content) if reply.completion_tokens is None else reply.completion_tokens
         if not all(type(n) is int and n >= 0 for n in (prompt_tokens, completion_tokens)):

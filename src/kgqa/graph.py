@@ -2,8 +2,8 @@
 
 A graph is a tuple of frozen Triples of plain strings, built once from
 (s, r, o) records (a dataset record's `graph` field), so it is safe to share
-across worker threads. `intern_graph` turns the same records into code
-columns (`GraphColumns`); hot paths such as pruning work on those columns.
+across worker threads. `graph_keys` validates and dedupes the same records
+into (s, r, o) string keys; hot paths such as pruning work on those keys.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 GROUP_MODES = ("head", "tail", "head_and_tail")
 
@@ -60,36 +58,8 @@ class Triple:
         return (self.subject, self.relation, self.object)
 
 
-@dataclass(frozen=True, eq=False)
-class GraphColumns:
-    """A graph as interned code columns: row i is the triple
-    (entities[s[i]], relations[r[i]], entities[o[i]]) with index i."""
-
-    entities: tuple[str, ...]
-    relations: tuple[str, ...]
-    s: np.ndarray
-    r: np.ndarray
-    o: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.s)
-
-    @classmethod
-    def of(cls, keys: Iterable[tuple[str, str, str]]) -> "GraphColumns":
-        """Columns of (subject, relation, object) keys, one row per key in their order."""
-        entities: dict[str, int] = {}
-        relations: dict[str, int] = {}
-        codes = [
-            (entities.setdefault(s, len(entities)), relations.setdefault(r, len(relations)),
-             entities.setdefault(o, len(entities)))
-            for s, r, o in keys
-        ]
-        spo = np.array(codes, dtype=np.intp).reshape(-1, 3)
-        return cls(tuple(entities), tuple(relations), spo[:, 0], spo[:, 1], spo[:, 2])
-
-
-def intern_graph(records: Iterable[Sequence[str]]) -> GraphColumns:
-    """Columns of the graph of (s, r, o) records, keeping input order and dropping duplicates.
+def graph_keys(records: Iterable[Sequence[str]]) -> list[tuple[str, str, str]]:
+    """The distinct (s, r, o) keys of the records, in input order.
 
     Raises GraphLoadError with a 1-based record number on malformed input.
     Relation names lose surrounding whitespace.
@@ -105,15 +75,13 @@ def intern_graph(records: Iterable[Sequence[str]]) -> GraphColumns:
         if not (s and r and o):
             raise GraphLoadError(f"empty field in {record!r}", line=lineno)
         keys[s, r, o] = None
-    return GraphColumns.of(keys)
+    return list(keys)
 
 
 def load_graph(records: Iterable[Sequence[str]]) -> tuple[Triple, ...]:
-    """Build a graph from (s, r, o) records as `intern_graph` does; empty input
+    """Build a graph from (s, r, o) records as `graph_keys` does; empty input
     yields an empty graph. Each triple's index is its position."""
-    g = intern_graph(records)
-    rows = zip(g.s.tolist(), g.r.tolist(), g.o.tolist())
-    return tuple(Triple(g.entities[s], g.relations[r], g.entities[o], index=i) for i, (s, r, o) in enumerate(rows))
+    return tuple(Triple(s, r, o, index=i) for i, (s, r, o) in enumerate(graph_keys(records)))
 
 
 def textualize_triple(t: Triple) -> str:

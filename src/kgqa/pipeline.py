@@ -63,7 +63,7 @@ from .gateway import (
     estimate_tokens,
     load_templates,
 )
-from .graph import GROUP_MODES, GraphLoadError, Triple, intern_graph, load_graph, relation_text, textualize_triple
+from .graph import GROUP_MODES, GraphLoadError, Triple, graph_keys, load_graph, relation_text, textualize_triple
 from .pruning import rank_rows, score_columns
 from .queries import decompose, decomposition_to_dict, fallback_graph_query
 
@@ -453,25 +453,24 @@ def _parse_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping
 
 
 def _ranked_graph(ctx: PipelineContext, record: DatasetRecord, parsed: Mapping | None):
-    """The record's graph columns, channel scores and totals, scored against the
-    parsed `flat` queries (the question when there are none), and its rows ranked."""
-    g = intern_graph(record.graph)
+    """The record's (s, r, o) graph keys, channel scores and totals, scored against
+    the parsed `flat` queries (the question when there are none), and its rows ranked."""
+    keys = graph_keys(record.graph)
     queries = list(parsed["flat"]) if parsed else []
-    channel_scores, totals = score_columns(g, queries or [record.question], ctx.embedder, ctx.cache)
-    return g, channel_scores, totals, rank_rows(totals)
+    channel_scores, totals = score_columns(keys, queries or [record.question], ctx.embedder, ctx.cache)
+    return keys, channel_scores, totals, rank_rows(totals)
 
 
 def _prune_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping) -> dict:
-    g, channel_scores, totals, order = _ranked_graph(ctx, record, _upstream_row(upstream, "parse", record.id))
+    keys, channel_scores, totals, order = _ranked_graph(ctx, record, _upstream_row(upstream, "parse", record.id))
     kept = order[: ctx.config.top_k]
-    rows = zip(kept.tolist(), g.s[kept].tolist(), g.r[kept].tolist(), g.o[kept].tolist())
     return {
         "id": record.id,
         "k": ctx.config.top_k,
-        "source_size": len(g),
+        "source_size": len(keys),
         "kept": [
-            {"s": g.entities[s], "r": g.relations[r], "o": g.entities[o], "index": i, "scores": scores, "total": total}
-            for (i, s, r, o), scores, total in zip(rows, channel_scores[kept].tolist(), totals[kept].tolist())
+            {"s": keys[i][0], "r": keys[i][1], "o": keys[i][2], "index": i, "scores": scores, "total": total}
+            for i, scores, total in zip(kept.tolist(), channel_scores[kept].tolist(), totals[kept].tolist())
         ],
     }
 
@@ -706,21 +705,20 @@ def sweep_k(
     tokens = [0] * len(ks)
     for record in ctx.dataset:
         try:
-            g, _, _, order = _ranked_graph(ctx, record, parsed_rows.get(record.id))
+            keys, _, _, order = _ranked_graph(ctx, record, parsed_rows.get(record.id))
         except GraphLoadError as exc:
             logger.warning("sweep-k: record %s skipped: %s", record.id, exc)
             continue
-        top = order[: max(ks)]
-        s, r, o = g.s[top].tolist(), g.r[top].tolist(), g.o[top].tolist()
-        relations = [relation_text(name) for name in g.relations]
-        texts = (f"{g.entities[a]} {relations[b]} {g.entities[c]}" for a, b, c in zip(s, r, o))
+        top = [keys[i] for i in order[: max(ks)].tolist()]
+        texts = (f"{s} {relation_text(r)} {o}" for s, r, o in top)
         prefix_tokens = list(itertools.accumulate(map(estimate_tokens, texts), initial=0))
-        forms = [normalize_answer(entity, ctx.config.ascii_fold) for entity in g.entities]
+        heads = [normalize_answer(s, ctx.config.ascii_fold) for s, _, _ in top]
+        tails = [normalize_answer(o, ctx.config.ascii_fold) for _, _, o in top]
         gold = [normalize_answer(answer, ctx.config.ascii_fold) for answer in record.answers]
         for i, k in enumerate(ks):
-            endpoints = {forms[e] for e in s[:k] + o[:k]}
+            endpoints = {*heads[:k], *tails[:k]}
             coverages[i].append(sum(answer in endpoints for answer in gold) / len(gold))
-            tokens[i] += prefix_tokens[min(k, len(s))]
+            tokens[i] += prefix_tokens[min(k, len(top))]
     input_rate = ctx.config.price_table().input_per_token
     results = [
         {"k": k, "coverage": sum(c) / len(c) if c else 0.0, "tokens": n, "cost": n * input_rate}

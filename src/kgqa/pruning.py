@@ -7,14 +7,14 @@ a triple's total is the sum over the three channels. The top-K triples by
 total form the pruned graph; `rank_rows` is the one ranking rule (descending
 total, ties by ascending index).
 
-Scoring is blocked matrix code over a graph's interned code columns
+Scoring is blocked matrix code over a graph's (s, r, o) string keys
 (`score_columns`, which the prune stage and `sweep_k` call). `score_graph`
 and `select_top_k` are Triple adapters kept because benchmarks/spans.py wraps
 them by name; the channel diagnostics live in tests/helpers.py. Each
-masked text is rendered once per distinct key and embedded once per distinct
-text into one matrix, whose `BLOCK_ROWS`-row slices (views, not copies) each
-take one matrix-vector product per query, added in query order; a triple's
-total is its head, tail and both-masked channel scores added in that order.
+distinct masked text is embedded once into one matrix, whose `BLOCK_ROWS`-row
+slices (views, not copies) each take one matrix-vector product per query,
+added in query order; a triple's total is its head, tail and both-masked
+channel scores added in that order.
 
 Numeric contract:
 
@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch
-from .graph import GraphColumns, Triple, relation_text
+from .graph import Triple, relation_text
 
 MASK_TOKEN = "[MASK]"
 
@@ -85,45 +85,36 @@ def render_masked(t: Triple, channel: MaskChannel) -> str:
 
 
 def score_columns(
-    g: GraphColumns,
+    keys: Sequence[tuple[str, str, str]],
     queries: Sequence[str],
     provider: EmbeddingProvider,
     cache: EmbeddingCache | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's channel scores, shape (n, 3) in CHANNELS order, and its total.
+    """Each (s, r, o) row's channel scores, shape (n, 3) in CHANNELS order, and its total.
 
-    A masked text is rendered once per distinct key: (relation, object) when
-    the head is masked, (subject, relation) when the tail is, and the relation
-    when both are. Different keys can render the same text, so the texts are
-    then deduped by text, in the order they first occur row by row and channel
-    by channel; the text list, and so the blocks, depend only on the graph.
+    The masked texts are deduped in the order they first occur row by row and
+    channel by channel, so the text list, and so the blocks, depend only on
+    the graph.
     """
     if not queries:
         raise ValueError("at least one query is required")
-    mask = len(g.entities)  # the mask's code in the entity columns
-    names = (*g.entities, MASK_TOKEN)
-    relations = [relation_text(name) for name in g.relations]
-    masked = np.full(len(g), mask, dtype=np.intp)
-    positions, key_of_row, texts = [], [], []
-    for c, (head, tail) in enumerate(((masked, g.o), (g.s, masked), (masked, masked))):
-        # The key is the relation and the unmasked entity: the mask's code is
-        # above every entity's, so the minimum of head and tail picks it out.
-        _, first, inverse = np.unique(g.r * (mask + 1) + np.minimum(head, tail), return_index=True, return_inverse=True)
-        positions.append(first * len(CHANNELS) + c)
-        key_of_row.append(inverse + len(texts))
-        keys = zip(head[first].tolist(), g.r[first].tolist(), tail[first].tolist())
-        texts += [f"{names[h]} {relations[r]} {names[t]}" for h, r, t in keys]
-    order = np.argsort(np.concatenate(positions))
-    row_of: dict[str, int] = {}  # distinct masked text -> its row
-    row_of_key = np.empty(len(texts), dtype=np.intp)
-    row_of_key[order] = [row_of.setdefault(texts[j], len(row_of)) for j in order.tolist()]
-    vectors = embed_batch(list(queries) + list(row_of), provider, cache)
+    relations = {r: relation_text(r) for r in {r for _, r, _ in keys}}
+    both_masked = {r: f"{MASK_TOKEN} {rel} {MASK_TOKEN}" for r, rel in relations.items()}  # built once per relation, not per row
+    texts: list[str] = []  # each row's masked texts in CHANNELS order
+    for s, r, o in keys:
+        rel = relations[r]
+        texts += (f"{MASK_TOKEN} {rel} {o}", f"{s} {rel} {MASK_TOKEN}", both_masked[r])
+    row_of = {text: row for row, text in enumerate(dict.fromkeys(texts))}  # distinct masked text -> its row
+    rows = np.fromiter(map(row_of.__getitem__, texts), dtype=np.intp, count=len(texts)).reshape(-1, len(CHANNELS))
+    batch = [*queries, *row_of]  # the queries, then the distinct masked texts
+    del texts, row_of  # not kept alive while embed_batch densifies the graph's vectors
+    vectors = embed_batch(batch, provider, cache)
     query_vecs, masked_vecs = vectors[: len(queries)], vectors[len(queries):]
     scores = np.zeros(len(masked_vecs))
     for start in range(0, len(masked_vecs), BLOCK_ROWS):
         for qv in query_vecs:  # each block is a row slice of `masked_vecs`, not a copy
             scores[start : start + BLOCK_ROWS] += masked_vecs[start : start + BLOCK_ROWS] @ qv
-    channel_scores = scores[row_of_key[np.stack(key_of_row, axis=1)]]
+    channel_scores = scores[rows]
     return channel_scores, channel_scores[:, 0] + channel_scores[:, 1] + channel_scores[:, 2]
 
 
@@ -135,7 +126,7 @@ def score_graph(
 ) -> list[ScoredTriple]:
     """Score every triple against every query across the three mask channels."""
     triples = list(g)
-    channel_scores, totals = score_columns(GraphColumns.of(t.key for t in triples), queries, provider, cache)
+    channel_scores, totals = score_columns([t.key for t in triples], queries, provider, cache)
     return [
         ScoredTriple(triple=t, channel_scores=tuple(cs), total_score=total)
         for t, cs, total in zip(triples, channel_scores.tolist(), totals.tolist())

@@ -24,7 +24,7 @@ from kgqa.gateway import (
     ScriptedStubProvider,
     TransportError,
 )
-from kgqa.graph import GraphColumns, Triple, group_by_endpoints, load_graph, relation_text, textualize_triple
+from kgqa.graph import Triple, group_by_endpoints, load_graph, relation_text, textualize_triple
 from kgqa.pruning import CHANNELS, rank_rows
 
 VANILLA = "vanilla"
@@ -72,7 +72,7 @@ def random_queries(rng: Random, n: int) -> list[str]:
 
 
 def stub_gateway(script: dict, ledger: CostLedger | None = None) -> Gateway:
-    return Gateway(ScriptedStubProvider(script=script), ledger=ledger, sleep=lambda _: None)
+    return Gateway(ScriptedStubProvider(script=script), ledger=ledger)
 
 
 class FlakyProvider:
@@ -151,7 +151,7 @@ def subset_totals(channel_scores: np.ndarray, subset) -> np.ndarray:
 
 def channel_scores(triples, queries, provider, cache=None) -> np.ndarray:
     """The triples' (n, 3) `score_columns` channel scores, looked up on the module so a spy sees the call."""
-    return pruning.score_columns(GraphColumns.of(t.key for t in triples), queries, provider, cache)[0]
+    return pruning.score_columns([t.key for t in triples], queries, provider, cache)[0]
 
 
 def channel_mrr(g, queries, answer_indices, channels, provider, cache=None) -> float:

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+import kgqa.gateway
 from kgqa.gateway import (
     TEMPLATE_NAMES,
     ChatRequest,
@@ -24,6 +25,7 @@ from kgqa.gateway import (
     load_template,
     load_templates,
     render_template,
+    with_retries,
 )
 from kgqa.pipeline import RunConfig
 
@@ -104,7 +106,6 @@ class TestScriptedStub:
         gateway = Gateway(
             ScriptedStubProvider({"question_answering": {"q1": "Final answer:\nParis"}}),
             ledger=ledger,
-            sleep=lambda _: None,
         )
         resp = gateway.complete(ChatRequest("prompt", template="question_answering", question_id="q1"))
         assert resp.content == "Final answer:\nParis"
@@ -123,21 +124,29 @@ class TestScriptedStub:
         assert provider.generate(req).content == provider.generate(req).content
 
 
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The backoff sleeps of chat retries, recorded instead of slept."""
+    recorded = []
+    monkeypatch.setattr(kgqa.gateway, "with_retries", lambda call: with_retries(call, sleep=recorded.append))
+    return recorded
+
+
 class TestRetries:
-    def test_two_failures_then_success_is_one_call_three_attempts(self):
+    def test_two_failures_then_success_is_one_call_three_attempts(self, sleeps):
         ledger = CostLedger()
         provider = FlakyProvider(EchoProvider(), failures=2)
-        gateway = Gateway(provider, ledger=ledger, sleep=lambda _: None)
+        gateway = Gateway(provider, ledger=ledger)
         resp = gateway.complete(ChatRequest("hi", question_id="q1"))
         assert resp.content == "hi"
         usage = ledger.usage("q1")
         assert usage.calls == 1
         assert usage.attempts == 3
 
-    def test_exhausted_retries_raise_transport_error(self):
+    def test_exhausted_retries_raise_transport_error(self, sleeps):
         ledger = CostLedger()
         provider = FlakyProvider(EchoProvider(), failures=5)
-        gateway = Gateway(provider, ledger=ledger, sleep=lambda _: None)
+        gateway = Gateway(provider, ledger=ledger)
         with pytest.raises(TransportError, match="gave up after 3 attempts"):
             gateway.complete(ChatRequest("hi", question_id="q1"))
         usage = ledger.usage("q1")
@@ -154,7 +163,7 @@ class TestRetries:
 
         ledger = CostLedger()
         with pytest.raises(ValueError, match="token counts"):
-            Gateway(BadUsage(), ledger=ledger, sleep=lambda _: None).complete(ChatRequest("hi", question_id="q1"))
+            Gateway(BadUsage(), ledger=ledger).complete(ChatRequest("hi", question_id="q1"))
         assert ledger.per_question() == {"q1": QuestionUsage(attempts=1)}
 
     @pytest.mark.parametrize("error", [RuntimeError("HTTP 400"), KeyError("choices")])
@@ -167,13 +176,12 @@ class TestRetries:
 
         ledger = CostLedger()
         with pytest.raises(type(error)):
-            Gateway(Failing(), ledger=ledger, sleep=lambda _: None).complete(ChatRequest("hi", question_id="q1"))
+            Gateway(Failing(), ledger=ledger).complete(ChatRequest("hi", question_id="q1"))
         assert ledger.per_question() == {"q1": QuestionUsage(attempts=1)}
 
-    def test_backoff_sequence(self):
-        sleeps = []
+    def test_backoff_sequence(self, sleeps):
         provider = FlakyProvider(EchoProvider(), failures=2)
-        gateway = Gateway(provider, sleep=sleeps.append)
+        gateway = Gateway(provider)
         gateway.complete(ChatRequest("hi"))
         assert sleeps == [0.5, 1.0]
 

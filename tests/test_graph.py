@@ -11,8 +11,8 @@ from kgqa.graph import (
     GraphLoadError,
     Triple,
     extract_paths,
+    graph_keys,
     group_by_endpoints,
-    intern_graph,
     load_graph,
     textualize_triple,
 )
@@ -54,10 +54,23 @@ class TestLoadGraph:
         assert len(g) == 80
         assert all(g[t.index] is t for t in g)
 
-    def test_columns_intern_each_string_once(self):
-        g = intern_graph([["a", " r ", "b"], ["b", "r", "a"], ["a", "r", "b"], ["c", "s", "a"]])
-        assert (g.entities, g.relations) == (("a", "b", "c"), ("r", "s"))
-        assert [g.s.tolist(), g.r.tolist(), g.o.tolist()] == [[0, 1, 2], [0, 0, 1], [1, 0, 0]]
+    def test_keys_strip_relations_drop_duplicates_keep_order(self):
+        keys = graph_keys([["a", " r ", "b"], ["b", "r", "a"], ["a", "r", "b"], ["c", "s", "a"], ["b", "r\t", "a"]])
+        assert keys == [("a", "r", "b"), ("b", "r", "a"), ("c", "s", "a")]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("abc", "expected 3 fields, got 'abc'"),
+            (["a", 1, "b"], "non-string field in ['a', 1, 'b']"),
+            (["a", " \t ", "b"], "empty field in ['a', ' \\t ', 'b']"),
+        ],
+        ids=["string-record", "non-string-field", "blank-relation"],
+    )
+    def test_keys_reject_malformed_record_naming_its_line(self, bad, message):
+        with pytest.raises(GraphLoadError, match=f"^{re.escape(f'line 3: {message}')}$") as info:
+            graph_keys([["a", "r", "b"], ["b", "r", "c"], bad])
+        assert info.value.line == 3
 
 
 class TestEntitySemantics:

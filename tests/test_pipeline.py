@@ -380,7 +380,7 @@ def pruned_rows(stage_dir):
 
 
 class TestColumnarPrune:
-    """The prune stage scores interned code columns and builds rows for the kept triples only."""
+    """The prune stage scores the graph's (s, r, o) keys and builds rows for the kept triples only."""
 
     @pytest.fixture(scope="class")
     def large_fixture(self):

@@ -6,7 +6,7 @@ import pytest
 
 from kgqa.embedding import embed_reference, similarity
 from kgqa.embedding import ReferenceEmbedder
-from kgqa.graph import Triple, intern_graph, load_graph, textualize_triple
+from kgqa.graph import Triple, graph_keys, load_graph, textualize_triple
 from kgqa.pruning import (
     CHANNELS,
     MaskChannel,
@@ -136,7 +136,7 @@ class TestScoreColumns:
 
     def test_equal_masked_texts_get_equal_scores(self, ref):
         g = load_graph(COLLISION_RECORDS)
-        channel_scores, totals = score_columns(intern_graph(COLLISION_RECORDS), self.QUERIES, ref)
+        channel_scores, totals = score_columns(graph_keys(COLLISION_RECORDS), self.QUERIES, ref)
         score_of: dict[str, float] = {}
         for t, scores in zip(g, channel_scores.tolist()):
             for channel, score in zip(CHANNELS, scores):
@@ -149,12 +149,12 @@ class TestScoreColumns:
     def test_each_distinct_text_embedded_once_in_first_occurrence_order(self):
         g = load_graph(COLLISION_RECORDS)
         embedder = CountingEmbedder()
-        score_columns(intern_graph(COLLISION_RECORDS), self.QUERIES, embedder)
+        score_columns(graph_keys(COLLISION_RECORDS), self.QUERIES, embedder)
         masked = [render_masked(t, channel) for t in g for channel in CHANNELS]
         assert embedder.seen == list(dict.fromkeys(self.QUERIES + masked))
 
     def test_empty_graph(self, ref):
-        channel_scores, totals = score_columns(intern_graph([]), ["q"], ref)
+        channel_scores, totals = score_columns(graph_keys([]), ["q"], ref)
         assert channel_scores.shape == (0, len(CHANNELS)) and totals.shape == (0,)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import kgqa.embedding
 import kgqa.evaluation
+import kgqa.gateway
 from kgqa.embedding import MAX_INPUTS_PER_REQUEST, EmbeddingCache, EmbeddingError, RemoteEmbedder, embed_batch
 from kgqa.evaluation import RemoteKGCScorer
 from kgqa.gateway import (
@@ -193,14 +194,14 @@ class TestRemoteChatProvider:
 
     def test_missing_usage_estimated_by_gateway(self):
         provider, _ = self.make([FakeResponse(payload=chat_payload("four byte"))])
-        gateway = Gateway(provider, sleep=lambda _: None)
+        gateway = Gateway(provider)
         response = gateway.complete(ChatRequest("12345678"))
         assert response.prompt_tokens == 2
         assert response.completion_tokens == 3
 
     def test_null_usage_estimated_by_gateway(self):
         provider, _ = self.make([FakeResponse(payload={**chat_payload("four byte"), "usage": None})])
-        response = Gateway(provider, sleep=lambda _: None).complete(ChatRequest("12345678"))
+        response = Gateway(provider).complete(ChatRequest("12345678"))
         assert (response.prompt_tokens, response.completion_tokens) == (2, 3)
 
     @pytest.mark.parametrize("usage", [None, {"prompt_tokens": 7, "completion_tokens": 2}])
@@ -208,7 +209,7 @@ class TestRemoteChatProvider:
         provider, session = self.make([FakeResponse(payload={**chat_payload(None), "usage": usage})])
         ledger = CostLedger()
         with pytest.raises(ValueError, match="https://chat.example/v1"):
-            Gateway(provider, ledger=ledger, sleep=lambda _: None).complete(ChatRequest("x", question_id="q1"))
+            Gateway(provider, ledger=ledger).complete(ChatRequest("x", question_id="q1"))
         assert len(session.requests) == 1
         assert ledger.per_question() == {"q1": QuestionUsage(attempts=1)}
 
@@ -221,7 +222,7 @@ class TestRemoteChatProvider:
         provider, session = self.make([FakeResponse(payload=payload), FakeResponse(payload=chat_payload("ok"))])
         ledger = CostLedger()
         with pytest.raises(ValueError, match="malformed reply from https://chat.example/v1"):
-            Gateway(provider, ledger=ledger, sleep=lambda _: None).complete(ChatRequest("x", question_id="q1"))
+            Gateway(provider, ledger=ledger).complete(ChatRequest("x", question_id="q1"))
         assert len(session.requests) == 1
         assert ledger.per_question() == {"q1": QuestionUsage(attempts=1)}
 
@@ -241,12 +242,13 @@ class TestRemoteChatProvider:
         provider.generate(ChatRequest("x"))
         assert session.requests[0]["headers"]["Authorization"] == "Bearer k123"
 
-    def test_gateway_retries_server_errors(self):
+    def test_gateway_retries_server_errors(self, monkeypatch):
+        monkeypatch.setattr(kgqa.gateway, "with_retries", lambda call: with_retries(call, sleep=lambda _: None))
         provider, session = self.make(
             [FakeResponse(status_code=503), FakeResponse(status_code=503), FakeResponse(payload=chat_payload("ok"))]
         )
         ledger = CostLedger()
-        gateway = Gateway(provider, ledger=ledger, sleep=lambda _: None)
+        gateway = Gateway(provider, ledger=ledger)
         assert gateway.complete(ChatRequest("x", question_id="q1")).content == "ok"
         assert len(session.requests) == 3
         usage = ledger.usage("q1")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .gateway import PromptTemplate, render_template
-from .graph import Triple
+from .graph import TripleLike
 
 FINAL_ANSWER_MARKER = "Final answer:"
 COT_ANSWER_MARKER = "The answer is"
@@ -41,9 +41,9 @@ def normalize_answer(s: str, ascii_fold: bool = False) -> str:
     return " ".join("".join(kept).split())
 
 
-def build_qa_prompt(question: str, triples: Sequence[Triple], template: PromptTemplate) -> str:
+def build_qa_prompt(question: str, triples: Sequence[TripleLike], template: PromptTemplate) -> str:
     """Render the QA template with one '(s, r, o)' line per triple, in order."""
-    lines = [f"({t.subject}, {t.relation}, {t.object})" for t in triples]
+    lines = [f"({s}, {r}, {o})" for s, r, o in triples]
     return render_template(template, {"question": question, "knowledge graph": "\n".join(lines)})
 
 

@@ -251,12 +251,12 @@ def merge_enriched(base: Sequence[Triple], generated: Sequence[EnrichedTriple]) 
     flagged grounded=False when neither endpoint occurs in the base graph;
     structural triples record the base indices they share an endpoint with.
     """
-    seen = {t.key for t in base}
+    seen = {tuple(t) for t in base}
     base_entities = {e for t in base for e in (t.subject, t.object)}
     next_index = max((t.index for t in base), default=-1) + 1
     merged: list[EnrichedTriple] = []
     for et in generated:
-        key = et.triple.key
+        key = tuple(et.triple)
         if key in seen:
             continue
         seen.add(key)

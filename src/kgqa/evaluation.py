@@ -5,8 +5,9 @@ normalized answer strings with set semantics and are macro-averaged per
 question. Graph quality metrics score a triple set against a question:
 relevance (query-triple embedding similarity), semantic richness (triple
 plausibility under a pluggable scorer), and redundancy (relation similarity
-within same-endpoint groups). Each metric reports both the raw sum and the
-size-comparable mean; thresholds elsewhere bind to the mean.
+within same-endpoint groups), over (s, r, o) keys and Triples alike. Each
+metric reports both the raw sum and the size-comparable mean; thresholds
+elsewhere bind to the mean.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 from .answering import AnswerSet, normalize_all
 from .embedding import MAX_INPUTS_PER_REQUEST, EmbeddingCache, EmbeddingProvider, embed_batch
 from .gateway import http_session, post_json, with_retries
-from .graph import Triple, group_by_endpoints, relation_text, textualize_triple
+from .graph import TripleLike, group_by_endpoints, relation_text, textualize_triple
 
-TripleScorer = Callable[[Sequence[Triple]], Sequence[float]]
+TripleScorer = Callable[[Sequence[TripleLike]], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ class ConstantScorer:
             raise ValueError("score must be within [0, 1]")
         self.value = float(value)
 
-    def __call__(self, triples: Sequence[Triple]) -> list[float]:
+    def __call__(self, triples: Sequence[TripleLike]) -> list[float]:
         return [self.value] * len(triples)
 
 
@@ -140,7 +141,7 @@ class RemoteKGCScorer:
         self.timeout = timeout
         self._session = session if session is not None else http_session()
 
-    def __call__(self, triples: Sequence[Triple]) -> list[float]:
+    def __call__(self, triples: Sequence[TripleLike]) -> list[float]:
         texts = [textualize_triple(t) for t in triples]
         scores: list[float] = []
         for start in range(0, len(texts), MAX_INPUTS_PER_REQUEST):
@@ -158,7 +159,7 @@ class RemoteKGCScorer:
 
 def relevance_score(
     question: str,
-    triples: Sequence[Triple],
+    triples: Sequence[TripleLike],
     provider: EmbeddingProvider,
     cache: EmbeddingCache | None = None,
 ) -> MetricValue:
@@ -172,7 +173,7 @@ def relevance_score(
 
 
 def semantic_richness(
-    triples: Sequence[Triple],
+    triples: Sequence[TripleLike],
     scorer: TripleScorer,
     positive_threshold: float | None = None,
 ) -> MetricValue:
@@ -195,7 +196,7 @@ def semantic_richness(
 
 
 def redundancy_score(
-    triples: Sequence[Triple],
+    triples: Sequence[TripleLike],
     provider: EmbeddingProvider,
     mode: str = "head_and_tail",
     cache: EmbeddingCache | None = None,
@@ -208,7 +209,7 @@ def redundancy_score(
     """
     triples = list(triples)
     groups = group_by_endpoints(triples, mode)
-    relation_texts = sorted({relation_text(t.relation) for t in triples})
+    relation_texts = sorted({relation_text(r) for _, r, _ in triples})
     vectors = embed_batch(relation_texts, provider, cache)
     row_of = {text: i for i, text in enumerate(relation_texts)}
     total = 0.0
@@ -217,7 +218,7 @@ def redundancy_score(
         m = len(group)
         if m < 2:
             continue
-        g = vectors[[row_of[relation_text(t.relation)] for t in group]]
+        g = vectors[[row_of[relation_text(r)] for _, r, _ in group]]
         total = sum((g @ g.T)[~np.tri(m, dtype=bool)].tolist(), total)
         pairs += m * (m - 1) // 2
     mean = total / pairs if pairs else 0.0
@@ -238,7 +239,7 @@ class GraphQualityReport:
 
 def graph_quality(
     question: str,
-    triples: Sequence[Triple],
+    triples: Sequence[TripleLike],
     provider: EmbeddingProvider,
     scorer: TripleScorer,
     dataset: str = "",

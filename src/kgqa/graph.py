@@ -1,24 +1,27 @@
 """Knowledge-graph triples: loading, paths, textualization.
 
-A graph is a tuple of frozen Triples of plain strings, built once from
-(s, r, o) records (a dataset record's `graph` field), so it is safe to share
-across worker threads. `graph_keys` validates and dedupes the same records
-into (s, r, o) string keys; hot paths such as pruning work on those keys.
+`graph_keys` validates and dedupes (s, r, o) records into string keys; prune,
+answer, sweep-k and the quality metrics read each graph, from the dataset or a
+stage artifact, as those keys. `load_graph` builds frozen, indexed Triples from
+the same keys, safe to share across worker threads. A Triple unpacks like its
+key, so `textualize_triple` and `group_by_endpoints` take either.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, Union
 
 GROUP_MODES = ("head", "tail", "head_and_tail")
 
 _SEPARATORS = re.compile(r"[._]+")
 
+TripleLike = Union["Triple", tuple[str, str, str]]  # anything that unpacks to (s, r, o)
+
 
 class GraphLoadError(ValueError):
-    """A triple record could not be turned into a Triple."""
+    """A triple record could not be turned into an (s, r, o) key."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -37,7 +40,7 @@ class Triple:
     """One (subject, relation, object) fact over entity ids and a relation name.
 
     Relation names may be dotted paths such as 'location.country.currency_used'.
-    index is the ordinal position within the owning graph; equality ignores it.
+    index is the ordinal position within the owning graph; equality and unpacking ignore it.
     """
 
     subject: str
@@ -53,9 +56,8 @@ class Triple:
         if self.index < 0:
             raise ValueError("triple index must be >= 0")
 
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.subject, self.relation, self.object)
+    def __iter__(self) -> Iterator[str]:
+        return iter((self.subject, self.relation, self.object))
 
 
 def graph_keys(records: Iterable[Sequence[str]]) -> list[tuple[str, str, str]]:
@@ -84,9 +86,10 @@ def load_graph(records: Iterable[Sequence[str]]) -> tuple[Triple, ...]:
     return tuple(Triple(s, r, o, index=i) for i, (s, r, o) in enumerate(graph_keys(records)))
 
 
-def textualize_triple(t: Triple) -> str:
+def textualize_triple(t: TripleLike) -> str:
     """Natural-language form: 'subject relation object' with relation separators spaced out."""
-    return f"{t.subject} {relation_text(t.relation)} {t.object}"
+    s, r, o = t
+    return f"{s} {relation_text(r)} {o}"
 
 
 def extract_paths(triples: Sequence[Triple], max_hops: int) -> list[tuple[Triple, ...]]:
@@ -109,17 +112,13 @@ def extract_paths(triples: Sequence[Triple], max_hops: int) -> list[tuple[Triple
     return paths
 
 
-def group_by_endpoints(g: Sequence[Triple], mode: str = "head_and_tail") -> list[list[Triple]]:
+def group_by_endpoints(g: Sequence[TripleLike], mode: str = "head_and_tail") -> list[list[TripleLike]]:
     """Partition triples by the selected endpoint key, groups in first-occurrence order."""
     if mode not in GROUP_MODES:
         raise ValueError(f"mode must be one of {GROUP_MODES}")
-    groups: dict[object, list[Triple]] = {}
+    groups: dict[object, list[TripleLike]] = {}
     for t in g:
-        if mode == "head":
-            key: object = t.subject
-        elif mode == "tail":
-            key = t.object
-        else:
-            key = (t.subject, t.object)
+        s, _, o = t
+        key = s if mode == "head" else o if mode == "tail" else (s, o)
         groups.setdefault(key, []).append(t)
     return list(groups.values())

@@ -63,7 +63,7 @@ from .gateway import (
     estimate_tokens,
     load_templates,
 )
-from .graph import GROUP_MODES, GraphLoadError, Triple, graph_keys, load_graph, relation_text, textualize_triple
+from .graph import GROUP_MODES, Triple, graph_keys, textualize_triple
 from .pruning import rank_rows, score_columns
 from .queries import decompose, decomposition_to_dict, fallback_graph_query
 
@@ -416,24 +416,14 @@ def _ledger_from_rows(ctx: PipelineContext) -> CostLedger:
     return ledger
 
 
-def _decode_triples(kept: Sequence[Mapping], generated: Sequence[Mapping] = ()) -> list[Triple]:
-    """Triples from pruned `kept` rows, which carry their index, followed by
-    enriched `generated` rows, indexed after the highest kept index."""
-    triples = [Triple(e["s"], e["r"], e["o"], index=e["index"]) for e in kept]
-    start = max((t.index for t in triples), default=-1) + 1
-    return triples + [Triple(g["s"], g["r"], g["o"], index=start + i) for i, g in enumerate(generated)]
-
-
-def _answer_triples(
-    record: DatasetRecord,
-    pruned_row: Mapping | None = None,
-    enriched_row: Mapping | None = None,
-) -> list[Triple]:
-    """The triples answered over: the full graph, the pruned triples, or the
-    pruned triples followed by the generated ones."""
-    if pruned_row is None:
-        return list(load_graph(record.graph))
-    return _decode_triples(pruned_row["kept"], enriched_row.get("generated", ()) if enriched_row is not None else ())
+def _answer_triples(record: DatasetRecord, rows: Mapping[str, Mapping]) -> list[tuple[str, str, str]]:
+    """The (s, r, o) keys answered over, given the record's upstream `rows` by stage and read
+    through `graph_keys`: the full graph without a prune row, else the pruned triples,
+    followed by the generated ones when there is an enrich row."""
+    if "prune" not in rows:
+        return graph_keys(record.graph)
+    generated = rows["enrich"].get("generated", ()) if "enrich" in rows else ()
+    return graph_keys([(e["s"], e["r"], e["o"]) for e in (*rows["prune"]["kept"], *generated)])
 
 
 def _upstream_row(upstream_rows: Mapping[str, dict], stage: str, record_id: str) -> dict:
@@ -477,7 +467,8 @@ def _prune_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping
 
 def _enrich_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping) -> dict:
     parsed = _upstream_row(upstream, "parse", record.id)
-    kept = _decode_triples(_upstream_row(upstream, "prune", record.id)["kept"])
+    pruned = _upstream_row(upstream, "prune", record.id)
+    kept = [Triple(e["s"], e["r"], e["o"], index=e["index"]) for e in pruned["kept"]]
     generated = []
     skipped = 0
     rejected = 0
@@ -527,7 +518,7 @@ def _enrich_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mappin
 
 def _answer_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping) -> dict:
     rows = {stage: _upstream_row(upstream, stage, record.id) for stage in upstream}
-    triples = _answer_triples(record, rows.get("prune"), rows.get("enrich"))
+    triples = _answer_triples(record, rows)
     prompt = build_qa_prompt(record.question, triples, ctx.templates["question_answering"])
     answers = parse_final_answers(_complete(ctx, "question_answering", prompt, record))
     return {
@@ -693,9 +684,9 @@ def sweep_k(
 
     Each question's graph is scored and ranked once, as the prune stage does,
     against its parsed decomposition when that artifact has a row for it and
-    otherwise the bare question; a record whose graph fails to load is logged
-    and skipped. Tokens are the estimator totals over the textualized kept
-    triples; cost applies the configured input rate.
+    otherwise the bare question; a record whose graph or parsed row does not
+    decode is logged and skipped. Tokens are the estimator totals over the
+    textualized kept triples; cost applies the configured input rate.
     """
     if not ks or any(k < 1 for k in ks):
         raise ValueError("ks must be non-empty with every k >= 1")
@@ -706,12 +697,11 @@ def sweep_k(
     for record in ctx.dataset:
         try:
             keys, _, _, order = _ranked_graph(ctx, record, parsed_rows.get(record.id))
-        except GraphLoadError as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # GraphLoadError is a ValueError
             logger.warning("sweep-k: record %s skipped: %s", record.id, exc)
             continue
         top = [keys[i] for i in order[: max(ks)].tolist()]
-        texts = (f"{s} {relation_text(r)} {o}" for s, r, o in top)
-        prefix_tokens = list(itertools.accumulate(map(estimate_tokens, texts), initial=0))
+        prefix_tokens = list(itertools.accumulate(map(estimate_tokens, map(textualize_triple, top)), initial=0))
         heads = [normalize_answer(s, ctx.config.ascii_fold) for s, _, _ in top]
         tails = [normalize_answer(o, ctx.config.ascii_fold) for _, _, o in top]
         gold = [normalize_answer(answer, ctx.config.ascii_fold) for answer in record.answers]
@@ -779,25 +769,25 @@ def _pooled(values: Sequence):
 VARIANT_STAGES = {"vanilla": (), "pruned": ("prune",), "enriched": ("prune", "enrich")}
 
 
-def _variant_triples(ctx: PipelineContext, variant: str) -> dict[str, list[Triple]]:
-    """Per-question triples of a graph variant, for the records whose rows all exist and whose graph loads."""
+def _variant_triples(ctx: PipelineContext, variant: str) -> dict[str, list[tuple[str, str, str]]]:
+    """Per-question `_answer_triples` of a variant where all rows exist; a bad graph or row is logged and skipped."""
     if variant not in VARIANT_STAGES:
         raise ValueError(f"unknown variant {variant!r}")
-    rows = []
+    rows = {}
     for stage in VARIANT_STAGES[variant]:
         path = ctx.stage_dir / STAGE_TABLE[stage].file
         if not path.exists():
             raise StageError(
                 f"variant '{variant}' requires {STAGE_TABLE[stage].key} artifact; run the '{stage}' stage first"
             )
-        rows.append(_read_rows(path))
-    out: dict[str, list[Triple]] = {}
+        rows[stage] = _read_rows(path)
+    out: dict[str, list[tuple[str, str, str]]] = {}
     for record in ctx.dataset:
-        found = [by_id.get(record.id) for by_id in rows]
-        if None in found:
+        found = {stage: by_id.get(record.id) for stage, by_id in rows.items()}
+        if None in found.values():
             continue
         try:
-            out[record.id] = _answer_triples(record, *found)
-        except GraphLoadError as exc:
+            out[record.id] = _answer_triples(record, found)
+        except (KeyError, TypeError, ValueError) as exc:  # GraphLoadError is a ValueError
             logger.warning("metrics: %s variant of record %s skipped: %s", variant, record.id, exc)
     return out

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch
-from .graph import Triple, relation_text
+from .graph import Triple, TripleLike, relation_text
 
 MASK_TOKEN = "[MASK]"
 
@@ -85,7 +85,7 @@ def render_masked(t: Triple, channel: MaskChannel) -> str:
 
 
 def score_columns(
-    keys: Sequence[tuple[str, str, str]],
+    keys: Sequence[TripleLike],
     queries: Sequence[str],
     provider: EmbeddingProvider,
     cache: EmbeddingCache | None = None,
@@ -126,7 +126,7 @@ def score_graph(
 ) -> list[ScoredTriple]:
     """Score every triple against every query across the three mask channels."""
     triples = list(g)
-    channel_scores, totals = score_columns([t.key for t in triples], queries, provider, cache)
+    channel_scores, totals = score_columns(triples, queries, provider, cache)
     return [
         ScoredTriple(triple=t, channel_scores=tuple(cs), total_score=total)
         for t, cs, total in zip(triples, channel_scores.tolist(), totals.tolist())

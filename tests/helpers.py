@@ -151,7 +151,7 @@ def subset_totals(channel_scores: np.ndarray, subset) -> np.ndarray:
 
 def channel_scores(triples, queries, provider, cache=None) -> np.ndarray:
     """The triples' (n, 3) `score_columns` channel scores, looked up on the module so a spy sees the call."""
-    return pruning.score_columns([t.key for t in triples], queries, provider, cache)[0]
+    return pruning.score_columns([tuple(t) for t in triples], queries, provider, cache)[0]
 
 
 def channel_mrr(g, queries, answer_indices, channels, provider, cache=None) -> float:

@@ -108,7 +108,7 @@ class TestStructuralParse:
 
     def test_whole_text_scanned_without_marker(self):
         parse = parse_structural_output("(a, r, b)\n(c, s, d)")
-        assert [t.triple.key for t in parse.triples] == [("a", "r", "b"), ("c", "s", "d")]
+        assert [tuple(t.triple) for t in parse.triples] == [("a", "r", "b"), ("c", "s", "d")]
 
     def test_markup_lines_ignored(self):
         parse = parse_structural_output("Final output:\n{/thought}\n(a,r,b)")
@@ -119,7 +119,7 @@ class TestStructuralParse:
         triples = [Triple("x y", "rel_one", "z"), Triple("m.01", "people.person.rel", "w", index=1)]
         text = "\n".join(format_triple_compact(t) for t in triples)
         parse = parse_structural_output(text)
-        assert [t.triple.key for t in parse.triples] == [t.key for t in triples]
+        assert [tuple(t.triple) for t in parse.triples] == [tuple(t) for t in triples]
         assert parse.skipped == 0
 
     def test_default_provenance_is_similarity(self):
@@ -230,8 +230,8 @@ class TestMerge:
         base = list(load_graph([["a", "r", "b"], ["c", "s", "d"]]))
         generated = [EnrichedTriple(Triple("x", "t", "y"), Provenance.SYMMETRY)]
         merged = merge_enriched(base, generated)
-        assert [t.key for t in base] == [("a", "r", "b"), ("c", "s", "d")]
-        assert [et.triple.key for et in merged] == [("x", "t", "y")]
+        assert [tuple(t) for t in base] == [("a", "r", "b"), ("c", "s", "d")]
+        assert [tuple(et.triple) for et in merged] == [("x", "t", "y")]
         assert merged[0].triple.index == 2
 
     def test_grounded_flag(self):

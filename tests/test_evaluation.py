@@ -6,7 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from kgqa.answering import normalize_answer
+from kgqa.answering import build_qa_prompt, normalize_answer
 from kgqa.embedding import embed_reference, fnv1a_64, similarity
 from kgqa.evaluation import (
     ConstantScorer,
@@ -22,7 +22,9 @@ from kgqa.evaluation import (
     relevance_score,
     semantic_richness,
 )
-from kgqa.graph import GROUP_MODES, Triple, group_by_endpoints, load_graph, relation_text, textualize_triple
+from kgqa.fixtures import build_mini_dataset
+from kgqa.gateway import load_templates
+from kgqa.graph import GROUP_MODES, Triple, graph_keys, group_by_endpoints, load_graph, relation_text, textualize_triple
 
 from helpers import WORDS, random_graph, random_phrase, random_records, redundancy_oracle, relevance_oracle
 
@@ -159,7 +161,7 @@ class TestSemanticRichness:
 
     def test_mixed_scores_average(self):
         scores = {("a", "r", "b"): 0.2, ("c", "s", "d"): 0.8}
-        scorer = lambda ts: [scores[t.key] for t in ts]
+        scorer = lambda ts: [scores[tuple(t)] for t in ts]
         triples = [Triple("a", "r", "b"), Triple("c", "s", "d", index=1)]
         assert semantic_richness(triples, scorer).mean == pytest.approx(0.5)
 
@@ -175,7 +177,7 @@ class TestSemanticRichness:
 
     def test_positive_threshold_filters(self):
         scores = {("a", "r", "b"): 0.2, ("c", "s", "d"): 0.8}
-        scorer = lambda ts: [scores[t.key] for t in ts]
+        scorer = lambda ts: [scores[tuple(t)] for t in ts]
         triples = [Triple("a", "r", "b"), Triple("c", "s", "d", index=1)]
         assert semantic_richness(triples, scorer, positive_threshold=0.5).mean == pytest.approx(0.4)
 
@@ -271,6 +273,51 @@ class TestMatchesPairOracle:
         triples = list(load_graph(hub + random_records(rng, 40)))
         assert max(len(group) for group in group_by_endpoints(triples, "head")) == 80
         self.assert_matches("which relations does hub have", triples, ref, "head")
+
+
+class TestTripleContract:
+    """A Triple unpacks like its (s, r, o) key, so every reader of triples gives the
+    same result for `load_graph(g)` as for `graph_keys(g)`, on a 1000-2000-triple graph."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        [record], _ = build_mini_dataset(n_questions=1, min_triples=1000, max_triples=2000)
+        triples, keys = load_graph(record.graph), graph_keys(record.graph)
+        assert 1000 <= len(keys) <= 2000
+        return record.question, triples, keys
+
+    def test_triple_unpacks_to_its_key(self, graph):
+        _, triples, keys = graph
+        assert [tuple(t) for t in triples] == keys
+        assert [(s, r, o) for s, r, o in triples] == keys
+
+    def test_textualize_triple(self, graph):
+        _, triples, keys = graph
+        assert list(map(textualize_triple, triples)) == list(map(textualize_triple, keys))
+
+    @pytest.mark.parametrize("mode", GROUP_MODES)
+    def test_group_by_endpoints(self, graph, mode):
+        _, triples, keys = graph
+        assert [list(map(tuple, group)) for group in group_by_endpoints(triples, mode)] == group_by_endpoints(keys, mode)
+
+    def test_relevance_score(self, graph, ref):
+        question, triples, keys = graph
+        assert relevance_score(question, triples, ref) == relevance_score(question, keys, ref)
+
+    @pytest.mark.parametrize("mode", GROUP_MODES)
+    def test_redundancy_score(self, graph, ref, mode):
+        _, triples, keys = graph
+        assert redundancy_score(triples, ref, mode) == redundancy_score(keys, ref, mode)
+
+    def test_graph_quality_with_a_textualizing_scorer(self, graph, ref):
+        question, triples, keys = graph
+        scorer = lambda ts: [len(textualize_triple(t)) % 10 / 10 for t in ts]
+        assert graph_quality(question, triples, ref, scorer) == graph_quality(question, keys, ref, scorer)
+
+    def test_build_qa_prompt(self, graph):
+        question, triples, keys = graph
+        template = load_templates()["question_answering"]
+        assert build_qa_prompt(question, triples, template) == build_qa_prompt(question, keys, template)
 
 
 class TestGraphQualityBundle:

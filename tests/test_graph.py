@@ -24,7 +24,7 @@ class TestLoadGraph:
     def test_single_record(self):
         g = load_graph([["Beijing", "located_in", "China"]])
         assert len(g) == 1
-        assert g[0].key == ("Beijing", "located_in", "China")
+        assert tuple(g[0]) == ("Beijing", "located_in", "China")
         assert g[0].index == 0
 
     def test_duplicates_dropped_keeping_first(self):
@@ -113,7 +113,7 @@ class TestExtractPaths:
     def test_single_chain(self):
         g = load_graph([["a", "r1", "b"], ["b", "r2", "c"]])
         assert extract_paths(g, 2) == [(g[0],), (g[1],), (g[0], g[1])]
-        assert [t.key for t in extract_paths(g, 2)[2]] == [("a", "r1", "b"), ("b", "r2", "c")]
+        assert [tuple(t) for t in extract_paths(g, 2)[2]] == [("a", "r1", "b"), ("b", "r2", "c")]
 
     def test_no_join_entity(self):
         g = load_graph([["a", "r1", "b"]])

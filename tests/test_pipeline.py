@@ -584,6 +584,73 @@ class TestQualityMetrics:
         [vanilla] = quality_metrics(ctx, ("vanilla",))
         assert vanilla.triples == len(load_graph(records[0].graph)) + len(load_graph(records[2].graph))
 
+    @staticmethod
+    def spoil_row(path, spoil) -> str:
+        """Apply `spoil` to the second row of a JSONL artifact, in place; return that row's id."""
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        spoil(rows[1])
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        return rows[1]["id"]
+
+    @pytest.mark.parametrize(
+        "spoil, reason",
+        [(lambda row: row["kept"][0].update(s=""), "line 1: empty field"), (lambda row: row["kept"][0].pop("r"), "'r'")],
+        ids=["empty-subject", "no-relation"],
+    )
+    def test_bad_kept_entry_skips_only_its_record(self, tmp_path, spoil, reason):
+        paths = write_fixture(tmp_path / "fx", n_questions=3, max_triples=40)
+        stage_dir = tmp_path / "stage"
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(stage_dir)]
+        assert cli.main(["run", *common]) == 0
+        bad = self.spoil_row(stage_dir / "pruned.jsonl", spoil)
+        assert cli.main(["metrics", *common]) == 0
+        log = (stage_dir / "run.log").read_text(encoding="utf-8")
+        for variant in ("pruned", "enriched"):
+            assert f"metrics: {variant} variant of record {bad} skipped: {reason}" in log
+        assert f"vanilla variant of record {bad}" not in log
+        ctx = PipelineContext(RunConfig.from_file(paths["config"]), stage_dir, load_dataset(paths["dataset"]))
+        vanilla, pruned, enriched = quality_metrics(ctx)
+        assert vanilla.triples == sum(len(load_graph(r.graph)) for r in ctx.dataset)
+        assert pruned.triples == sum(len(row["kept"]) for row in pruned_rows(stage_dir) if row["id"] != bad)
+        enriched_rows = map(json.loads, (stage_dir / "enriched.jsonl").read_text(encoding="utf-8").splitlines())
+        assert enriched.triples == pruned.triples + sum(len(row["generated"]) for row in enriched_rows if row["id"] != bad)
+
+    def test_parsed_row_without_flat_skips_only_its_sweep_k_record(self, tmp_path):
+        paths = write_fixture(tmp_path / "fx", n_questions=3, max_triples=40)
+        stage_dir = tmp_path / "stage"
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(stage_dir)]
+        assert cli.main(["run", *common]) == 0
+        bad = self.spoil_row(stage_dir / "parsed.jsonl", lambda row: row.pop("flat"))
+        assert cli.main(["sweep-k", *common, "--ks", "5,20"]) == 0
+        assert f"sweep-k: record {bad} skipped: 'flat'" in (stage_dir / "run.log").read_text(encoding="utf-8")
+        config, records = RunConfig.from_file(paths["config"]), load_dataset(paths["dataset"])
+        others = PipelineContext(config, stage_dir, [r for r in records if r.id != bad])
+        assert sweep_k(PipelineContext(config, stage_dir, records), [5, 20]) == sweep_k(others, [5, 20])
+
+    @pytest.fixture(scope="class")
+    def large_run(self, tmp_path_factory):
+        paths = write_fixture(tmp_path_factory.mktemp("large"), n_questions=5, min_triples=1000, max_triples=2000)
+        config, records = RunConfig.from_file(paths["config"]), load_dataset(paths["dataset"])
+        stage_dir = paths["dataset"].parent / "stage"
+        run_all(config, records, stage_dir)
+        return config, records, stage_dir
+
+    @pytest.mark.parametrize(
+        "mode, redundancy",
+        [("head", (0.085180, 0.085055, 0.084344)), ("tail", (0.088413, 0.051632, 0.101531)),
+         ("head_and_tail", (0.032571, 0.027310, 0.027310))],
+    )
+    def test_quality_table_on_large_fixture_is_pinned(self, large_run, tmp_path, mode, redundancy):
+        """top_k 300 keeps part of each graph, so the variants differ; only redundancy depends on the mode."""
+        config, records, stage_dir = large_run
+        quality_metrics(PipelineContext(replace(config, redundancy_mode=mode), stage_dir, records), out_dir=tmp_path)
+        relevance_richness = {"vanilla": (0.102912, 0.7), "pruned": (0.245255, 0.7), "enriched": (0.246645, 0.7)}
+        expected = ["dataset,variant,relevance,semanticRichness,redundancy"] + [
+            f"dataset,{variant},{relevance:.6f},{richness:.6f},{value:.6f}"
+            for (variant, (relevance, richness)), value in zip(relevance_richness.items(), redundancy)
+        ]
+        assert (tmp_path / "quality.csv").read_text(encoding="utf-8").splitlines() == expected
+
     def test_pruned_variant_requires_artifact(self, tmp_path, small_fixture):
         records, script = small_fixture
         ctx = make_ctx(records, script, tmp_path / "stage")

@@ -170,38 +170,32 @@ def _spans(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:  # firsts[i] .
 
 
 class _Store:
-    """One provider's vectors in the layout `save` writes: chunks never copied or grown, one per `load`
-    and per batch of new texts, each a row-aligned (n, ceil(d/8)) bitmap of the float64s whose bit
-    pattern is nonzero, those values row by row, and each row's first-value offset; so a row costs
-    ceil(d/8) + 8 bytes plus 8 per nonzero value. A text -> row index spans the chunks."""
+    """One provider's vectors in the layout `save` writes, as one buffer: a row-aligned (n, ceil(d/8)) bitmap
+    of the float64s whose bit pattern is nonzero, those values row by row, and each row's first-value offset
+    (n + 1); a row costs ceil(d/8) + 8 bytes plus 8 per nonzero value. The first batch is kept as it arrives;
+    a later one is appended to all three arrays before the text -> row index learns it."""
 
     def __init__(self, dimension: int):
         self.dimension = dimension
-        self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.starts: list[int] = [0]  # chunks[i] holds rows starts[i] to starts[i + 1]
+        self.bits = np.empty((0, -(-dimension // 8)), np.uint8)
+        self.values = np.empty(0)
+        self.offsets = np.zeros(1, np.intp)
         self.index: dict[str, int] = {}
 
     def add(self, texts: Sequence[str], nonzero: np.ndarray, values: np.ndarray) -> None:
         if nonzero.shape[1] != self.dimension:
             raise EmbeddingError(f"vectors of dimension {nonzero.shape[1]} for a cache of dimension {self.dimension}")
-        offsets = np.concatenate(([0], np.cumsum(np.count_nonzero(nonzero, axis=1))))
-        self.chunks.append((np.packbits(nonzero, axis=1), values, offsets))
-        self.index.update(zip(texts, range(self.starts[-1], self.starts[-1] + len(texts))))
-        self.starts.append(self.starts[-1] + len(texts))
+        start, bits = len(self.bits), np.packbits(nonzero, axis=1)
+        if start:
+            bits, values = np.concatenate((self.bits, bits)), np.concatenate((self.values, values))
+        ends = self.offsets[-1] + np.cumsum(np.count_nonzero(nonzero, axis=1))
+        self.bits, self.values, self.offsets = bits, values, np.concatenate((self.offsets, ends))
+        self.index.update(zip(texts, range(start, start + len(texts))))
 
     def select(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The bitmap rows and the values of `rows`, in their order, one indexing op per chunk they fall in."""
-        which = np.searchsorted(self.starts, rows, side="right") - 1
-        order = np.argsort(which, kind="stable")  # grouped by chunk: O(n log n) however many chunks
-        bits, counts, parts = np.empty((len(rows), -(-self.dimension // 8)), np.uint8), np.empty(len(rows), np.intp), []
-        for idx in np.split(order, np.flatnonzero(np.diff(which[order])) + 1) if len(rows) else ():
-            (chunk_bits, values, offsets), local = self.chunks[which[idx[0]]], rows[idx] - self.starts[which[idx[0]]]
-            bits[idx], counts[idx] = chunk_bits[local], offsets[local + 1] - offsets[local]
-            parts.append(values[_spans(offsets[local], counts[idx])])
-        if len(parts) < 2:  # one chunk or none: the values are in row order already
-            return bits, parts[0] if parts else np.empty(0)
-        firsts = (np.cumsum(counts[order]) - counts[order])[np.argsort(order)]  # each row's first value in the parts joined
-        return bits, np.concatenate(parts)[_spans(firsts, counts)]
+        """The bitmap rows and the values of `rows`, in their order."""
+        firsts = self.offsets[rows]
+        return self.bits[rows], self.values[_spans(firsts, self.offsets[rows + 1] - firsts)]
 
     def gather(self, rows: np.ndarray) -> np.ndarray:
         """A fresh (len(rows), d) array of those rows, filled by one boolean-mask assignment."""
@@ -218,9 +212,9 @@ class EmbeddingCache:
     dimension, and one zlib stream of a bitmap of the vectors' nonzero float64
     bit patterns followed by those values, so vectors round-trip bit for bit,
     sparse ones stay small, and a given set of entries always writes the same
-    bytes. Memory keeps the same layout (`_Store`); only lookups make dense
-    rows. The cache tracks whether it gained entries since it was last loaded
-    or saved, so an unchanged cache is not written again.
+    bytes. Memory keeps that layout, one buffer per provider (`_Store`); only
+    lookups make dense rows. The cache tracks whether it gained entries since
+    it was last loaded or saved, so an unchanged cache is not written again.
     """
 
     def __init__(self):
@@ -281,7 +275,7 @@ class EmbeddingCache:
     def load(self, path: str | Path) -> int:
         """Merge persisted vectors into this cache; returns the number of entries loaded.
 
-        Each provider's bitmap and values become one chunk. An unreadable file
+        Each provider's entries join its store as one batch. An unreadable file
         (truncated, not the JSON `save` writes, values not one per set bit, or
         an older layout such as dense rows without "dimension") loads nothing:
         it logs a warning and marks the cache changed, so the next `save`

@@ -209,16 +209,16 @@ def redundancy_score(
     """
     triples = list(triples)
     groups = group_by_endpoints(triples, mode)
-    relation_texts = sorted({relation_text(r) for _, r, _ in triples})
-    vectors = embed_batch(relation_texts, provider, cache)
-    row_of = {text: i for i, text in enumerate(relation_texts)}
+    relations = sorted({r for _, r, _ in triples})
+    vectors = embed_batch([relation_text(r) for r in relations], provider, cache)
+    row_of = {r: i for i, r in enumerate(relations)}
     total = 0.0
     pairs = 0
     for group in groups:
         m = len(group)
         if m < 2:
             continue
-        g = vectors[[row_of[relation_text(r)] for _, r, _ in group]]
+        g = vectors[[row_of[r] for _, r, _ in group]]
         total = sum((g @ g.T)[~np.tri(m, dtype=bool)].tolist(), total)
         pairs += m * (m - 1) // 2
     mean = total / pairs if pairs else 0.0

@@ -468,7 +468,7 @@ def _prune_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping
 def _enrich_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping) -> dict:
     parsed = _upstream_row(upstream, "parse", record.id)
     pruned = _upstream_row(upstream, "prune", record.id)
-    kept = [Triple(e["s"], e["r"], e["o"], index=e["index"]) for e in pruned["kept"]]
+    kept = [Triple(*graph_keys([(e["s"], e["r"], e["o"])])[0], index=e["index"]) for e in pruned["kept"]]
     generated = []
     skipped = 0
     rejected = 0
@@ -698,7 +698,7 @@ def sweep_k(
         try:
             keys, _, _, order = _ranked_graph(ctx, record, parsed_rows.get(record.id))
         except (KeyError, TypeError, ValueError) as exc:  # GraphLoadError is a ValueError
-            logger.warning("sweep-k: record %s skipped: %s", record.id, exc)
+            logger.warning("sweep-k: record %s skipped: %s: %s", record.id, type(exc).__name__, exc)
             continue
         top = [keys[i] for i in order[: max(ks)].tolist()]
         prefix_tokens = list(itertools.accumulate(map(estimate_tokens, map(textualize_triple, top)), initial=0))
@@ -789,5 +789,5 @@ def _variant_triples(ctx: PipelineContext, variant: str) -> dict[str, list[tuple
         try:
             out[record.id] = _answer_triples(record, found)
         except (KeyError, TypeError, ValueError) as exc:  # GraphLoadError is a ValueError
-            logger.warning("metrics: %s variant of record %s skipped: %s", variant, record.id, exc)
+            logger.warning("metrics: %s variant of record %s skipped: %s: %s", variant, record.id, type(exc).__name__, exc)
     return out

@@ -622,6 +622,34 @@ class TestBitmapStore:
         assert counting.computed == 0
         assert out.tobytes() == np.array([embed_reference(text) for text in order]).tobytes()
 
+    @pytest.mark.parametrize("failing_call", [1, 2, 3])
+    def test_failed_append_leaves_the_cache_as_it_was(self, tmp_path, monkeypatch, failing_call):
+        rng = Random(9)
+        texts = list(dict.fromkeys(random_phrase(rng, rng.randint(1, 5)) for _ in range(80)))
+        first, second = texts[:40], texts[30:]  # the second batch hits 10 texts and misses the rest
+        cache, clean = EmbeddingCache(), EmbeddingCache()
+        for c in (cache, clean):
+            embed_batch(first, ReferenceEmbedder(), c)
+        concatenate, calls = np.concatenate, []
+
+        def out_of_memory_at_one_call(*args, **kwargs):  # bitmap, values and offsets each append once
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise MemoryError
+            return concatenate(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "concatenate", out_of_memory_at_one_call)
+            with pytest.raises(MemoryError):
+                embed_batch(second, ReferenceEmbedder(), cache)
+        assert len(cache) == len(first)
+        out = embed_batch(second, ReferenceEmbedder(), cache)
+        assert out.tobytes() == np.array([embed_reference(text) for text in second]).tobytes()
+        embed_batch(second, ReferenceEmbedder(), clean)
+        cache.save(tmp_path / "failed.json")
+        clean.save(tmp_path / "clean.json")
+        assert (tmp_path / "failed.json").read_bytes() == (tmp_path / "clean.json").read_bytes()
+
     def test_embed_batch_retains_under_an_eighth_of_dense(self):
         rng = Random(7)
         texts = [f"{random_phrase(rng, rng.randint(1, 5))} {i}" for i in range(5000)]

@@ -185,6 +185,35 @@ class TestStages:
         assert error["error"] == f"no scripted response for ('structural_enrich', {failing!r})"
         assert error["usage"]["calls"] == 1  # the feature call, sent alongside the failed structural one
 
+    @staticmethod
+    def enrich_and_answer_after(stage_dir, edit):
+        """Parse and prune, apply `edit` to the first record's first kept entry, then enrich and answer."""
+        records, script = build_mini_dataset(n_questions=3, seed=1)
+        ctx = make_ctx(records, script, stage_dir)
+        run_stage("parse", ctx)
+        pruned_path = run_stage("prune", ctx).path
+        rows = [json.loads(line) for line in pruned_path.read_text(encoding="utf-8").splitlines()]
+        edit(rows[0]["kept"][0])
+        pruned_path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        return rows[0]["id"], run_stage("enrich", ctx), run_stage("answer", ctx)
+
+    def test_padded_kept_relation_enriches_and_answers_as_unpadded(self, tmp_path):
+        rows = {}
+        for name, edit in (("plain", lambda entry: None), ("padded", lambda entry: entry.update(r=" " + entry["r"]))):
+            record_id, enriched, answered = self.enrich_and_answer_after(tmp_path / name, edit)
+            assert (enriched.failed, answered.failed) == (0, 0)
+            rows[name] = [
+                next(line for line in artifact.path.read_text(encoding="utf-8").splitlines() if json.loads(line)["id"] == record_id)
+                for artifact in (enriched, answered)
+            ]
+        assert rows["padded"] == rows["plain"]
+
+    def test_empty_kept_subject_fails_only_its_enrich_record(self, tmp_path):
+        record_id, enriched, _ = self.enrich_and_answer_after(tmp_path / "stage", lambda entry: entry.update(s=""))
+        assert (enriched.processed, enriched.failed) == (2, 1)
+        [error] = [json.loads(l) for l in (tmp_path / "stage" / "errors" / "enrich.jsonl").read_text().splitlines()]
+        assert error["id"] == record_id
+
     def test_unknown_stage(self, tmp_path, small_fixture):
         records, script = small_fixture
         ctx = make_ctx(records, script, tmp_path / "stage")
@@ -577,8 +606,8 @@ class TestQualityMetrics:
         assert cli.main(["sweep-k", *common, "--ks", "5,20"]) == 0
         assert cli.main(["metrics", *common]) == 0
         log = (stage_dir / "run.log").read_text(encoding="utf-8")
-        assert f"sweep-k: record {bad.id} skipped: line {len(bad.graph)}: empty field" in log
-        assert f"metrics: vanilla variant of record {bad.id} skipped: line {len(bad.graph)}: empty field" in log
+        assert f"sweep-k: record {bad.id} skipped: GraphLoadError: line {len(bad.graph)}: empty field" in log
+        assert f"metrics: vanilla variant of record {bad.id} skipped: GraphLoadError: line {len(bad.graph)}: empty field" in log
         script = json.loads(paths["script"].read_text(encoding="utf-8"))
         ctx = make_ctx([records[0], bad, records[2]], script, stage_dir)
         [vanilla] = quality_metrics(ctx, ("vanilla",))
@@ -594,7 +623,7 @@ class TestQualityMetrics:
 
     @pytest.mark.parametrize(
         "spoil, reason",
-        [(lambda row: row["kept"][0].update(s=""), "line 1: empty field"), (lambda row: row["kept"][0].pop("r"), "'r'")],
+        [(lambda row: row["kept"][0].update(s=""), "GraphLoadError: line 1: empty field"), (lambda row: row["kept"][0].pop("r"), "KeyError: 'r'")],
         ids=["empty-subject", "no-relation"],
     )
     def test_bad_kept_entry_skips_only_its_record(self, tmp_path, spoil, reason):
@@ -622,7 +651,7 @@ class TestQualityMetrics:
         assert cli.main(["run", *common]) == 0
         bad = self.spoil_row(stage_dir / "parsed.jsonl", lambda row: row.pop("flat"))
         assert cli.main(["sweep-k", *common, "--ks", "5,20"]) == 0
-        assert f"sweep-k: record {bad} skipped: 'flat'" in (stage_dir / "run.log").read_text(encoding="utf-8")
+        assert f"sweep-k: record {bad} skipped: KeyError: 'flat'" in (stage_dir / "run.log").read_text(encoding="utf-8")
         config, records = RunConfig.from_file(paths["config"]), load_dataset(paths["dataset"])
         others = PipelineContext(config, stage_dir, [r for r in records if r.id != bad])
         assert sweep_k(PipelineContext(config, stage_dir, records), [5, 20]) == sweep_k(others, [5, 20])

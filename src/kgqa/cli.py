@@ -26,10 +26,15 @@ from .pipeline import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_inputs(parser: argparse.ArgumentParser) -> None:
+    """The inputs every command takes."""
     parser.add_argument("--config", type=Path, help="JSON config file (RunConfig fields)")
     parser.add_argument("--dataset", type=Path, help="dataset JSONL path")
     parser.add_argument("--stage-dir", type=Path, default=Path("stage"), help="artifact directory")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of the commands that run stages; the read-only commands reject them."""
     parser.add_argument("--top-k", type=int, help="override pruning k")
     parser.add_argument("--temperature", type=float, help="override generation temperature")
     parser.add_argument("--ablation", choices=ABLATIONS, help="override stage plan")
@@ -47,26 +52,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log to stderr at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for stage in STAGE_TABLE:
-        stage_parser = sub.add_parser(stage, help=f"run the {stage} stage")
-        _add_common(stage_parser)
-
-    run_parser = sub.add_parser("run", help="run the full stage plan end to end")
-    _add_common(run_parser)
+    run_parsers = [sub.add_parser(stage, help=f"run the {stage} stage") for stage in STAGE_TABLE]
+    run_parsers.append(sub.add_parser("run", help="run the full stage plan end to end"))
+    for run_parser in run_parsers:
+        _add_inputs(run_parser)
+        _add_run_flags(run_parser)
 
     sweep_parser = sub.add_parser("sweep-k", help="answer coverage / token / cost per candidate k")
-    _add_common(sweep_parser)
+    _add_inputs(sweep_parser)
     sweep_parser.add_argument("--ks", default="10,50,100,300", help="comma-separated k values")
     sweep_parser.add_argument("--out", type=Path, help="CSV output path (default stage dir/sweep_k.csv)")
 
     metrics_parser = sub.add_parser("metrics", help="graph quality metrics per variant")
-    _add_common(metrics_parser)
+    _add_inputs(metrics_parser)
     metrics_parser.add_argument("--variants", default="vanilla,pruned,enriched", help="comma-separated variants")
     metrics_parser.add_argument("--out-dir", type=Path, help="output directory (default stage dir/quality)")
     metrics_parser.add_argument("--dumps", action="store_true", help="also write one embeddings_<dataset>_<variant>.csv per variant")
 
     cost_parser = sub.add_parser("cost-report", help="print the ledger in the efficiency-table layout")
-    _add_common(cost_parser)
+    _add_inputs(cost_parser)
 
     return parser
 
@@ -135,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
             ctx = _context(args, config)
             out = args.out or (ctx.stage_dir / "sweep_k.csv")
             rows = sweep_k(ctx, ks, out)
-            ctx.save_state()
+            ctx.save_cache()
             for row in rows:
                 print(f"k={row['k']:>5}  coverage={row['coverage']:.4f}  tokens={row['tokens']}  cost={row['cost']:.6g}")
             print(f"wrote {out}")
@@ -146,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
             ctx = _context(args, config)
             out_dir = args.out_dir or (ctx.stage_dir / "quality")
             reports = quality_metrics(ctx, variants, out_dir, dataset_name=args.dataset.stem, with_dumps=args.dumps)
-            ctx.save_state()
+            ctx.save_cache()
             for report in reports:
                 print(
                     f"{report.variant:<10} relevance={report.relevance.mean:.4f}  "

@@ -84,6 +84,25 @@ def _split_triple_line(line: str) -> tuple[str, str, str] | None:
     return s, r, o
 
 
+def _triple_lines(region: str) -> tuple[list[tuple[str, str, str]], int]:
+    """The fields of the region's triple lines, and how many other lines it has.
+
+    Blank lines and markup-tag lines such as '{/thought}' count as neither.
+    """
+    found: list[tuple[str, str, str]] = []
+    others = 0
+    for line in region.splitlines():
+        stripped = line.strip()
+        if not stripped or _MARKUP_LINE_RE.fullmatch(stripped):
+            continue
+        fields = _split_triple_line(stripped)
+        if fields is None:
+            others += 1
+        else:
+            found.append(fields)
+    return found, others
+
+
 def associate_queries(
     graph_queries: Sequence[str],
     queries: Sequence[str],
@@ -116,7 +135,7 @@ def filter_and_build_structural_prompt(
     if len(associations) != len(payload):
         raise ValueError(f"{len(associations)} associations for {len(payload)} payload triples")
     lines = [format_triple_compact(t) + "".join(f"-{q}" for q in assoc) for t, assoc in zip(payload, associations)]
-    paths = extract_paths(payload, max_hops=2)
+    paths = extract_paths(payload)
     one_hop = [format_triple_compact(p[0]) for p in paths if len(p) == 1]
     two_hop = ["->".join(map(format_triple_compact, p)) for p in paths if len(p) == 2]
     return render_template(
@@ -157,20 +176,9 @@ def parse_structural_output(raw: str) -> StructuralParse:
     region = raw[idx + len(FINAL_OUTPUT_MARKER):] if idx >= 0 else raw
     preamble = raw[:idx] if idx >= 0 else ""
     provenance = _provenance_map(preamble)
-    result = StructuralParse()
-    for line in region.splitlines():
-        stripped = line.strip()
-        if not stripped or _MARKUP_LINE_RE.fullmatch(stripped):
-            continue
-        fields = _split_triple_line(stripped)
-        if fields is None:
-            result.skipped += 1
-            continue
-        triple = Triple(*fields, index=len(result.triples))
-        result.triples.append(
-            EnrichedTriple(triple=triple, provenance=provenance.get(fields, Provenance.SIMILARITY))
-        )
-    return result
+    found, skipped = _triple_lines(region)
+    triples = [EnrichedTriple(Triple(*fields), provenance.get(fields, Provenance.SIMILARITY)) for fields in found]
+    return StructuralParse(triples, skipped)
 
 
 @dataclass
@@ -227,21 +235,10 @@ def parse_feature_output(raw: str) -> FeatureParse:
     """
     blocks = re.findall(r"\{result\}(.*?)\{/result\}", raw, re.DOTALL)
     region = blocks[-1] if blocks else raw
-    result = FeatureParse()
-    for line in region.splitlines():
-        stripped = line.strip()
-        if not stripped or _MARKUP_LINE_RE.fullmatch(stripped):
-            continue
-        fields = _split_triple_line(stripped)
-        if fields is None:
-            result.rejected += 1
-            continue
-        if fields[1] not in ONTOLOGY_RELATIONS:
-            result.rejected += 1
-            continue
-        triple = Triple(*fields, index=len(result.triples))
-        result.triples.append(EnrichedTriple(triple=triple, provenance=Provenance.HIERARCHY))
-    return result
+    found, not_triples = _triple_lines(region)
+    ontology = [fields for fields in found if fields[1] in ONTOLOGY_RELATIONS]
+    triples = [EnrichedTriple(Triple(*fields), Provenance.HIERARCHY) for fields in ontology]
+    return FeatureParse(triples, not_triples + len(found) - len(ontology))
 
 
 def merge_enriched(base: Sequence[Triple], generated: Sequence[EnrichedTriple]) -> list[EnrichedTriple]:

@@ -242,8 +242,6 @@ def graph_quality(
     triples: Sequence[TripleLike],
     provider: EmbeddingProvider,
     scorer: TripleScorer,
-    dataset: str = "",
-    variant: str = "",
     mode: str = "head_and_tail",
     cache: EmbeddingCache | None = None,
     positive_threshold: float | None = None,
@@ -251,8 +249,8 @@ def graph_quality(
     """All three quality metrics for one question's graph."""
     triples = list(triples)
     return GraphQualityReport(
-        dataset=dataset,
-        variant=variant,
+        dataset="",
+        variant="",
         relevance=relevance_score(question, triples, provider, cache),
         semantic_richness=semantic_richness(triples, scorer, positive_threshold),
         redundancy=redundancy_score(triples, provider, mode, cache),

@@ -40,11 +40,7 @@ TEMPLATE_NAMES = tuple(TEMPLATE_PLACEHOLDERS)
 
 
 class TemplateError(ValueError):
-    """Template loading or rendering failed; `placeholder` names the offender when relevant."""
-
-    def __init__(self, message: str, placeholder: str | None = None):
-        super().__init__(message)
-        self.placeholder = placeholder
+    """Template loading or rendering failed."""
 
 
 class TransportError(RuntimeError):
@@ -114,7 +110,7 @@ class PromptTemplate:
     def __post_init__(self) -> None:
         for ph in self.placeholders:
             if "{" + ph + "}" not in self.body:
-                raise TemplateError(f"template {self.name!r} body lacks placeholder {{{ph}}}", placeholder=ph)
+                raise TemplateError(f"template {self.name!r} body lacks placeholder {{{ph}}}")
 
 
 def default_template_dir() -> Path:
@@ -140,7 +136,7 @@ def render_template(template: PromptTemplate, bindings: Mapping[str, str]) -> st
     rendered = template.body
     for ph in template.placeholders:
         if ph not in bindings:
-            raise TemplateError(f"missing binding for placeholder {ph!r} in template {template.name!r}", placeholder=ph)
+            raise TemplateError(f"missing binding for placeholder {ph!r} in template {template.name!r}")
         rendered = rendered.replace("{" + ph + "}", bindings[ph])
     return rendered
 

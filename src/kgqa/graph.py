@@ -92,23 +92,20 @@ def textualize_triple(t: TripleLike) -> str:
     return f"{s} {relation_text(r)} {o}"
 
 
-def extract_paths(triples: Sequence[Triple], max_hops: int) -> list[tuple[Triple, ...]]:
-    """All 1-hop paths as 1-tuples, plus (for max_hops=2) all ordered triple
-    pairs joined object-to-subject as 2-tuples.
+def extract_paths(triples: Sequence[Triple]) -> list[tuple[Triple, ...]]:
+    """All 1-hop paths as 1-tuples, then all ordered triple pairs joined
+    object-to-subject as 2-tuples.
 
     2-hop paths are ordered by the positions of their first and second triple
     in `triples`.
     """
-    if max_hops not in (1, 2):
-        raise ValueError("max_hops must be 1 or 2")
     paths = [(t,) for t in triples]
-    if max_hops == 2:
-        by_subject: dict[str, list[Triple]] = {}
-        for t in triples:
-            by_subject.setdefault(t.subject, []).append(t)
-        for t1 in triples:
-            for t2 in by_subject.get(t1.object, ()):
-                paths.append((t1, t2))
+    by_subject: dict[str, list[Triple]] = {}
+    for t in triples:
+        by_subject.setdefault(t.subject, []).append(t)
+    for t1 in triples:
+        for t2 in by_subject.get(t1.object, ()):
+            paths.append((t1, t2))
     return paths
 
 

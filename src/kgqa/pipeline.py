@@ -314,7 +314,6 @@ def build_provider(section: str, spec: Mapping):
 class StageArtifact:
     stage: str
     path: Path
-    content_hash: str
     processed: int = 0
     failed: int = 0
     report: EvalReport | None = None  # set by an aggregate stage (eval)
@@ -349,14 +348,18 @@ class PipelineContext:
 
     def save_state(self) -> CostLedger:
         """Write `ledger.json`, folded from the row files of the plan's stages,
-        and the embedding cache if it gained entries; return the ledger."""
+        and the embedding cache; return the ledger."""
         ledger = _ledger_from_rows(self)
         write_atomic(self.stage_dir / "ledger.json", _dumps(ledger.to_dict()))
+        self.save_cache()
+        return ledger
+
+    def save_cache(self) -> None:
+        """Write the embedding cache to `cache_dir`, if one is set and the cache gained entries."""
         if self.config.cache_dir:
             cache_dir = Path(self.config.cache_dir)
             cache_dir.mkdir(parents=True, exist_ok=True)
             self.cache.save(cache_dir / "embeddings.json")
-        return ledger
 
 
 def _dumps(obj) -> str:
@@ -600,11 +603,10 @@ def run_stage(stage: str, ctx: PipelineContext, resume: bool = True) -> StageArt
         upstream_changed = previous is not None and previous.get("upstream") != upstream_hashes
         clear = "fresh run" if not resume else "upstream changed" if upstream_changed else None
         processed, failed = _run_records(spec, ctx, upstream_rows, artifact_path, clear)
-    content_hash = _hash_file(artifact_path)
-    manifest[spec.key] = {"hash": content_hash, "upstream": upstream_hashes}
+    manifest[spec.key] = {"hash": _hash_file(artifact_path), "upstream": upstream_hashes}
     write_atomic(manifest_path, _dumps(manifest))
     logger.info("stage %s: %d processed, %d failed -> %s", stage, processed, failed, artifact_path)
-    return StageArtifact(stage, artifact_path, content_hash, processed, failed, report)
+    return StageArtifact(stage, artifact_path, processed, failed, report)
 
 
 def _run_records(spec: Stage, ctx: PipelineContext, upstream_rows: Mapping, artifact_path: Path, clear: str | None):

@@ -112,26 +112,21 @@ class TestTextualize:
 class TestExtractPaths:
     def test_single_chain(self):
         g = load_graph([["a", "r1", "b"], ["b", "r2", "c"]])
-        assert extract_paths(g, 2) == [(g[0],), (g[1],), (g[0], g[1])]
-        assert [tuple(t) for t in extract_paths(g, 2)[2]] == [("a", "r1", "b"), ("b", "r2", "c")]
+        assert extract_paths(g) == [(g[0],), (g[1],), (g[0], g[1])]
+        assert [tuple(t) for t in extract_paths(g)[2]] == [("a", "r1", "b"), ("b", "r2", "c")]
 
     def test_no_join_entity(self):
         g = load_graph([["a", "r1", "b"]])
-        assert extract_paths(g, 2) == [(g[0],)]
+        assert extract_paths(g) == [(g[0],)]
 
     def test_branching_join(self):
         g = load_graph([["a", "r1", "b"], ["b", "r2", "c"], ["b", "r3", "d"]])
-        assert extract_paths(g, 2)[3:] == [(g[0], g[1]), (g[0], g[2])]
+        assert extract_paths(g)[3:] == [(g[0], g[1]), (g[0], g[2])]
 
     def test_one_hop_paths_are_all_triples(self):
         g = load_graph([["a", "r1", "b"], ["b", "r2", "c"]])
-        assert extract_paths(g, 1) == [(g[0],), (g[1],)]
-        assert [p[0].index for p in extract_paths(g, 1)] == [0, 1]
-
-    def test_invalid_max_hops(self):
-        g = load_graph([["a", "r", "b"]])
-        with pytest.raises(ValueError):
-            extract_paths(g, 3)
+        assert extract_paths(g)[: len(g)] == [(g[0],), (g[1],)]
+        assert [p[0].index for p in extract_paths(g)[: len(g)]] == [0, 1]
 
     def test_matches_bruteforce_double_loop(self):
         rng = Random(23)
@@ -145,7 +140,7 @@ class TestExtractPaths:
             ]
             got = [
                 (p[0].index, p[1].index)
-                for p in extract_paths(g, 2)
+                for p in extract_paths(g)
                 if len(p) == 2
             ]
             assert got == sorted(expected)

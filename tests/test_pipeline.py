@@ -949,6 +949,38 @@ class TestCli:
         assert (stage_dir / "sweep_k.csv").exists()
         assert (stage_dir / "quality" / "quality.csv").exists()
 
+    def test_read_only_commands_leave_the_ledger_whatever_the_ablation(self, tmp_path, capsys):
+        paths = write_fixture(tmp_path / "fx", n_questions=3, max_triples=40)
+        stage_dir = tmp_path / "stage"
+        inputs = ["--dataset", str(paths["dataset"]), "--stage-dir", str(stage_dir)]
+        assert cli.main(["run", *inputs, "--config", str(paths["config"])]) == 0
+        ledger = (stage_dir / "ledger.json").read_bytes()
+        no_enrich = tmp_path / "no-enrich.json"
+        no_enrich.write_text(json.dumps({**json.loads(paths["config"].read_text()), "ablation": "no-enrich"}))
+        assert cli.main(["metrics", *inputs, "--config", str(no_enrich)]) == 0
+        assert cli.main(["sweep-k", *inputs, "--config", str(no_enrich), "--ks", "5,20"]) == 0
+        assert (stage_dir / "ledger.json").read_bytes() == ledger
+        capsys.readouterr()
+        assert cli.main(["cost-report", *inputs, "--config", str(paths["config"])]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[1] == "4.00"
+
+    @pytest.mark.parametrize("command", ["sweep-k", "metrics", "cost-report"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--top-k", "3"], ["--temperature", "0.5"], ["--ablation", "no-enrich"], ["--workers", "2"], ["--no-resume"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_read_only_command_rejects_run_flag(self, tmp_path, capsys, command, flag):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, *common, *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "stage").exists()
+        for runner in ("parse", "prune", "enrich", "answer", "eval", "run"):
+            assert cli.build_parser().parse_args([runner, *common, *flag]).command == runner
+
     def test_answer_on_warm_cache_dir_does_not_rewrite_cache(self, tmp_path):
         paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
         config = json.loads(paths["config"].read_text())

@@ -158,10 +158,15 @@ def main(argv: list[str] | None = None) -> int:
                 )
             print(f"wrote {out_dir}")
         elif args.command == "cost-report":
+            if args.dataset:
+                _records(args)  # checked as every command checks it, though the report reads only the ledger
             ledger_path = Path(args.stage_dir) / "ledger.json"
             if not ledger_path.exists():
                 raise StageError(f"no ledger at {ledger_path}; run the pipeline first")
-            ledger = CostLedger.from_dict(json.loads(ledger_path.read_text(encoding="utf-8")))
+            try:
+                ledger = CostLedger.from_dict(json.loads(ledger_path.read_text(encoding="utf-8")))
+            except (OSError, ValueError, TypeError, AttributeError) as exc:  # not JSON, or not the layout run writes
+                raise StageError(f"invalid ledger {ledger_path}: {exc}") from exc
             print(format_cost_report(cost_report(ledger, config.price_table()), label=config.llm.get("kind", "run")))
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -165,6 +165,10 @@ class RemoteEmbedder:
         return out
 
 
+def _set_bits(bits: np.ndarray) -> np.ndarray:  # each packed row's number of set bits
+    return np.bitwise_count(bits).sum(axis=1, dtype=np.intp)
+
+
 def _spans(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:  # firsts[i] .. firsts[i] + counts[i] - 1, joined
     return np.arange(counts.sum()) + np.repeat(firsts + counts - np.cumsum(counts), counts)
 
@@ -182,13 +186,11 @@ class _Store:
         self.offsets = np.zeros(1, np.intp)
         self.index: dict[str, int] = {}
 
-    def add(self, texts: Sequence[str], nonzero: np.ndarray, values: np.ndarray) -> None:
-        if nonzero.shape[1] != self.dimension:
-            raise EmbeddingError(f"vectors of dimension {nonzero.shape[1]} for a cache of dimension {self.dimension}")
-        start, bits = len(self.bits), np.packbits(nonzero, axis=1)
+    def add(self, texts: Sequence[str], bits: np.ndarray, counts: np.ndarray, values: np.ndarray) -> None:
+        """Append packed bitmap rows (padding bits clear), each row's number of set bits, and their values."""
+        start, ends = len(self.bits), self.offsets[-1] + np.cumsum(counts)
         if start:
             bits, values = np.concatenate((self.bits, bits)), np.concatenate((self.values, values))
-        ends = self.offsets[-1] + np.cumsum(np.count_nonzero(nonzero, axis=1))
         self.bits, self.values, self.offsets = bits, values, np.concatenate((self.offsets, ends))
         self.index.update(zip(texts, range(start, start + len(texts))))
 
@@ -236,9 +238,17 @@ class EmbeddingCache:
 
     def _add(self, provider_id: str, texts: Sequence[str], matrix: np.ndarray) -> None:
         nonzero = matrix.view(np.uint64) != 0  # the bit pattern, so -0.0 and NaN payloads are kept
+        bits = np.packbits(nonzero, axis=1)
+        counts, values = _set_bits(bits), matrix[nonzero]
         with self._lock:  # rows of another width than the stored ones raise EmbeddingError
-            self._stores.setdefault(provider_id, _Store(matrix.shape[1])).add(texts, nonzero, matrix[nonzero])
+            self._store(provider_id, matrix.shape[1]).add(texts, bits, counts, values)
             self._changed = True
+
+    def _store(self, provider_id: str, dimension: int) -> _Store:  # the caller holds the lock
+        store = self._stores.setdefault(provider_id, _Store(dimension))
+        if store.dimension != dimension:
+            raise EmbeddingError(f"vectors of dimension {dimension} for a cache of dimension {store.dimension}")
+        return store
 
     def _embed(self, texts: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
         """`texts`' vectors as one (n, d) array; the texts the cache lacks are embedded in one call."""
@@ -266,8 +276,9 @@ class EmbeddingCache:
             for pid, store in self._stores.items():
                 texts = sorted(store.index)
                 bits, values = store.select(np.fromiter(map(store.index.get, texts), dtype=np.intp, count=len(texts)))
-                flat = np.packbits(np.unpackbits(bits, axis=1, count=store.dimension))  # rows joined, no padding
-                packed = base64.b64encode(zlib.compress(flat.tobytes() + values.astype("<f8", copy=False).tobytes(), 1))
+                if store.dimension % 8:  # the file joins the rows without their padding bits
+                    bits = np.packbits(np.unpackbits(bits, axis=1, count=store.dimension))
+                packed = base64.b64encode(zlib.compress(bits.tobytes() + values.astype("<f8", copy=False).tobytes(), 1))
                 payload[pid] = {"dimension": store.dimension, "texts": texts, "vectors": packed.decode("ascii")}
             write_atomic(path, json.dumps(payload, sort_keys=True))
             self._changed = False
@@ -288,18 +299,23 @@ class EmbeddingCache:
                 if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts) or type(dim) is not int or dim < 1:
                     raise TypeError(f"texts must be a list of strings and dimension an int >= 1, not {dim!r}")
                 raw = zlib.decompress(base64.b64decode(packed["vectors"], validate=True))
-                bits = np.frombuffer(raw, np.uint8, -(-len(texts) * dim // 8))  # raises before any allocation
-                nonzero = np.unpackbits(bits, count=len(texts) * dim).view(bool).reshape(len(texts), dim)
-                entries[pid] = texts, nonzero, np.frombuffer(raw[len(bits) :], "<f8").reshape(np.count_nonzero(nonzero))
+                n = len(texts)
+                flat = np.frombuffer(raw, np.uint8, -(-n * dim // 8))  # raises before any allocation
+                if dim % 8:  # the rows start mid-byte: cut them apart and pad each to whole bytes
+                    bits = np.packbits(np.unpackbits(flat, count=n * dim).reshape(n, dim), axis=1)
+                else:
+                    bits = flat.reshape(n, dim // 8)
+                counts = _set_bits(bits)
+                entries[pid] = texts, dim, bits, counts, np.frombuffer(raw, "<f8", offset=len(flat)).reshape(counts.sum())
         except (ValueError, TypeError, AttributeError, KeyError, OverflowError, zlib.error) as exc:
             logger.warning("ignoring unreadable embedding cache %s: %s", path, exc)
             with self._lock:
                 self._changed = True
             return 0
         with self._lock:
-            for pid, (texts, nonzero, values) in entries.items():
-                self._stores.setdefault(pid, _Store(nonzero.shape[1])).add(texts, nonzero, values)
-        return sum(len(texts) for texts, _, _ in entries.values())
+            for pid, (texts, dim, *arrays) in entries.items():
+                self._store(pid, dim).add(texts, *arrays)
+        return sum(len(texts) for texts, *_ in entries.values())
 
 
 def embed_batch(texts: Sequence[str], provider: EmbeddingProvider, cache: EmbeddingCache | None = None) -> np.ndarray | list:

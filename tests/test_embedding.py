@@ -687,3 +687,71 @@ class TestBitmapStore:
         assert out.tobytes() == np.array([table["dune"], table["amber mesa"]]).tobytes()
         restored.save(path)
         assert EmbeddingCache().load(path) == 2
+
+
+class TestPackedLoad:
+    """`load` keeps the file's bitmap packed when rows fill whole bytes and counts each row from the packed bytes."""
+
+    @staticmethod
+    def saved(path, pid, rows: dict[str, np.ndarray]) -> None:
+        cache = EmbeddingCache()
+        for text, vec in rows.items():
+            cache.put(pid, text, vec)
+        cache.save(path)
+
+    def test_load_allocates_no_n_by_d_array(self, tmp_path):
+        rng = Random(11)
+        texts = [f"{random_phrase(rng, rng.randint(1, 5))} {i}" for i in range(2000)]
+        embedder = ReferenceEmbedder(1536)
+        path = tmp_path / "cache.json"
+        cache = EmbeddingCache()
+        embed_batch(texts, embedder, cache)
+        cache.save(path)
+        restored = EmbeddingCache()
+        tracemalloc.start()
+        try:
+            assert restored.load(path) == len(texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(texts) * 1536  # one byte per (text, slot) would be the unpacked bitmap alone
+        for text in texts[::40]:
+            assert restored.get(embedder.provider_id, text).tobytes() == embed_reference(text, 1536).tobytes()
+
+    @pytest.mark.parametrize("dimension", [8, 12, 256, 1536])
+    def test_loaded_offsets_count_each_rows_nonzero_values(self, tmp_path, dimension):
+        rng = np.random.default_rng(dimension)
+        dense = rng.standard_normal((23, dimension)) * (rng.random((23, dimension)) < 0.2)
+        dense[rng.random((23, dimension)) < 0.05] = -0.0
+        dense[3] = 0.0
+        texts = [f"row {i}" for i in range(len(dense))]
+        path = tmp_path / "cache.json"
+        self.saved(path, "edge", dict(zip(texts, dense)))
+        cache = EmbeddingCache()
+        assert cache.load(path) == len(texts)
+        store = cache._stores["edge"]
+        rows = [store.index[text] for text in texts]
+        assert (np.diff(store.offsets)[rows] == np.count_nonzero(dense.view(np.uint64), axis=1)).all()
+        assert store.bits.shape == (len(texts), -(-dimension // 8))
+
+    def test_set_trailing_padding_bits_are_ignored(self, tmp_path):
+        rng = np.random.default_rng(12)
+        dense = rng.standard_normal((5, 12)) * (rng.random((5, 12)) < 0.5)  # 60 bits: the last byte has 4 padding bits
+        rows = {f"row {i}": vec for i, vec in enumerate(dense)}
+        clean = tmp_path / "clean.json"
+        self.saved(clean, "edge-12", rows)
+        payload = json.loads(clean.read_text())
+        raw = bytearray(zlib.decompress(base64.b64decode(payload["edge-12"]["vectors"])))
+        assert raw[7] & 0x0F == 0
+        raw[7] |= 0x0F
+        payload["edge-12"]["vectors"] = base64.b64encode(zlib.compress(bytes(raw), 1)).decode("ascii")
+        padded = tmp_path / "padded.json"
+        padded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        cache = EmbeddingCache()
+        assert cache.load(padded) == len(rows)
+        for text, vec in rows.items():
+            assert cache.get("edge-12", text).tobytes() == vec.tobytes()
+        cache.put("edge-12", "extra", np.ones(12))
+        self.saved(tmp_path / "expected.json", "edge-12", {**rows, "extra": np.ones(12)})
+        cache.save(tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == (tmp_path / "expected.json").read_bytes()

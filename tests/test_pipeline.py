@@ -981,6 +981,35 @@ class TestCli:
         for runner in ("parse", "prune", "enrich", "answer", "eval", "run"):
             assert cli.build_parser().parse_args([runner, *common, *flag]).command == runner
 
+    @pytest.mark.parametrize(
+        "content",
+        ["{not json", "[]", '{"per_question": ["q1"]}', '{"per_question": {"q1": {"calls": "many"}}}', '{"per_question": {"q1": null}}'],
+        ids=["not-json", "list", "per-question-list", "calls-not-int", "null-entry"],
+    )
+    def test_cost_report_rejects_invalid_ledger(self, tmp_path, capsys, content):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        stage_dir = tmp_path / "stage"
+        stage_dir.mkdir()
+        (stage_dir / "ledger.json").write_text(content, encoding="utf-8")
+        assert cli.main(["cost-report", "--config", str(paths["config"]), "--stage-dir", str(stage_dir)]) == 2
+        assert f"error: invalid ledger {stage_dir / 'ledger.json'}: " in capsys.readouterr().err
+        assert sorted(p.name for p in stage_dir.iterdir()) == ["ledger.json"]
+
+    @pytest.mark.parametrize("dataset", ["missing", "malformed"])
+    def test_cost_report_checks_a_given_dataset(self, tmp_path, capsys, dataset):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        stage_dir = tmp_path / "stage"
+        inputs = ["--config", str(paths["config"]), "--stage-dir", str(stage_dir)]
+        assert cli.main(["run", *inputs, "--dataset", str(paths["dataset"])]) == 0
+        bad = tmp_path / "bad.jsonl"
+        if dataset == "malformed":
+            bad.write_text('{"id": "a", "question": "q"}\n', encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["cost-report", *inputs, "--dataset", str(bad)]) == 2
+        assert "error: invalid dataset: " in capsys.readouterr().err
+        assert cli.main(["cost-report", *inputs]) == 0
+        assert "# LLM Call" in capsys.readouterr().out
+
     def test_answer_on_warm_cache_dir_does_not_rewrite_cache(self, tmp_path):
         paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
         config = json.loads(paths["config"].read_text())

@@ -10,7 +10,6 @@ non-negative, so pairwise similarities of non-empty texts land in [0, 1].
 
 from __future__ import annotations
 
-import base64
 import json
 import logging
 import re
@@ -208,15 +207,17 @@ class _Store:
 
 
 class EmbeddingCache:
-    """Thread-safe (provider-id, text) -> vector cache with JSON persistence.
+    """Thread-safe (provider-id, text) -> vector cache persisted as two files.
 
-    The persisted form maps each provider id to its sorted texts, their
-    dimension, and one zlib stream of a bitmap of the vectors' nonzero float64
-    bit patterns followed by those values, so vectors round-trip bit for bit,
-    sparse ones stay small, and a given set of entries always writes the same
-    bytes. Memory keeps that layout, one buffer per provider (`_Store`); only
-    lookups make dense rows. The cache tracks whether it gained entries since
-    it was last loaded or saved, so an unchanged cache is not written again.
+    The sidecar (`.bin` beside the JSON index) holds, per provider, a bitmap
+    of the vectors' nonzero float64 bit patterns followed by those values,
+    raw; the index holds each provider's sorted texts, dimension, section
+    offset and value count, and the sidecar's size and CRC-32. Vectors
+    round-trip bit for bit, sparse ones stay small, and a given set of
+    entries always writes the same bytes. Memory keeps that layout, one
+    buffer per provider (`_Store`); only lookups make dense rows. The cache
+    tracks whether it gained entries since it was last loaded or saved, so an
+    unchanged cache is not written again.
     """
 
     def __init__(self):
@@ -265,50 +266,76 @@ class EmbeddingCache:
         return self._embed(texts, provider)  # every text is stored now, and entries are never removed
 
     def save(self, path: str | Path) -> None:
-        """Write {provider id: {"dimension": d, "texts": [...], "vectors": "<base64>"}}
-        to `path` as JSON, whole or not at all; skipped when `path` exists and
-        no entry was added since the cache was last loaded or saved."""
+        """Write the sidecar `path.with_suffix(".bin")`, then the JSON index `path`,
+        {"providers": {provider id: {"dimension": d, "texts": [...], "offset": o, "values": k}},
+        "sidecar": {"bytes": size, "crc32": checksum}}, each whole or not at all;
+        skipped when both files exist and no entry was added since the cache was
+        last loaded or saved."""
         path = Path(path)
+        sidecar = path.with_suffix(".bin")
         with self._lock:
-            if not self._changed and path.exists():
+            if not self._changed and path.exists() and sidecar.exists():
                 return
-            payload = {}
-            for pid, store in self._stores.items():
+            providers, sections, size = {}, [], 0
+            for pid in sorted(self._stores):
+                store = self._stores[pid]
                 texts = sorted(store.index)
                 bits, values = store.select(np.fromiter(map(store.index.get, texts), dtype=np.intp, count=len(texts)))
-                if store.dimension % 8:  # the file joins the rows without their padding bits
+                if store.dimension % 8:  # the sidecar joins the rows without their padding bits
                     bits = np.packbits(np.unpackbits(bits, axis=1, count=store.dimension))
-                packed = base64.b64encode(zlib.compress(bits.tobytes() + values.astype("<f8", copy=False).tobytes(), 1))
-                payload[pid] = {"dimension": store.dimension, "texts": texts, "vectors": packed.decode("ascii")}
-            write_atomic(path, json.dumps(payload, sort_keys=True))
+                values = values.astype("<f8", copy=False)
+                providers[pid] = {"dimension": store.dimension, "texts": texts, "offset": size, "values": len(values)}
+                sections += bits, values
+                size += bits.nbytes + values.nbytes
+            data = b"".join(sections)
+            write_atomic(sidecar, data)  # first: an index beside another save's sidecar fails its checksum
+            checked = {"bytes": size, "crc32": zlib.crc32(data)}
+            write_atomic(path, json.dumps({"providers": providers, "sidecar": checked}, sort_keys=True))
             self._changed = False
 
     def load(self, path: str | Path) -> int:
         """Merge persisted vectors into this cache; returns the number of entries loaded.
 
-        Each provider's entries join its store as one batch. An unreadable file
-        (truncated, not the JSON `save` writes, values not one per set bit, or
-        an older layout such as dense rows without "dimension") loads nothing:
-        it logs a warning and marks the cache changed, so the next `save`
-        replaces the file; the vectors are recomputed on a miss.
+        Each provider's entries join its store as one batch of views of the
+        sidecar's bytes. An unreadable pair (either file missing or not
+        readable, an index that is not the JSON `save` writes, a sidecar whose
+        size or checksum differs from the index's, sections that do not tile
+        the sidecar, values not one per set bit, or an older layout such as
+        the single file with zlib-compressed "vectors") loads nothing: it logs
+        a warning and marks the cache changed, so the next `save` replaces
+        both files; the vectors are recomputed on a miss.
         """
+        path = Path(path)
         try:
-            entries = {}
-            for pid, packed in json.loads(Path(path).read_text(encoding="utf-8")).items():
-                texts, dim = packed["texts"], packed["dimension"]
-                if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts) or type(dim) is not int or dim < 1:
+            index = json.loads(path.read_text(encoding="utf-8"))
+            saved = index["sidecar"]["bytes"], index["sidecar"]["crc32"]  # an older layout fails here
+            raw = path.with_suffix(".bin").read_bytes()
+            if (len(raw), zlib.crc32(raw)) != saved:
+                raise ValueError("the sidecar is not the one this index was saved with")
+            entries, pos = {}, 0
+            for pid, entry in index["providers"].items():
+                texts, dim = entry["texts"], entry["dimension"]
+                if type(texts) is not list or not set(map(type, texts)) <= {str} or type(dim) is not int or dim < 1:
                     raise TypeError(f"texts must be a list of strings and dimension an int >= 1, not {dim!r}")
-                raw = zlib.decompress(base64.b64decode(packed["vectors"], validate=True))
+                if entry["offset"] != pos:
+                    raise ValueError(f"section of {pid!r} starts at {entry['offset']!r}, not {pos}")
                 n = len(texts)
-                flat = np.frombuffer(raw, np.uint8, -(-n * dim // 8))  # raises before any allocation
+                flat = np.frombuffer(raw, np.uint8, -(-n * dim // 8), offset=pos)  # raises before any allocation
                 if dim % 8:  # the rows start mid-byte: cut them apart and pad each to whole bytes
                     bits = np.packbits(np.unpackbits(flat, count=n * dim).reshape(n, dim), axis=1)
                 else:
                     bits = flat.reshape(n, dim // 8)
                 counts = _set_bits(bits)
-                entries[pid] = texts, dim, bits, counts, np.frombuffer(raw, "<f8", offset=len(flat)).reshape(counts.sum())
-        except (ValueError, TypeError, AttributeError, KeyError, OverflowError, zlib.error) as exc:
-            logger.warning("ignoring unreadable embedding cache %s: %s", path, exc)
+                total = int(counts.sum())
+                if entry["values"] != total:
+                    raise ValueError(f"{entry['values']!r} values for {total} set bits")
+                values = np.frombuffer(raw, "<f8", total, offset=pos + len(flat))
+                pos += len(flat) + values.nbytes
+                entries[pid] = texts, dim, bits, counts, values
+            if pos != len(raw):
+                raise ValueError(f"the sections end at byte {pos} of {len(raw)}")
+        except (OSError, ValueError, TypeError, AttributeError, KeyError, OverflowError) as exc:
+            logger.warning("ignoring unreadable embedding cache %s: %s: %s", path, type(exc).__name__, exc)
             with self._lock:
                 self._changed = True
             return 0

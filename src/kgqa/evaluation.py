@@ -167,7 +167,8 @@ def relevance_score(
     triples = list(triples)
     if not triples:
         raise ValueError("relevance needs a non-empty graph")
-    vectors = embed_batch([question] + [textualize_triple(t) for t in triples], provider, cache)
+    texts = {r: relation_text(r) for r in {r for _, r, _ in triples}}  # one call per distinct relation
+    vectors = embed_batch([question] + [f"{s} {texts[r]} {o}" for s, r, o in triples], provider, cache)
     total = sum((vectors[1:] @ vectors[0]).tolist())
     return MetricValue(mean=total / len(triples), total=total)
 

@@ -102,6 +102,21 @@ def write_dense_cache(path: Path, entries: dict[str, dict[str, np.ndarray]]) -> 
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
+def write_single_file_cache(path: Path, entries: dict[str, dict[str, np.ndarray]]) -> None:
+    """Write {provider id: {text: vector}} in the one-file embedding cache layout that came before
+    the sidecar: sorted texts, the dimension, and the base64 of one zlib stream of the nonzero
+    bitmap followed by the nonzero values."""
+    payload = {}
+    for pid, vectors in entries.items():
+        texts = sorted(vectors)
+        dense = np.array([vectors[text] for text in texts], dtype="<f8")
+        nonzero = dense.view(np.uint64) != 0
+        raw = np.packbits(nonzero).tobytes() + dense[nonzero].tobytes()
+        vectors_b64 = base64.b64encode(zlib.compress(raw, 1)).decode("ascii")
+        payload[pid] = {"dimension": dense.shape[1], "texts": texts, "vectors": vectors_b64}
+    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+
+
 def relevance_oracle(question: str, triples, provider) -> float:
     """Per-pair reference for `relevance_score`'s total: one `similarity` call per triple, summed in triple order."""
     vectors = embed_batch([question] + [textualize_triple(t) for t in triples], provider)

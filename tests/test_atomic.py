@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import pathlib
 import sys
 import threading
+
+import pytest
 
 from kgqa.atomic import write_atomic
 
@@ -33,3 +36,22 @@ def test_concurrent_writers_of_one_path(tmp_path):
     assert errors == []
     assert path.read_text(encoding="utf-8") in texts
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_bytes_write_cut_short_leaves_the_previous_file_whole(tmp_path, monkeypatch):
+    path = tmp_path / "data.bin"
+    write_atomic(path, b"\x00previous\xff")
+    real_write_bytes = pathlib.Path.write_bytes
+
+    def cut_short(target, data):
+        real_write_bytes(target, data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(pathlib.Path, "write_bytes", cut_short)
+    with pytest.raises(OSError, match="no space"):
+        write_atomic(path, bytes(range(256)) * 64)
+    assert path.read_bytes() == b"\x00previous\xff"
+    assert not list(tmp_path.glob("*.tmp"))
+    monkeypatch.undo()
+    write_atomic(path, bytes(range(256)))
+    assert path.read_bytes() == bytes(range(256))

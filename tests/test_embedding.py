@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import base64
 import json
 import logging
 import os
@@ -28,7 +27,7 @@ from kgqa.embedding import (
     tokenize,
 )
 
-from helpers import fnv64_oracle, random_phrase, write_dense_cache
+from helpers import fnv64_oracle, random_phrase, write_dense_cache, write_single_file_cache
 
 
 class TableEmbedder:
@@ -56,6 +55,23 @@ class CountingEmbedder:
     def embed_many(self, texts):
         self.computed += len(texts)
         return self.inner.embed_many(texts)
+
+
+def sidecar(path: pathlib.Path) -> pathlib.Path:
+    return path.with_suffix(".bin")
+
+
+def pair_bytes(path: pathlib.Path) -> tuple[bytes, bytes]:
+    """The bytes of a saved cache's index and of its sidecar."""
+    return path.read_bytes(), sidecar(path).read_bytes()
+
+
+def rewrite_sidecar(path: pathlib.Path, raw: bytes) -> None:
+    """Replace the sidecar by `raw` and record its size and checksum in the index, so only the layout checks see it."""
+    index = json.loads(path.read_text())
+    index["sidecar"] = {"bytes": len(raw), "crc32": zlib.crc32(raw)}
+    sidecar(path).write_bytes(raw)
+    path.write_text(json.dumps(index, sort_keys=True), encoding="utf-8")
 
 
 # Float64 values a vector may hold, with the edge cases drawn often.
@@ -238,28 +254,34 @@ class TestCachePersistence:
                 cache.put(pid, text, vec)
             paths.append(tmp_path / f"cache-{len(paths)}.json")
             cache.save(paths[-1])
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert json.loads(paths[0].read_text())["a-8"]["texts"] == sorted(f"text {i}" for i in range(40))
+        assert pair_bytes(paths[0]) == pair_bytes(paths[1])
+        index = json.loads(paths[0].read_text())
+        assert index["providers"]["a-8"]["texts"] == sorted(f"text {i}" for i in range(40))
+        assert [entry["offset"] for entry in index["providers"].values()] == [0, 40 + 320 * 8]  # a-8's 40 bitmap bytes and 320 values
 
     def test_empty_cache_writes_empty_object(self, tmp_path):
         path = tmp_path / "cache.json"
         EmbeddingCache().save(path)
-        assert path.read_bytes() == b"{}"
+        assert json.loads(path.read_text()) == {"providers": {}, "sidecar": {"bytes": 0, "crc32": 0}}
+        assert sidecar(path).read_bytes() == b""
+        assert EmbeddingCache().load(path) == 0
 
     def test_unchanged_cache_is_not_rewritten(self, tmp_path):
         path = tmp_path / "cache.json"
         first = EmbeddingCache()
         embed_batch(["amber mesa", "dune"], ReferenceEmbedder(), first)
         first.save(path)
-        os.utime(path, ns=(10**9, 10**9))
-        before = path.read_bytes(), path.stat().st_mtime_ns, path.stat().st_ino
+        files = (path, sidecar(path))
+        for file in files:
+            os.utime(file, ns=(10**9, 10**9))
+        before = [(file.read_bytes(), file.stat().st_mtime_ns, file.stat().st_ino) for file in files]
 
         first.save(path)
         warm = EmbeddingCache()
         warm.load(path)
         embed_batch(["dune", "amber mesa"], ReferenceEmbedder(), warm)
         warm.save(path)
-        assert (path.read_bytes(), path.stat().st_mtime_ns, path.stat().st_ino) == before
+        assert [(file.read_bytes(), file.stat().st_mtime_ns, file.stat().st_ino) for file in files] == before
 
     def test_new_entries_rewrite_the_union(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -281,13 +303,14 @@ class TestCachePersistence:
         cache = EmbeddingCache()
         embed_batch(["dune"], ReferenceEmbedder(), cache)
         cache.save(path)
-        saved = path.read_bytes()
-        path.unlink()
-        cache.save(path)
-        assert path.read_bytes() == saved
+        saved = pair_bytes(path)
+        for missing in (path, sidecar(path)):  # either file missing rewrites both
+            missing.unlink()
+            cache.save(path)
+            assert pair_bytes(path) == saved
         empty = tmp_path / "empty.json"
         EmbeddingCache().save(empty)
-        assert json.loads(empty.read_text()) == {}
+        assert json.loads(empty.read_text())["providers"] == {}
 
     def test_save_cut_short_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.json"
@@ -308,43 +331,75 @@ class TestCachePersistence:
         monkeypatch.setattr(pathlib.Path, "write_text", real_write_text)
         assert path.read_bytes() == previous
         assert not list(tmp_path.glob("*.tmp"))
+        assert EmbeddingCache().load(path) == 0  # the new sidecar beside the previous index fails the checksum
         cache.save(path)  # the failed save left the new entry unsaved
+        assert EmbeddingCache().load(path) == 2
+
+    def test_sidecar_write_cut_short_keeps_the_previous_pair(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.json"
+        cache = EmbeddingCache()
+        embed_batch(["amber mesa"], ReferenceEmbedder(), cache)
+        cache.save(path)
+        previous = pair_bytes(path)
+        embed_batch(["dune"], ReferenceEmbedder(), cache)
+        real_write_bytes = pathlib.Path.write_bytes
+
+        def cut_short(target, data):
+            real_write_bytes(target, data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", cut_short)
+        with pytest.raises(OSError, match="no space"):
+            cache.save(path)
+        monkeypatch.setattr(pathlib.Path, "write_bytes", real_write_bytes)
+        assert pair_bytes(path) == previous  # the sidecar is written first, so the index was not touched
+        assert not list(tmp_path.glob("*.tmp"))
+        assert EmbeddingCache().load(path) == 1
+        cache.save(path)
         assert EmbeddingCache().load(path) == 2
 
     @pytest.mark.parametrize(
         "content",
-        ['{"reference-fnv1a-256": {"ab": [0.5, ', "not json", "[1, 2]", '{"p": {"k": "x"}}'],
+        [
+            '{"providers": {"reference-fnv1a-256": {"dimension": 256, "offset": 0, "texts": ["ab", ',
+            "not json",
+            "[1, 2]",
+            '{"providers": {"p": {"k": "x"}}, "sidecar": {"bytes": 0, "crc32": 0}}',
+        ],
         ids=["truncated", "not-json", "not-an-object", "not-a-vector"],
     )
     def test_unreadable_file_loads_empty_and_is_replaced(self, tmp_path, caplog, content):
         path = tmp_path / "cache.json"
         path.write_text(content, encoding="utf-8")
+        sidecar(path).write_bytes(b"")  # an empty sidecar, which an index of no entries would accept
         cache = EmbeddingCache()
         with caplog.at_level(logging.WARNING, logger="kgqa.embedding"):
             assert cache.load(path) == 0
         assert len(cache) == 0
         assert "unreadable embedding cache" in caplog.text
         cache.save(path)
-        assert json.loads(path.read_text()) == {}
+        assert json.loads(path.read_text())["providers"] == {}
 
+    # The ids name where the single-file layout carried its vectors: "bad-base64" now flips one
+    # sidecar byte and keeps its size, "bad-zlib" puts other bytes in the sidecar's place.
     @pytest.mark.parametrize("damage", ["float-lists", "bad-base64", "bad-zlib", "row-count"])
     def test_damaged_packed_file_loads_empty_and_is_replaced(self, tmp_path, caplog, damage):
         path = tmp_path / "cache.json"
         cache = EmbeddingCache()
         embed_batch(["amber mesa", "dune"], ReferenceEmbedder(), cache)
         cache.save(path)
-        saved = path.read_bytes()
-        payload = json.loads(saved)
-        packed = payload["reference-fnv1a-256"]
+        saved = pair_bytes(path)
+        index, raw = json.loads(saved[0]), bytearray(saved[1])
         if damage == "float-lists":  # the layout before vectors were packed
-            payload = {"reference-fnv1a-256": {"0" * 64: [0.5] * 256}}
+            path.write_text(json.dumps({"reference-fnv1a-256": {"0" * 64: [0.5] * 256}}), encoding="utf-8")
         elif damage == "bad-base64":
-            packed["vectors"] = packed["vectors"][:-2] + "!!"
+            raw[-1] ^= 0x01
+            sidecar(path).write_bytes(raw)
         elif damage == "bad-zlib":
-            packed["vectors"] = base64.b64encode(b"not a zlib stream").decode("ascii")
+            sidecar(path).write_bytes(b"not the sidecar")
         else:
-            packed["texts"].append("cobalt reed")
-        path.write_text(json.dumps(payload), encoding="utf-8")
+            index["providers"]["reference-fnv1a-256"]["texts"].append("cobalt reed")
+            path.write_text(json.dumps(index), encoding="utf-8")
         restored = EmbeddingCache()
         with caplog.at_level(logging.WARNING, logger="kgqa.embedding"):
             assert restored.load(path) == 0
@@ -352,7 +407,7 @@ class TestCachePersistence:
         assert "unreadable embedding cache" in caplog.text
         embed_batch(["amber mesa", "dune"], ReferenceEmbedder(), restored)
         restored.save(path)
-        assert path.read_bytes() == saved
+        assert pair_bytes(path) == saved
 
     def test_loaded_vector_is_a_fresh_copy_and_gathered_bit_equal(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -456,7 +511,7 @@ class TestCacheMatrices:
 
 
 class TestCacheLayout:
-    """The persisted vectors: a bitmap of nonzero float64 bit patterns, then those values."""
+    """The sidecar holds each provider's bitmap of nonzero float64 bit patterns, then those values."""
 
     TEXTS = ["amber mesa", "cobalt reed", "dune", "", "xenon fjord quartz tide", "heron"]
 
@@ -477,7 +532,7 @@ class TestCacheLayout:
 
     def test_dense_previous_layout_loads_empty_and_is_rewritten(self, tmp_path, caplog):
         reference = {text: embed_reference(text) for text in self.TEXTS}
-        saved = self.saved(tmp_path).read_bytes()
+        saved = pair_bytes(self.saved(tmp_path))
         path = tmp_path / "dense.json"
         write_dense_cache(path, {"reference-fnv1a-256": reference})
         assert "dimension" not in json.loads(path.read_text())["reference-fnv1a-256"]
@@ -486,8 +541,8 @@ class TestCacheLayout:
         embed_batch(self.TEXTS, counting, cache)
         assert counting.computed == len(self.TEXTS)
         cache.save(path)
-        assert path.read_bytes() == saved
-        assert json.loads(path.read_text())["reference-fnv1a-256"]["dimension"] == DEFAULT_DIMENSION
+        assert pair_bytes(path) == saved
+        assert json.loads(path.read_text())["providers"]["reference-fnv1a-256"]["dimension"] == DEFAULT_DIMENSION
         restored = EmbeddingCache()
         assert restored.load(path) == len(self.TEXTS)
         for text, vec in reference.items():
@@ -496,9 +551,9 @@ class TestCacheLayout:
     @pytest.mark.parametrize("dimension", [0, -1, True, 2.5, "256", 2**40], ids=repr)
     def test_bad_dimension_loads_empty(self, tmp_path, caplog, dimension):
         path = self.saved(tmp_path)
-        payload = json.loads(path.read_text())
-        payload["reference-fnv1a-256"]["dimension"] = dimension
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        index = json.loads(path.read_text())
+        index["providers"]["reference-fnv1a-256"]["dimension"] = dimension
+        path.write_text(json.dumps(index), encoding="utf-8")
         tracemalloc.start()
         try:
             cache = self.load_warns(path, caplog)
@@ -522,8 +577,9 @@ class TestCacheLayout:
             cache.put("edge-5", text, vec)
         path = tmp_path / "cache.json"
         cache.save(path)
-        raw = zlib.decompress(base64.b64decode(json.loads(path.read_text())["edge-5"]["vectors"]))
+        raw = sidecar(path).read_bytes()
         assert len(raw) == 2 + 8 * 9  # 15 bits, and every value but the four +0.0
+        assert json.loads(path.read_text())["providers"]["edge-5"]["values"] == 9
         restored = EmbeddingCache()
         assert restored.load(path) == len(rows)
         for text, vec in rows.items():
@@ -533,11 +589,14 @@ class TestCacheLayout:
     def test_payload_is_bitmap_then_nonzero_values(self, tmp_path, dimension):
         provider = ReferenceEmbedder(dimension)
         path = self.saved(tmp_path, provider=provider)
-        packed = json.loads(path.read_text())[provider.provider_id]
+        index = json.loads(path.read_text())
+        packed = index["providers"][provider.provider_id]
         assert packed["dimension"] == dimension
         dense = np.array([embed_reference(text, dimension) for text in packed["texts"]])
         n_bits, nnz = dense.size, np.count_nonzero(dense)
-        raw = zlib.decompress(base64.b64decode(packed["vectors"]))
+        raw = sidecar(path).read_bytes()
+        assert (packed["offset"], packed["values"]) == (0, nnz)
+        assert index["sidecar"] == {"bytes": len(raw), "crc32": zlib.crc32(raw)}
         assert len(raw) == -(-n_bits // 8) + 8 * nnz
         assert raw[: -(-n_bits // 8)] == np.packbits(dense != 0).tobytes()
         assert raw[-(-n_bits // 8) :] == dense[dense != 0].astype("<f8").tobytes()
@@ -545,18 +604,148 @@ class TestCacheLayout:
     @pytest.mark.parametrize("damage", ["one-value", "extra-value", "short-bitmap"])
     def test_value_count_must_match_bitmap(self, tmp_path, caplog, damage):
         path = self.saved(tmp_path)
-        payload = json.loads(path.read_text())
-        packed = payload["reference-fnv1a-256"]
-        raw = zlib.decompress(base64.b64decode(packed["vectors"]))
+        raw = sidecar(path).read_bytes()
         n_bytes = len(self.TEXTS) * DEFAULT_DIMENSION // 8
         raw = {
             "one-value": raw[:n_bytes] + raw[n_bytes : n_bytes + 8],  # must not broadcast over the mask
             "extra-value": raw + raw[-8:],
             "short-bitmap": raw[: n_bytes - 1],
         }[damage]
-        packed["vectors"] = base64.b64encode(zlib.compress(raw, 1)).decode("ascii")
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        rewrite_sidecar(path, raw)
         self.load_warns(path, caplog)
+
+
+class TestSidecar:
+    """The index names each provider's section of the sidecar; a pair that does not fit together loads nothing."""
+
+    TEXTS = ["amber mesa", "cobalt reed", "dune", "", "xenon fjord quartz tide", "heron"]
+
+    def saved(self, path, table=None) -> pathlib.Path:
+        cache = EmbeddingCache()
+        embed_batch(self.TEXTS, TableEmbedder(table) if table else ReferenceEmbedder(), cache)
+        cache.save(path)
+        return path
+
+    def loads_nothing(self, path, caplog) -> EmbeddingCache:
+        cache = EmbeddingCache()
+        with caplog.at_level(logging.WARNING, logger="kgqa.embedding"):
+            assert cache.load(path) == 0
+        assert len(cache) == 0
+        assert [r.name for r in caplog.records if "unreadable embedding cache" in r.getMessage()] == ["kgqa.embedding"]
+        return cache
+
+    @pytest.mark.parametrize(
+        "pair", ["torn-equal-size", "missing-sidecar", "truncated-sidecar", "trailing-bytes", "single-file-layout"]
+    )
+    def test_pair_that_does_not_fit_loads_nothing_and_both_files_are_rewritten(self, tmp_path, caplog, pair):
+        reference = {text: embed_reference(text) for text in self.TEXTS}
+        saved = pair_bytes(self.saved(tmp_path / "clean.json"))
+        path = self.saved(tmp_path / "cache.json")
+        raw = sidecar(path).read_bytes()
+        if pair == "torn-equal-size":  # the sidecar of another save with the same texts and the same zeros
+            other = self.saved(tmp_path / "other.json", {text: vec * 0.5 for text, vec in reference.items()})
+            assert sidecar(other).stat().st_size == len(raw) and sidecar(other).read_bytes() != raw
+            sidecar(path).write_bytes(sidecar(other).read_bytes())
+        elif pair == "missing-sidecar":
+            sidecar(path).unlink()
+        elif pair == "truncated-sidecar":
+            sidecar(path).write_bytes(raw[:-8])
+        elif pair == "trailing-bytes":
+            sidecar(path).write_bytes(raw + b"\0" * 8)
+        else:
+            sidecar(path).unlink()
+            write_single_file_cache(path, {"reference-fnv1a-256": reference})
+        cache = self.loads_nothing(path, caplog)
+        counting = CountingEmbedder()
+        embed_batch(self.TEXTS, counting, cache)
+        assert counting.computed == len(self.TEXTS)
+        cache.save(path)
+        assert pair_bytes(path) == saved
+        assert EmbeddingCache().load(path) == len(self.TEXTS)
+
+    @pytest.mark.parametrize(
+        "damage", ["values+1", "values-1", "values-as-text", "values-null", "offset-8", "offset-negative", "offset-as-text"]
+    )
+    def test_index_value_count_and_offset_must_match_the_sidecar(self, tmp_path, caplog, damage):
+        path = self.saved(tmp_path / "cache.json")
+        index = json.loads(path.read_text())
+        entry = index["providers"]["reference-fnv1a-256"]
+        entry["values" if damage.startswith("values") else "offset"] = {
+            "values+1": entry["values"] + 1,
+            "values-1": entry["values"] - 1,
+            "values-as-text": str(entry["values"]),
+            "values-null": None,
+            "offset-8": 8,
+            "offset-negative": -1,
+            "offset-as-text": "0",
+        }[damage]
+        path.write_text(json.dumps(index), encoding="utf-8")
+        self.loads_nothing(path, caplog)
+
+    def test_sections_must_tile_the_sidecar(self, tmp_path, caplog):
+        cache = EmbeddingCache()
+        for pid, dim in (("a-3", 3), ("b-8", 8)):
+            cache.put(pid, "amber mesa", np.arange(1.0, dim + 1.0))
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        index = json.loads(path.read_text())
+        assert [entry["offset"] for entry in index["providers"].values()] == [0, 1 + 3 * 8]
+        raw = sidecar(path).read_bytes()
+        rewrite_sidecar(path, raw[:25] + b"\0" * 8 + raw[25:])  # a gap between the two sections
+        self.loads_nothing(path, caplog)
+        caplog.clear()
+        index["providers"] = dict(reversed(index["providers"].items()))  # the sections in the other order
+        path.write_text(json.dumps(index), encoding="utf-8")
+        sidecar(path).write_bytes(raw)
+        self.loads_nothing(path, caplog)
+
+    @pytest.mark.parametrize("fault", ["index-is-a-directory", "sidecar-is-a-directory", "sidecar-not-permitted"])
+    def test_file_that_cannot_be_read_loads_nothing(self, tmp_path, caplog, monkeypatch, fault):
+        path = self.saved(tmp_path / "cache.json")
+        saved = pair_bytes(path)
+        blocked = path if fault == "index-is-a-directory" else sidecar(path)
+        if fault.endswith("directory"):
+            blocked.unlink()
+            blocked.mkdir()
+        else:
+            real_read_bytes = pathlib.Path.read_bytes
+
+            def not_permitted(target):
+                if target == blocked:
+                    raise PermissionError(13, "Permission denied", str(target))
+                return real_read_bytes(target)
+
+            monkeypatch.setattr(pathlib.Path, "read_bytes", not_permitted)
+        cache = self.loads_nothing(path, caplog)
+        monkeypatch.undo()
+        embed_batch(self.TEXTS, ReferenceEmbedder(), cache)
+        if fault.endswith("directory"):  # a save that cannot write still raises
+            with pytest.raises(OSError):
+                cache.save(path)
+            blocked.rmdir()
+        cache.save(path)  # the failed load marked the cache changed, so both files are written
+        assert pair_bytes(path) == saved
+
+    def test_dense_vectors_load_as_views_of_the_sidecar(self, tmp_path):
+        rng = np.random.default_rng(3)
+        dense = rng.standard_normal((500, 1536))
+        cache = EmbeddingCache()
+        cache._add("dense-1536", [f"text {i}" for i in range(len(dense))], dense)
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        size = sidecar(path).stat().st_size
+        restored = EmbeddingCache()
+        tracemalloc.start()
+        try:
+            assert restored.load(path) == len(dense)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * size  # the sidecar's bytes, read once; the values are not copied out of them
+        store = restored._stores["dense-1536"]
+        assert store.values.base is not None and not store.values.flags.owndata
+        for i in (0, 17, 499):
+            assert restored.get("dense-1536", f"text {i}").tobytes() == dense[i].tobytes()
 
 
 class TestBitmapStore:
@@ -593,7 +782,7 @@ class TestBitmapStore:
             },
         )
 
-    @pytest.mark.parametrize("dimension", [1, 7, 12, 257])
+    @pytest.mark.parametrize("dimension", [1, 7, 8, 12, 13, 256, 257, 1536])
     def test_dimensions_round_trip(self, tmp_path, dimension):
         rng = np.random.default_rng(dimension)
         rows = {}
@@ -740,13 +929,12 @@ class TestPackedLoad:
         rows = {f"row {i}": vec for i, vec in enumerate(dense)}
         clean = tmp_path / "clean.json"
         self.saved(clean, "edge-12", rows)
-        payload = json.loads(clean.read_text())
-        raw = bytearray(zlib.decompress(base64.b64decode(payload["edge-12"]["vectors"])))
+        raw = bytearray(sidecar(clean).read_bytes())
         assert raw[7] & 0x0F == 0
         raw[7] |= 0x0F
-        payload["edge-12"]["vectors"] = base64.b64encode(zlib.compress(bytes(raw), 1)).decode("ascii")
         padded = tmp_path / "padded.json"
-        padded.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        padded.write_bytes(clean.read_bytes())
+        rewrite_sidecar(padded, bytes(raw))
         cache = EmbeddingCache()
         assert cache.load(padded) == len(rows)
         for text, vec in rows.items():
@@ -754,4 +942,4 @@ class TestPackedLoad:
         cache.put("edge-12", "extra", np.ones(12))
         self.saved(tmp_path / "expected.json", "edge-12", {**rows, "extra": np.ones(12)})
         cache.save(tmp_path / "resaved.json")
-        assert (tmp_path / "resaved.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+        assert pair_bytes(tmp_path / "resaved.json") == pair_bytes(tmp_path / "expected.json")

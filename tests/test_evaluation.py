@@ -6,6 +6,8 @@ from random import Random
 import numpy as np
 import pytest
 
+import kgqa.graph
+from kgqa import evaluation
 from kgqa.answering import build_qa_prompt, normalize_answer
 from kgqa.embedding import embed_reference, fnv1a_64, similarity
 from kgqa.evaluation import (
@@ -152,6 +154,21 @@ class TestRelevance:
     def test_empty_graph_rejected(self, ref):
         with pytest.raises(ValueError):
             relevance_score("q", [], ref)
+
+    def test_relation_text_built_once_per_distinct_relation(self, ref, monkeypatch):
+        relations = ["born_in", "located.in", "has__part"]
+        triples = [Triple(f"e{i}", relations[i % 3], f"f{i // 2}") for i in range(30)]
+        expected = relevance_score("where was e1 born", triples, ref)
+        calls = []
+
+        def counting(name):
+            calls.append(name)
+            return relation_text(name)
+
+        for module in (evaluation, kgqa.graph):  # textualize_triple reads kgqa.graph's
+            monkeypatch.setattr(module, "relation_text", counting)
+        assert relevance_score("where was e1 born", triples, ref) == expected
+        assert sorted(calls) == sorted(relations)
 
 
 class TestSemanticRichness:

@@ -37,7 +37,7 @@ from kgqa.pipeline import (
     write_dataset,
 )
 
-from helpers import answer_coverage, write_dense_cache
+from helpers import answer_coverage, write_dense_cache, write_single_file_cache
 
 ARTIFACTS = ("parsed.jsonl", "pruned.jsonl", "enriched.jsonl", "answers.jsonl", "report.json", "ledger.json")
 
@@ -336,8 +336,8 @@ class TestRunAll:
         config = RunConfig(llm={"kind": "stub", "script": script}, cache_dir=str(cache_dir))
         run_all(config, records, tmp_path / "stage")
         cache_file = cache_dir / "embeddings.json"
-        assert cache_file.exists()
-        entries = sum(len(packed["texts"]) for packed in json.loads(cache_file.read_text()).values())
+        assert cache_file.exists() and (cache_dir / "embeddings.bin").exists()
+        entries = sum(len(packed["texts"]) for packed in json.loads(cache_file.read_text())["providers"].values())
         assert entries > 0
         ctx = PipelineContext(config, tmp_path / "stage2", records)
         assert len(ctx.cache) == entries
@@ -803,12 +803,17 @@ def file_state(path: pathlib.Path) -> tuple[bytes, int, int]:
     return path.read_bytes(), stat.st_mtime_ns, stat.st_ino
 
 
+def cache_files(path: pathlib.Path) -> tuple[pathlib.Path, pathlib.Path]:
+    """A persisted embedding cache: its index (embeddings.json) and its sidecar (embeddings.bin)."""
+    return path, path.with_suffix(".bin")
+
+
 def cache_file_entries(path: pathlib.Path) -> dict[tuple[str, str], bytes]:
-    """(provider id, text) -> vector bytes of every entry an embeddings.json holds."""
+    """(provider id, text) -> vector bytes of every entry an embeddings.json and its sidecar hold."""
     cache = EmbeddingCache()
     cache.load(path)
-    payload = json.loads(path.read_text())
-    return {(pid, text): cache.get(pid, text).tobytes() for pid, packed in payload.items() for text in packed["texts"]}
+    providers = json.loads(path.read_text())["providers"]
+    return {(pid, text): cache.get(pid, text).tobytes() for pid, packed in providers.items() for text in packed["texts"]}
 
 
 class TestEmbeddingCacheFile:
@@ -819,11 +824,12 @@ class TestEmbeddingCacheFile:
         records, script = small_fixture
         config = self.config(script, tmp_path / "cache")
         run_all(config, records, tmp_path / "cold")
-        cache_file = tmp_path / "cache" / "embeddings.json"
-        os.utime(cache_file, ns=(10**9, 10**9))
-        before = file_state(cache_file)
+        files = cache_files(tmp_path / "cache" / "embeddings.json")
+        for file in files:
+            os.utime(file, ns=(10**9, 10**9))
+        before = list(map(file_state, files))
         run_all(config, records, tmp_path / "warm")
-        assert file_state(cache_file) == before
+        assert list(map(file_state, files)) == before
 
     def test_new_texts_rewrite_the_union(self, tmp_path, small_fixture):
         records, script = small_fixture
@@ -842,39 +848,49 @@ class TestEmbeddingCacheFile:
         records, script = small_fixture
         config = self.config(script, tmp_path / "cache")
         run_all(config, records, tmp_path / "stage")
-        cache_file = tmp_path / "cache" / "embeddings.json"
-        saved = cache_file.read_bytes()
-        ctx = PipelineContext(config, tmp_path / "stage", records)
-        cache_file.unlink()
-        ctx.save_state()
-        assert cache_file.read_bytes() == saved
+        files = cache_files(tmp_path / "cache" / "embeddings.json")
+        saved = [file.read_bytes() for file in files]
+        for deleted in files:
+            ctx = PipelineContext(config, tmp_path / "stage", records)
+            deleted.unlink()
+            ctx.save_state()
+            assert [file.read_bytes() for file in files] == saved
 
     def test_truncated_file_starts_empty_and_is_replaced(self, tmp_path, small_fixture, caplog):
         records, script = small_fixture
         config = self.config(script, tmp_path / "cache")
         run_all(config, records, tmp_path / "stage")
-        cache_file = tmp_path / "cache" / "embeddings.json"
-        saved = cache_file.read_bytes()
-        cache_file.write_bytes(saved[: len(saved) // 2])
+        files = cache_files(tmp_path / "cache" / "embeddings.json")
+        saved = [file.read_bytes() for file in files]
+        files[0].write_bytes(saved[0][: len(saved[0]) // 2])
         with caplog.at_level(logging.WARNING, logger="kgqa.embedding"):
             ctx = PipelineContext(config, tmp_path / "stage", records)
         assert len(ctx.cache) == 0
         assert "unreadable embedding cache" in caplog.text
         ctx.save_state()
-        assert json.loads(cache_file.read_text()) == {}
+        assert json.loads(files[0].read_text())["providers"] == {}
+        assert files[1].read_bytes() == b""
         run_all(config, records, tmp_path / "stage", resume=False)
-        assert cache_file.read_bytes() == saved
+        assert [file.read_bytes() for file in files] == saved
 
     def test_dense_previous_layout_is_migrated_on_first_run(self, tmp_path, small_fixture, caplog):
+        self.migrates(tmp_path, small_fixture, caplog, write_dense_cache)
+
+    def test_single_file_layout_is_migrated_on_first_run(self, tmp_path, small_fixture, caplog):
+        self.migrates(tmp_path, small_fixture, caplog, write_single_file_cache)
+
+    def migrates(self, tmp_path, small_fixture, caplog, write_older_layout):
+        """A cache_dir holding only an embeddings.json in an older layout: the first run warns once,
+        recomputes, writes the artifacts and both cache files of a cold run, and a warm run embeds nothing."""
         records, script = small_fixture
         run_all(self.config(script, tmp_path / "cold-cache"), records, tmp_path / "cold")
-        cold_file = tmp_path / "cold-cache" / "embeddings.json"
+        cold_files = cache_files(tmp_path / "cold-cache" / "embeddings.json")
         entries = {}
-        for (pid, text), vector in cache_file_entries(cold_file).items():
+        for (pid, text), vector in cache_file_entries(cold_files[0]).items():
             entries.setdefault(pid, {})[text] = np.frombuffer(vector, dtype=np.float64)
-        cache_file = tmp_path / "cache" / "embeddings.json"
-        cache_file.parent.mkdir()
-        write_dense_cache(cache_file, entries)
+        files = cache_files(tmp_path / "cache" / "embeddings.json")
+        files[0].parent.mkdir()
+        write_older_layout(files[0], entries)
         config = self.config(script, tmp_path / "cache")
 
         with caplog.at_level(logging.WARNING, logger="kgqa.embedding"):
@@ -884,15 +900,27 @@ class TestEmbeddingCacheFile:
         assert {name: (tmp_path / "migrated" / name).read_bytes() for name in names} == {
             name: (tmp_path / "cold" / name).read_bytes() for name in names
         }
-        assert cache_file.read_bytes() == cold_file.read_bytes()
-        assert all("dimension" in packed for packed in json.loads(cache_file.read_text()).values())
+        assert [file.read_bytes() for file in files] == [file.read_bytes() for file in cold_files]
+        assert all("dimension" in packed for packed in json.loads(files[0].read_text())["providers"].values())
 
-        os.utime(cache_file, ns=(10**9, 10**9))
-        before = file_state(cache_file)
+        for file in files:
+            os.utime(file, ns=(10**9, 10**9))
+        before = list(map(file_state, files))
         with mock.patch.object(ReferenceEmbedder, "embed_many", autospec=True, side_effect=ReferenceEmbedder.embed_many) as spy:
             run_all(config, records, tmp_path / "warm")
         assert spy.call_count == 0
-        assert file_state(cache_file) == before
+        assert list(map(file_state, files)) == before
+
+    def test_cache_path_that_cannot_be_read_starts_empty(self, tmp_path, small_fixture, caplog):
+        records, script = small_fixture
+        config = self.config(script, tmp_path / "cache")
+        (tmp_path / "cache" / "embeddings.json").mkdir(parents=True)
+        with caplog.at_level(logging.WARNING, logger="kgqa.embedding"):
+            ctx = PipelineContext(config, tmp_path / "stage", records)
+        assert len(ctx.cache) == 0
+        assert ["unreadable embedding cache" in r.getMessage() for r in caplog.records] == [True]
+        with pytest.raises(OSError):  # a save that cannot write the index still raises
+            ctx.save_state()
 
 
 class TestCli:
@@ -1018,11 +1046,12 @@ class TestCli:
         common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
         for command in ("parse", "prune", "enrich"):
             assert cli.main([command, *common]) == 0
-        cache_file = tmp_path / "cache" / "embeddings.json"
-        os.utime(cache_file, ns=(10**9, 10**9))
-        before = file_state(cache_file)
+        files = cache_files(tmp_path / "cache" / "embeddings.json")
+        for file in files:
+            os.utime(file, ns=(10**9, 10**9))
+        before = list(map(file_state, files))
         assert cli.main(["answer", *common]) == 0
-        assert file_state(cache_file) == before
+        assert list(map(file_state, files)) == before
 
     def test_missing_upstream_is_clean_error(self, tmp_path, capsys):
         paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)

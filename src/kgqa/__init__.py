@@ -82,7 +82,6 @@ from .queries import (
     QueryNode,
     decompose,
     parse_decomposition_tree,
-    serialize_decomposition,
 )
 
 __version__ = "0.1.0"

@@ -210,14 +210,14 @@ class EmbeddingCache:
     """Thread-safe (provider-id, text) -> vector cache persisted as two files.
 
     The sidecar (`.bin` beside the JSON index) holds, per provider, a bitmap
-    of the vectors' nonzero float64 bit patterns followed by those values,
-    raw; the index holds each provider's sorted texts, dimension, section
-    offset and value count, and the sidecar's size and CRC-32. Vectors
-    round-trip bit for bit, sparse ones stay small, and a given set of
-    entries always writes the same bytes. Memory keeps that layout, one
-    buffer per provider (`_Store`); only lookups make dense rows. The cache
-    tracks whether it gained entries since it was last loaded or saved, so an
-    unchanged cache is not written again.
+    of the vectors' nonzero float64 bit patterns, ceil(d/8) bytes per row
+    with the padding bits clear, followed by those values, raw; the index
+    holds each provider's sorted texts, dimension, section offset and value
+    count, and the sidecar's size and CRC-32. Vectors round-trip bit for bit,
+    sparse ones stay small, and a given set of entries always writes the same
+    bytes. Memory keeps that layout, one buffer per provider (`_Store`); only
+    lookups make dense rows. The cache tracks whether it gained entries since
+    it was last loaded or saved, so an unchanged cache is not written again.
     """
 
     def __init__(self):
@@ -281,8 +281,6 @@ class EmbeddingCache:
                 store = self._stores[pid]
                 texts = sorted(store.index)
                 bits, values = store.select(np.fromiter(map(store.index.get, texts), dtype=np.intp, count=len(texts)))
-                if store.dimension % 8:  # the sidecar joins the rows without their padding bits
-                    bits = np.packbits(np.unpackbits(bits, axis=1, count=store.dimension))
                 values = values.astype("<f8", copy=False)
                 providers[pid] = {"dimension": store.dimension, "texts": texts, "offset": size, "values": len(values)}
                 sections += bits, values
@@ -319,18 +317,18 @@ class EmbeddingCache:
                     raise TypeError(f"texts must be a list of strings and dimension an int >= 1, not {dim!r}")
                 if entry["offset"] != pos:
                     raise ValueError(f"section of {pid!r} starts at {entry['offset']!r}, not {pos}")
-                n = len(texts)
-                flat = np.frombuffer(raw, np.uint8, -(-n * dim // 8), offset=pos)  # raises before any allocation
-                if dim % 8:  # the rows start mid-byte: cut them apart and pad each to whole bytes
-                    bits = np.packbits(np.unpackbits(flat, count=n * dim).reshape(n, dim), axis=1)
-                else:
-                    bits = flat.reshape(n, dim // 8)
+                width = -(-dim // 8)  # bytes per bitmap row
+                bits = np.frombuffer(raw, np.uint8, len(texts) * width, offset=pos)  # raises before any allocation
+                bits = bits.reshape(len(texts), width)
+                if dim % 8:  # a set padding bit at the end of a row is ignored
+                    bits = bits.copy()
+                    bits[:, -1] &= 0xFF << (-dim % 8) & 0xFF
                 counts = _set_bits(bits)
                 total = int(counts.sum())
                 if entry["values"] != total:
                     raise ValueError(f"{entry['values']!r} values for {total} set bits")
-                values = np.frombuffer(raw, "<f8", total, offset=pos + len(flat))
-                pos += len(flat) + values.nbytes
+                values = np.frombuffer(raw, "<f8", total, offset=pos + bits.nbytes)
+                pos += bits.nbytes + values.nbytes
                 entries[pid] = texts, dim, bits, counts, values
             if pos != len(raw):
                 raise ValueError(f"the sections end at byte {pos} of {len(raw)}")

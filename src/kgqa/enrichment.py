@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .embedding import EmbeddingCache, EmbeddingProvider, embed_batch, similarity
 from .gateway import PromptTemplate, render_template
-from .graph import Triple, extract_paths
+from .graph import TripleLike, extract_paths
 
 
 class Provenance(Enum):
@@ -50,7 +50,7 @@ _PROVENANCE_KEYWORD_RE = re.compile(r"similarity|symmetry|transitivity", re.IGNO
 
 @dataclass(frozen=True)
 class EnrichedTriple:
-    triple: Triple
+    triple: tuple[str, str, str]  # the (s, r, o) key
     provenance: Provenance
     source_indices: tuple[int, ...] = ()
     grounded: bool = True
@@ -68,8 +68,9 @@ class FeatureParse:
     rejected: int = 0
 
 
-def format_triple_compact(t: Triple) -> str:
-    return f"({t.subject},{t.relation},{t.object})"
+def format_triple_compact(t: TripleLike) -> str:
+    s, r, o = t
+    return f"({s},{r},{o})"
 
 
 def _split_triple_line(line: str) -> tuple[str, str, str] | None:
@@ -121,7 +122,7 @@ def associate_queries(
 
 
 def filter_and_build_structural_prompt(
-    payload: Sequence[Triple],
+    payload: Sequence[TripleLike],
     associations: Sequence[Sequence[str]],
     template: PromptTemplate,
 ) -> str:
@@ -177,19 +178,19 @@ def parse_structural_output(raw: str) -> StructuralParse:
     preamble = raw[:idx] if idx >= 0 else ""
     provenance = _provenance_map(preamble)
     found, skipped = _triple_lines(region)
-    triples = [EnrichedTriple(Triple(*fields), provenance.get(fields, Provenance.SIMILARITY)) for fields in found]
+    triples = [EnrichedTriple(fields, provenance.get(fields, Provenance.SIMILARITY)) for fields in found]
     return StructuralParse(triples, skipped)
 
 
 @dataclass
 class EntityContext:
     entity: str
-    triples: list[Triple] = field(default_factory=list)
+    triples: list[TripleLike] = field(default_factory=list)
     queries: list[str] = field(default_factory=list)
 
 
 def collect_entity_contexts(
-    triples: Sequence[Triple],
+    triples: Sequence[TripleLike],
     associations: Sequence[Sequence[str]],
 ) -> list[EntityContext]:
     """One context per distinct endpoint entity, in first-occurrence order.
@@ -199,7 +200,8 @@ def collect_entity_contexts(
     """
     contexts: dict[str, EntityContext] = {}
     for t, assoc in zip(triples, associations):
-        for entity in (t.subject, t.object):
+        s, _, o = t
+        for entity in (s, o):  # a self-loop joins its entity's context twice
             ctx = contexts.setdefault(entity, EntityContext(entity=entity))
             ctx.triples.append(t)
             for q in assoc:
@@ -237,34 +239,30 @@ def parse_feature_output(raw: str) -> FeatureParse:
     region = blocks[-1] if blocks else raw
     found, not_triples = _triple_lines(region)
     ontology = [fields for fields in found if fields[1] in ONTOLOGY_RELATIONS]
-    triples = [EnrichedTriple(Triple(*fields), Provenance.HIERARCHY) for fields in ontology]
+    triples = [EnrichedTriple(fields, Provenance.HIERARCHY) for fields in ontology]
     return FeatureParse(triples, not_triples + len(found) - len(ontology))
 
 
-def merge_enriched(base: Sequence[Triple], generated: Sequence[EnrichedTriple]) -> list[EnrichedTriple]:
-    """The generated triples that are new to the base, deduplicated on (s, r, o).
+def merge_enriched(base: Sequence[TripleLike], generated: Sequence[EnrichedTriple]) -> list[EnrichedTriple]:
+    """The generated triples that are new to the base, deduplicated on (s, r, o), in generation order.
 
-    They keep generation order and are indexed after the base. Each one is
-    flagged grounded=False when neither endpoint occurs in the base graph;
-    structural triples record the base indices they share an endpoint with.
+    Each one is flagged grounded=False when neither endpoint occurs in the base
+    graph; structural triples record the positions in `base` of the triples
+    they share an endpoint with.
     """
-    seen = {tuple(t) for t in base}
-    base_entities = {e for t in base for e in (t.subject, t.object)}
-    next_index = max((t.index for t in base), default=-1) + 1
+    keys = [tuple(t) for t in base]
+    seen = set(keys)
+    base_entities = {e for s, _, o in keys for e in (s, o)}
     merged: list[EnrichedTriple] = []
     for et in generated:
         key = tuple(et.triple)
         if key in seen:
             continue
         seen.add(key)
-        grounded = et.triple.subject in base_entities or et.triple.object in base_entities
+        s, _, o = key
         if et.provenance is Provenance.HIERARCHY:
             sources: tuple[int, ...] = ()
         else:
-            endpoints = {et.triple.subject, et.triple.object}
-            sources = tuple(t.index for t in base if t.subject in endpoints or t.object in endpoints)
-        merged.append(
-            replace(et, triple=replace(et.triple, index=next_index), grounded=grounded, source_indices=sources)
-        )
-        next_index += 1
+            sources = tuple(i for i, (bs, _, bo) in enumerate(keys) if bs in (s, o) or bo in (s, o))
+        merged.append(replace(et, triple=key, grounded=s in base_entities or o in base_entities, source_indices=sources))
     return merged

@@ -1,10 +1,12 @@
 """Knowledge-graph triples: loading, paths, textualization.
 
-`graph_keys` validates and dedupes (s, r, o) records into string keys; prune,
-answer, sweep-k and the quality metrics read each graph, from the dataset or a
-stage artifact, as those keys. `load_graph` builds frozen, indexed Triples from
-the same keys, safe to share across worker threads. A Triple unpacks like its
-key, so `textualize_triple` and `group_by_endpoints` take either.
+`graph_keys` validates and dedupes (s, r, o) records into string keys; the
+prune, enrich and answer stages, sweep-k and the quality metrics read each
+graph, from the dataset or a stage artifact, as those keys. `load_graph` builds
+frozen, indexed Triples from the same keys, safe to share across worker
+threads; outside this module only the pruning adapters and the tests use them.
+A Triple unpacks like its key, so the functions that take a triple, here and
+in enrichment, answering and evaluation, take either.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def textualize_triple(t: TripleLike) -> str:
     return f"{s} {relation_text(r)} {o}"
 
 
-def extract_paths(triples: Sequence[Triple]) -> list[tuple[Triple, ...]]:
+def extract_paths(triples: Sequence[TripleLike]) -> list[tuple[TripleLike, ...]]:
     """All 1-hop paths as 1-tuples, then all ordered triple pairs joined
     object-to-subject as 2-tuples.
 
@@ -100,11 +102,11 @@ def extract_paths(triples: Sequence[Triple]) -> list[tuple[Triple, ...]]:
     in `triples`.
     """
     paths = [(t,) for t in triples]
-    by_subject: dict[str, list[Triple]] = {}
+    by_subject: dict[str, list[TripleLike]] = {}
     for t in triples:
-        by_subject.setdefault(t.subject, []).append(t)
+        by_subject.setdefault(tuple(t)[0], []).append(t)
     for t1 in triples:
-        for t2 in by_subject.get(t1.object, ()):
+        for t2 in by_subject.get(tuple(t1)[2], ()):
             paths.append((t1, t2))
     return paths
 

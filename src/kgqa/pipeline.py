@@ -63,7 +63,7 @@ from .gateway import (
     estimate_tokens,
     load_templates,
 )
-from .graph import GROUP_MODES, Triple, graph_keys, textualize_triple
+from .graph import GROUP_MODES, graph_keys, textualize_triple
 from .pruning import rank_rows, score_columns
 from .queries import decompose, decomposition_to_dict, fallback_graph_query
 
@@ -355,11 +355,15 @@ class PipelineContext:
         return ledger
 
     def save_cache(self) -> None:
-        """Write the embedding cache to `cache_dir`, if one is set and the cache gained entries."""
+        """Write the embedding cache to `cache_dir`, if one is set and the cache gained entries;
+        a directory or file that cannot be written raises StageError."""
         if self.config.cache_dir:
-            cache_dir = Path(self.config.cache_dir)
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            self.cache.save(cache_dir / "embeddings.json")
+            path = Path(self.config.cache_dir) / "embeddings.json"
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                self.cache.save(path)
+            except OSError as exc:
+                raise StageError(f"cannot write embedding cache {path}: {exc}") from exc
 
 
 def _dumps(obj) -> str:
@@ -471,7 +475,8 @@ def _prune_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping
 def _enrich_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mapping) -> dict:
     parsed = _upstream_row(upstream, "parse", record.id)
     pruned = _upstream_row(upstream, "prune", record.id)
-    kept = [Triple(*graph_keys([(e["s"], e["r"], e["o"])])[0], index=e["index"]) for e in pruned["kept"]]
+    kept = [graph_keys([(e["s"], e["r"], e["o"])])[0] for e in pruned["kept"]]  # one per entry: no dedupe, positions align
+    indices = [e["index"] for e in pruned["kept"]]  # read, like the keys, before any provider call
     generated = []
     skipped = 0
     rejected = 0
@@ -503,15 +508,15 @@ def _enrich_record(ctx: PipelineContext, record: DatasetRecord, upstream: Mappin
                 rejected = parse.rejected
     return {
         "id": record.id,
-        "base_indices": [t.index for t in kept],
+        "base_indices": indices,
         "generated": [
             {
-                "s": et.triple.subject,
-                "r": et.triple.relation,
-                "o": et.triple.object,
+                "s": et.triple[0],
+                "r": et.triple[1],
+                "o": et.triple[2],
                 "provenance": et.provenance.value,
                 "grounded": et.grounded,
-                "sources": list(et.source_indices),
+                "sources": [indices[i] for i in et.source_indices],
             }
             for et in merge_enriched(kept, generated)
         ],

@@ -8,13 +8,14 @@ total form the pruned graph; `rank_rows` is the one ranking rule (descending
 total, ties by ascending index).
 
 Scoring is blocked matrix code over a graph's (s, r, o) string keys
-(`score_columns`, which the prune stage and `sweep_k` call). `score_graph`
-and `select_top_k` are Triple adapters kept because benchmarks/spans.py wraps
-them by name; the channel diagnostics live in tests/helpers.py. Each
-distinct masked text is embedded once into one matrix, whose `BLOCK_ROWS`-row
-slices (views, not copies) each take one matrix-vector product per query,
-added in query order; a triple's total is its head, tail and both-masked
-channel scores added in that order.
+(`score_columns`, which the prune stage and `sweep_k` call). `score_graph`,
+`select_top_k` and `render_masked` take Triples: no stage calls them, and they
+are kept because benchmarks/spans.py wraps them by name; outside graph.py no
+other package code reads a Triple's fields. The channel diagnostics live in
+tests/helpers.py. Each distinct masked text is embedded once into one matrix,
+whose `BLOCK_ROWS`-row slices (views, not copies) each take one matrix-vector
+product per query, added in query order; a triple's total is its head, tail
+and both-masked channel scores added in that order.
 
 Numeric contract:
 

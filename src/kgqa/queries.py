@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .gateway import DEFAULT_TEMPERATURE, ChatRequest, PromptTemplate, render_template
-from .graph import Triple, relation_text
+from .graph import TripleLike, relation_text
 
 if TYPE_CHECKING:
     from .gateway import Gateway
@@ -88,11 +88,6 @@ def parse_decomposition_tree(raw: str) -> QueryDecomposition:
     return QueryDecomposition(root=nodes[0], nodes=nodes, flat=flat)
 
 
-def serialize_decomposition(decomposition: QueryDecomposition) -> str:
-    """Inverse of parse_decomposition_tree modulo blank lines."""
-    return "\n".join("-" * node.depth + node.text for node in decomposition.nodes)
-
-
 def single_node_decomposition(question: str, degraded: bool = False) -> QueryDecomposition:
     root = QueryNode(text=question, depth=0, kind=UNIT)
     return QueryDecomposition(root=root, nodes=[root], flat=[question], degraded=degraded)
@@ -134,6 +129,7 @@ def decomposition_to_dict(decomposition: QueryDecomposition) -> dict:
     }
 
 
-def fallback_graph_query(triple: Triple) -> str:
+def fallback_graph_query(triple: TripleLike) -> str:
     """Deterministic graph query of a triple: the question form of the fact."""
-    return f"What is the {relation_text(triple.relation)} of {triple.subject}?"
+    s, r, _ = triple
+    return f"What is the {relation_text(r)} of {s}?"

@@ -26,6 +26,7 @@ from kgqa.gateway import (
 )
 from kgqa.graph import Triple, group_by_endpoints, load_graph, relation_text, textualize_triple
 from kgqa.pruning import CHANNELS, rank_rows
+from kgqa.queries import QueryDecomposition
 
 VANILLA = "vanilla"
 
@@ -69,6 +70,11 @@ def random_graph(rng: Random, n_triples: int) -> tuple[Triple, ...]:
 
 def random_queries(rng: Random, n: int) -> list[str]:
     return [random_phrase(rng, rng.randint(2, 5)) for _ in range(n)]
+
+
+def serialize_decomposition(decomposition: QueryDecomposition) -> str:
+    """Inverse of `parse_decomposition_tree` modulo blank lines."""
+    return "\n".join("-" * node.depth + node.text for node in decomposition.nodes)
 
 
 def stub_gateway(script: dict, ledger: CostLedger | None = None) -> Gateway:

@@ -24,9 +24,18 @@ from kgqa.gateway import CostLedger, PriceTable, cost_report, estimate_tokens
 from kgqa.graph import Triple, load_graph, textualize_triple
 from kgqa.pipeline import PipelineContext, RunConfig, run_all, sweep_k
 from kgqa.pruning import CHANNELS, render_masked, score_graph, select_top_k
-from kgqa.queries import parse_decomposition_tree, serialize_decomposition
+from kgqa.queries import parse_decomposition_tree
 
-from helpers import VANILLA, WORDS, answer_coverage, channel_mrr, random_graph, random_queries, rank_of_triple
+from helpers import (
+    VANILLA,
+    WORDS,
+    answer_coverage,
+    channel_mrr,
+    random_graph,
+    random_queries,
+    rank_of_triple,
+    serialize_decomposition,
+)
 from sample_outputs import (
     FEATURE_EXAMPLE,
     FEATURE_EXAMPLE_TRIPLES,
@@ -226,17 +235,12 @@ class TestCriterion6GrammarRoundTrips:
                 assert serialize_decomposition(parse_decomposition_tree(raw)) == raw
 
             structural = parse_structural_output(STRUCTURAL_EXAMPLE)
-            got = [
-                (t.triple.subject, t.triple.relation, t.triple.object, t.provenance.value)
-                for t in structural.triples
-            ]
+            got = [(*t.triple, t.provenance.value) for t in structural.triples]
             assert got == STRUCTURAL_EXAMPLE_TRIPLES
             assert structural.skipped == 0
 
             feature = parse_feature_output(FEATURE_EXAMPLE)
-            assert [
-                (t.triple.subject, t.triple.relation, t.triple.object) for t in feature.triples
-            ] == FEATURE_EXAMPLE_TRIPLES
+            assert [t.triple for t in feature.triples] == FEATURE_EXAMPLE_TRIPLES
 
             rejected = parse_feature_output("{result}\n(X, made_up_relation, Y)\n(ok, Hypernym_isA, Z)\n{/result}")
             assert rejected.rejected > 0

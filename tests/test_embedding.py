@@ -511,7 +511,7 @@ class TestCacheMatrices:
 
 
 class TestCacheLayout:
-    """The sidecar holds each provider's bitmap of nonzero float64 bit patterns, then those values."""
+    """The sidecar holds each provider's row-aligned bitmap of nonzero float64 bit patterns, then those values."""
 
     TEXTS = ["amber mesa", "cobalt reed", "dune", "", "xenon fjord quartz tide", "heron"]
 
@@ -578,7 +578,7 @@ class TestCacheLayout:
         path = tmp_path / "cache.json"
         cache.save(path)
         raw = sidecar(path).read_bytes()
-        assert len(raw) == 2 + 8 * 9  # 15 bits, and every value but the four +0.0
+        assert len(raw) == 3 + 8 * 9  # one bitmap byte per row, and every value but the four +0.0
         assert json.loads(path.read_text())["providers"]["edge-5"]["values"] == 9
         restored = EmbeddingCache()
         assert restored.load(path) == len(rows)
@@ -593,13 +593,14 @@ class TestCacheLayout:
         packed = index["providers"][provider.provider_id]
         assert packed["dimension"] == dimension
         dense = np.array([embed_reference(text, dimension) for text in packed["texts"]])
-        n_bits, nnz = dense.size, np.count_nonzero(dense)
+        nnz = np.count_nonzero(dense)
+        bitmap = np.packbits(dense != 0, axis=1).tobytes()  # each row padded to whole bytes
         raw = sidecar(path).read_bytes()
         assert (packed["offset"], packed["values"]) == (0, nnz)
         assert index["sidecar"] == {"bytes": len(raw), "crc32": zlib.crc32(raw)}
-        assert len(raw) == -(-n_bits // 8) + 8 * nnz
-        assert raw[: -(-n_bits // 8)] == np.packbits(dense != 0).tobytes()
-        assert raw[-(-n_bits // 8) :] == dense[dense != 0].astype("<f8").tobytes()
+        assert len(raw) == len(bitmap) + 8 * nnz
+        assert raw[: len(bitmap)] == bitmap
+        assert raw[len(bitmap) :] == dense[dense != 0].astype("<f8").tobytes()
 
     @pytest.mark.parametrize("damage", ["one-value", "extra-value", "short-bitmap"])
     def test_value_count_must_match_bitmap(self, tmp_path, caplog, damage):

@@ -97,7 +97,7 @@ class TestStructuralPrompt:
 class TestStructuralParse:
     def test_worked_example_verbatim(self):
         parse = parse_structural_output(STRUCTURAL_EXAMPLE)
-        got = [(t.triple.subject, t.triple.relation, t.triple.object, t.provenance.value) for t in parse.triples]
+        got = [(*t.triple, t.provenance.value) for t in parse.triples]
         assert got == STRUCTURAL_EXAMPLE_TRIPLES
         assert parse.skipped == 0
 
@@ -150,6 +150,14 @@ class TestFeaturePrompt:
         prompt = build_feature_prompt(contexts, load_template("feature_enrich"))
         assert "relavent user query(ies):\n" in prompt
 
+    def test_self_loop_joins_its_entity_context_twice(self):
+        contexts = collect_entity_contexts([("a", "r", "a"), ("a", "s", "b")], [["q1"], ["q2"]])
+        assert [c.entity for c in contexts] == ["a", "b"]
+        assert contexts[0].triples == [("a", "r", "a"), ("a", "r", "a"), ("a", "s", "b")]
+        assert contexts[0].queries == ["q1", "q2"]
+        prompt = build_feature_prompt(contexts, load_template("feature_enrich"))
+        assert "relavent triple(s):(a,r,a)-(a,r,a)-(a,s,b)\n" in prompt
+
     def test_entities_in_first_occurrence_order(self):
         triples = [Triple("a", "r", "b"), Triple("b", "s", "c", index=1)]
         contexts = collect_entity_contexts(triples, [["q1"], ["q2"]])
@@ -164,7 +172,7 @@ class TestFeaturePrompt:
 class TestFeatureParse:
     def test_worked_example_verbatim(self):
         parse = parse_feature_output(FEATURE_EXAMPLE)
-        got = [(t.triple.subject, t.triple.relation, t.triple.object) for t in parse.triples]
+        got = [t.triple for t in parse.triples]
         assert got == FEATURE_EXAMPLE_TRIPLES
         assert all(t.provenance is Provenance.HIERARCHY for t in parse.triples)
         assert parse.rejected == 0
@@ -185,12 +193,12 @@ class TestFeatureParse:
     def test_last_result_block_wins(self):
         raw = "{result}\n(a, Hypernym_isA, b)\n{/result}\ntext\n{result}\n(c, Hypernym_isA, d)\n{/result}"
         parse = parse_feature_output(raw)
-        assert [t.triple.subject for t in parse.triples] == ["c"]
+        assert [t.triple for t in parse.triples] == [("c", "Hypernym_isA", "d")]
 
     def test_all_parsed_triples_use_vocabulary(self):
         parse = parse_feature_output(FEATURE_EXAMPLE)
         for et in parse.triples:
-            assert et.triple.relation in ONTOLOGY_RELATIONS
+            assert et.triple[1] in ONTOLOGY_RELATIONS
 
 
 class TestAssociateQueries:
@@ -232,7 +240,6 @@ class TestMerge:
         merged = merge_enriched(base, generated)
         assert [tuple(t) for t in base] == [("a", "r", "b"), ("c", "s", "d")]
         assert [tuple(et.triple) for et in merged] == [("x", "t", "y")]
-        assert merged[0].triple.index == 2
 
     def test_grounded_flag(self):
         base = list(load_graph([["a", "r", "b"]]))
@@ -254,11 +261,19 @@ class TestMerge:
         generated = [EnrichedTriple(Triple("a", "Hypernym_isA", "Thing"), Provenance.HIERARCHY)]
         assert merge_enriched(base, generated)[0].source_indices == ()
 
-    def test_merged_indices_unique(self):
-        base = list(load_graph([["a", "r", "b"], ["c", "s", "d"]]))
+    def test_keys_give_keys_and_base_positions(self):
+        base = [("a", "r", "b"), ("c", "s", "d"), ("b", "t", "e")]
         generated = [
-            EnrichedTriple(Triple("x", "t", "y"), Provenance.SIMILARITY),
-            EnrichedTriple(Triple("p", "u", "q"), Provenance.SYMMETRY),
+            EnrichedTriple(("c", "s", "d"), Provenance.SIMILARITY),
+            EnrichedTriple(("d", "u", "e"), Provenance.TRANSITIVITY),
         ]
-        indices = [t.index for t in base] + [et.triple.index for et in merge_enriched(base, generated)]
-        assert len(indices) == len(set(indices))
+        [merged] = merge_enriched(base, generated)
+        assert merged.triple == ("d", "u", "e") and type(merged.triple) is tuple
+        assert (merged.source_indices, merged.grounded) == ((1, 2), True)
+
+    def test_sources_are_positions_not_triple_indices(self):
+        base = [Triple("c", "s", "d", index=7), Triple("a", "r", "b", index=3)]
+        generated = [EnrichedTriple(Triple("a", "fused", "d"), Provenance.TRANSITIVITY)]
+        [merged] = merge_enriched(base, generated)
+        assert merged.triple == ("a", "fused", "d")
+        assert merged.source_indices == (0, 1)

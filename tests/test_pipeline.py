@@ -208,6 +208,26 @@ class TestStages:
             ]
         assert rows["padded"] == rows["plain"]
 
+    def test_generated_sources_are_the_kept_entries_graph_indices(self, tmp_path, small_fixture):
+        records, script = small_fixture
+        ctx = make_ctx(records, script, tmp_path / "stage")
+        run_stage("parse", ctx)
+        run_stage("prune", ctx)
+        kept = {row["id"]: row["kept"] for row in pruned_rows(tmp_path / "stage")}
+        enriched = [json.loads(line) for line in run_stage("enrich", ctx).path.read_text(encoding="utf-8").splitlines()]
+        structural = 0
+        for row in enriched:
+            entries = kept[row["id"]]
+            assert row["base_indices"] == [e["index"] for e in entries] != list(range(len(entries)))
+            for generated in row["generated"]:
+                endpoints = {generated["s"], generated["o"]}
+                expected = [e["index"] for e in entries if {e["s"], e["o"]} & endpoints]
+                if generated["provenance"] == "hierarchy":
+                    expected = []
+                assert generated["sources"] == expected
+                structural += bool(expected)
+        assert structural
+
     def test_empty_kept_subject_fails_only_its_enrich_record(self, tmp_path):
         record_id, enriched, _ = self.enrich_and_answer_after(tmp_path / "stage", lambda entry: entry.update(s=""))
         assert (enriched.processed, enriched.failed) == (2, 1)
@@ -919,7 +939,7 @@ class TestEmbeddingCacheFile:
             ctx = PipelineContext(config, tmp_path / "stage", records)
         assert len(ctx.cache) == 0
         assert ["unreadable embedding cache" in r.getMessage() for r in caplog.records] == [True]
-        with pytest.raises(OSError):  # a save that cannot write the index still raises
+        with pytest.raises(StageError, match="cannot write embedding cache .*embeddings.json: .*Is a directory"):
             ctx.save_state()
 
 
@@ -1052,6 +1072,22 @@ class TestCli:
         before = list(map(file_state, files))
         assert cli.main(["answer", *common]) == 0
         assert list(map(file_state, files)) == before
+
+    @pytest.mark.parametrize(
+        "command,extra", [("parse", []), ("run", []), ("sweep-k", ["--ks", "5"]), ("metrics", ["--variants", "vanilla"])]
+    )
+    def test_cache_that_cannot_be_written_is_clean_error(self, tmp_path, capsys, command, extra):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        config = json.loads(paths["config"].read_text())
+        config["cache_dir"] = str(tmp_path / "cache")
+        paths["config"].write_text(json.dumps(config))
+        (tmp_path / "cache" / "embeddings.json").mkdir(parents=True)
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
+        assert cli.main([command, *common, *extra]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write embedding cache {tmp_path / 'cache' / 'embeddings.json'}: " in err
+        assert "Traceback" not in err
+        assert (tmp_path / "cache" / "embeddings.bin").is_file()  # the sidecar, written first, stays
 
     def test_missing_upstream_is_clean_error(self, tmp_path, capsys):
         paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)

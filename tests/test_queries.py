@@ -13,11 +13,10 @@ from kgqa.queries import (
     decompose,
     fallback_graph_query,
     parse_decomposition_tree,
-    serialize_decomposition,
     single_node_decomposition,
 )
 
-from helpers import stub_gateway
+from helpers import serialize_decomposition, stub_gateway
 from sample_outputs import DECOMPOSITION_EXAMPLE
 
 

@@ -53,6 +53,7 @@ from .gateway import (
 from .graph import (
     Triple,
     extract_paths,
+    graph_keys,
     group_by_endpoints,
     load_graph,
     textualize_triple,
@@ -73,7 +74,9 @@ from .pruning import (
     MaskChannel,
     PrunedGraph,
     ScoredTriple,
+    rank_rows,
     render_masked,
+    score_columns,
     score_graph,
     select_top_k,
 )

@@ -53,9 +53,8 @@ def parse_final_answers(raw: str) -> AnswerSet:
     Takes the text after the last 'Final answer:' marker, falling back to the
     text after the last 'The answer is' (a reply that ends in free prose) and
     then the whole text. Splits on '<SEP>', strips decorating braces, drops
-    empty entries and bare MIDs (the prompt forbids ID-shaped answers),
-    normalizes, and deduplicates preserving order. An empty result is allowed
-    and simply scores as wrong.
+    bare MIDs (the prompt forbids ID-shaped answers), and passes the rest to
+    `normalize_all`. An empty result is allowed and simply scores as wrong.
     """
     region = raw
     idx = raw.rfind(FINAL_ANSWER_MARKER)
@@ -65,23 +64,18 @@ def parse_final_answers(raw: str) -> AnswerSet:
         idx = raw.rfind(COT_ANSWER_MARKER)
         if idx >= 0:
             region = raw[idx + len(COT_ANSWER_MARKER):]
-    answers: list[str] = []
+    kept: list[str] = []
     for part in region.split("<SEP>"):
         entry = part.strip()
         if entry.startswith("{") and entry.endswith("}"):
             entry = entry[1:-1].strip()
-        if not entry:
-            continue
-        if _MID_RE.fullmatch(entry):
-            continue
-        normalized = normalize_answer(entry)
-        if normalized and normalized not in answers:
-            answers.append(normalized)
-    return AnswerSet(raw=raw, answers=answers)
+        if not _MID_RE.fullmatch(entry):
+            kept.append(entry)
+    return AnswerSet(raw=raw, answers=normalize_all(kept))
 
 
 def normalize_all(values: Iterable[str], ascii_fold: bool = False) -> list[str]:
-    """Normalize a collection, deduplicating while preserving order."""
+    """Normalize a collection, dropping empty results and deduplicating while preserving order."""
     out: list[str] = []
     for value in values:
         normalized = normalize_answer(value, ascii_fold)

@@ -43,36 +43,29 @@ class RedundancyResult:
 
 @dataclass(frozen=True)
 class PRF1:
+    hit: int
     precision: float
     recall: float
     f1: float
     exact: int
 
 
-def _as_normalized(pred: AnswerSet | Sequence[str], ascii_fold: bool = False) -> list[str]:
-    values = pred.answers if isinstance(pred, AnswerSet) else list(pred)
-    return normalize_all(values, ascii_fold)
-
-
-def hits_at_1(pred: AnswerSet | Sequence[str], gold: Sequence[str], ascii_fold: bool = False) -> int:
-    """1 iff any normalized prediction equals any normalized gold answer."""
-    if not gold:
-        raise ValueError("gold answer set must be non-empty")
-    predicted = set(_as_normalized(pred, ascii_fold))
-    return int(any(g in predicted for g in normalize_all(gold, ascii_fold)))
-
-
 def prf1(pred: AnswerSet | Sequence[str], gold: Sequence[str], ascii_fold: bool = False) -> PRF1:
-    """Set precision/recall/F1 over normalized answers; empty predictions score zero."""
+    """Set hit/precision/recall/F1 over normalized answers; empty predictions score zero."""
     if not gold:
         raise ValueError("gold answer set must be non-empty")
-    pred_set = set(_as_normalized(pred, ascii_fold))
+    pred_set = set(normalize_all(pred.answers if isinstance(pred, AnswerSet) else pred, ascii_fold))
     gold_set = set(normalize_all(gold, ascii_fold))
     overlap = len(pred_set & gold_set)
     precision = overlap / len(pred_set) if pred_set else 0.0
     recall = overlap / len(gold_set) if gold_set else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return PRF1(precision=precision, recall=recall, f1=f1, exact=int(pred_set == gold_set))
+    return PRF1(hit=int(overlap > 0), precision=precision, recall=recall, f1=f1, exact=int(pred_set == gold_set))
+
+
+def hits_at_1(pred: AnswerSet | Sequence[str], gold: Sequence[str], ascii_fold: bool = False) -> int:
+    """1 iff any normalized prediction equals any normalized gold answer."""
+    return prf1(pred, gold, ascii_fold).hit
 
 
 @dataclass
@@ -105,14 +98,7 @@ def build_eval_report(
     report = EvalReport()
     for qid in sorted(rows):
         pred, gold = rows[qid]
-        scores = prf1(pred, gold, ascii_fold)
-        report.per_question[qid] = {
-            "hit": hits_at_1(pred, gold, ascii_fold),
-            "precision": scores.precision,
-            "recall": scores.recall,
-            "f1": scores.f1,
-            "exact": scores.exact,
-        }
+        report.per_question[qid] = asdict(prf1(pred, gold, ascii_fold))
     report.n = len(report.per_question)
     if report.n:
         for attr, key in _MEAN_OF:

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path, PurePath
 from typing import Callable, Mapping, Sequence
 
-from .answering import build_qa_prompt, normalize_answer, parse_final_answers
+from .answering import build_qa_prompt, normalize_all, normalize_answer, parse_final_answers
 from .atomic import write_atomic
 from .embedding import EmbeddingCache, ReferenceEmbedder, RemoteEmbedder, embed_batch
 from .enrichment import (
@@ -337,7 +337,10 @@ class PipelineContext:
         except (KeyError, OSError, TypeError, ValueError) as exc:
             raise StageError(f"invalid config: {exc}") from exc
         self.stage_dir = Path(stage_dir)
-        self.stage_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.stage_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StageError(f"cannot create stage dir {self.stage_dir}: {exc}") from exc
         self.cache = EmbeddingCache()
         if config.cache_dir:
             cache_path = Path(config.cache_dir) / "embeddings.json"
@@ -692,8 +695,12 @@ def sweep_k(
     Each question's graph is scored and ranked once, as the prune stage does,
     against its parsed decomposition when that artifact has a row for it and
     otherwise the bare question; a record whose graph or parsed row does not
-    decode is logged and skipped. Tokens are the estimator totals over the
-    textualized kept triples; cost applies the configured input rate.
+    decode is logged and skipped. A record's coverage is the share of its gold
+    set (`normalize_all` of its answers, the set the eval scores) found among
+    the normalized endpoints of the top k triples, 0.0 when that set is empty;
+    the figure averages it over records. Tokens are the estimator totals over
+    the textualized kept triples; cost applies the configured input rate. The
+    CSV's parent directory is created; a path that cannot be written raises StageError.
     """
     if not ks or any(k < 1 for k in ks):
         raise ValueError("ks must be non-empty with every k >= 1")
@@ -711,10 +718,10 @@ def sweep_k(
         prefix_tokens = list(itertools.accumulate(map(estimate_tokens, map(textualize_triple, top)), initial=0))
         heads = [normalize_answer(s, ctx.config.ascii_fold) for s, _, _ in top]
         tails = [normalize_answer(o, ctx.config.ascii_fold) for _, _, o in top]
-        gold = [normalize_answer(answer, ctx.config.ascii_fold) for answer in record.answers]
+        gold = normalize_all(record.answers, ctx.config.ascii_fold)
         for i, k in enumerate(ks):
             endpoints = {*heads[:k], *tails[:k]}
-            coverages[i].append(sum(answer in endpoints for answer in gold) / len(gold))
+            coverages[i].append(sum(answer in endpoints for answer in gold) / len(gold) if gold else 0.0)
             tokens[i] += prefix_tokens[min(k, len(top))]
     input_rate = ctx.config.price_table().input_per_token
     results = [
@@ -722,10 +729,15 @@ def sweep_k(
         for k, c, n in zip(ks, coverages, tokens)
     ]
     if out_path is not None:
-        with Path(out_path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["k", "coverage", "tokens", "cost"])
-            writer.writeheader()
-            writer.writerows(results)
+        out_path = Path(out_path)
+        try:
+            out_path.parent.mkdir(parents=True, exist_ok=True)
+            with out_path.open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.DictWriter(fh, fieldnames=["k", "coverage", "tokens", "cost"])
+                writer.writeheader()
+                writer.writerows(results)
+        except OSError as exc:
+            raise StageError(f"cannot write {out_path}: {exc}") from exc
     return results
 
 
@@ -736,7 +748,8 @@ def quality_metrics(
     dataset_name: str = "dataset",
     with_dumps: bool = False,
 ) -> list:
-    """Aggregate graph-quality metrics per variant, optionally exporting CSVs."""
+    """Aggregate graph-quality metrics per variant, optionally exporting CSVs;
+    an `out_dir` that cannot be written raises StageError."""
     reports = []
     for variant in variants:
         triples_by_question = _variant_triples(ctx, variant)
@@ -762,7 +775,10 @@ def quality_metrics(
             report.embeddings = embed_batch(report.texts, ctx.embedder, ctx.cache)
         reports.append(report)
     if out_dir is not None:
-        export_quality_report(reports, out_dir)
+        try:
+            export_quality_report(reports, out_dir)
+        except OSError as exc:
+            raise StageError(f"cannot write {out_dir}: {exc}") from exc
     return reports
 
 

@@ -13,7 +13,7 @@ from random import Random
 import numpy as np
 
 from kgqa import pruning
-from kgqa.answering import normalize_answer
+from kgqa.answering import normalize_all, normalize_answer
 from kgqa.embedding import embed_batch, similarity
 from kgqa.gateway import (
     ChatProvider,
@@ -146,11 +146,13 @@ def redundancy_oracle(triples, provider, mode: str) -> tuple[float, int, int]:
 
 
 def answer_coverage(pruned: pruning.PrunedGraph, gold_answers, ascii_fold: bool = False) -> float:
-    """Fraction of gold answers present as a normalized endpoint of any kept triple."""
+    """Fraction of the normalized gold set present as a normalized endpoint of
+    any kept triple; 0.0 when no gold answer survives normalization."""
     if not gold_answers:
         raise ValueError("gold answer set must be non-empty")
+    gold = normalize_all(gold_answers, ascii_fold)
     endpoints = {normalize_answer(e, ascii_fold) for st in pruned.kept for e in (st.triple.subject, st.triple.object)}
-    return sum(normalize_answer(answer, ascii_fold) in endpoints for answer in gold_answers) / len(gold_answers)
+    return sum(answer in endpoints for answer in gold) / len(gold) if gold else 0.0
 
 
 def rank_of_triple(totals, triples, target: int | set[int]) -> int:

@@ -72,6 +72,9 @@ class TestParseFinalAnswers:
         out = parse_final_answers("Final answer:\n<SEP> <SEP>{}<SEP>x")
         assert out.answers == ["x"]
 
+    def test_braced_entry_that_normalizes_to_nothing_dropped(self):
+        assert parse_final_answers("Final answer: {!!}<SEP>Euro").answers == ["euro"]
+
     def test_empty_answer_set_allowed(self):
         assert parse_final_answers("Final answer:\n").answers == []
 

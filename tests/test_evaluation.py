@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import csv
+import unicodedata
+from dataclasses import asdict
 from random import Random
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 import kgqa.graph
 from kgqa import evaluation
-from kgqa.answering import build_qa_prompt, normalize_answer
+from kgqa.answering import AnswerSet, build_qa_prompt, normalize_answer
 from kgqa.embedding import embed_reference, fnv1a_64, similarity
 from kgqa.evaluation import (
     ConstantScorer,
@@ -31,17 +33,19 @@ from kgqa.graph import GROUP_MODES, Triple, graph_keys, group_by_endpoints, load
 from helpers import WORDS, random_graph, random_phrase, random_records, redundancy_oracle, relevance_oracle
 
 
-def oracle_prf1(pred, gold):
+def oracle_normalized(values, ascii_fold=False):
+    """Normalized, non-empty values without repeats (an explicit membership loop)."""
+    out = []
+    for value in values:
+        n = normalize_answer(value, ascii_fold)
+        if n and n not in out:
+            out.append(n)
+    return out
+
+
+def oracle_prf1(pred, gold, ascii_fold=False):
     """Independent set-intersection oracle (explicit membership loops)."""
-    pred_set, gold_set = [], []
-    for p in pred:
-        n = normalize_answer(p)
-        if n and n not in pred_set:
-            pred_set.append(n)
-    for g in gold:
-        n = normalize_answer(g)
-        if n and n not in gold_set:
-            gold_set.append(n)
+    pred_set, gold_set = oracle_normalized(pred, ascii_fold), oracle_normalized(gold, ascii_fold)
     hit = sum(1 for p in pred_set if p in gold_set)
     precision = hit / len(pred_set) if pred_set else 0.0
     recall = hit / len(gold_set) if gold_set else 0.0
@@ -95,6 +99,28 @@ class TestPrf1:
             expected = oracle_prf1(pred, gold)
             assert (got.precision, got.recall, got.f1, got.exact) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("ascii_fold", [False, True])
+    def test_hit_matches_oracle_on_random_sets(self, ascii_fold):
+        """`.hit` and `hits_at_1` against a set-overlap oracle, for lists and AnswerSets alike.
+        The pool holds accented twins of its words, so folding changes which sets overlap."""
+        rng = Random(98)
+        accented = [unicodedata.normalize("NFC", w[0] + "\u0301" + w[1:]) for w in WORDS[:8]]
+        pool = [*WORDS[:8], *accented, "", "!!", "Amber", "amber."]
+        folds_mattered = 0
+        for _ in range(300):
+            pred = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+            gold = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            expected, other = (
+                int(bool(set(oracle_normalized(pred, fold)) & set(oracle_normalized(gold, fold))))
+                for fold in (ascii_fold, not ascii_fold)
+            )
+            folds_mattered += expected != other
+            for given in (pred, AnswerSet(raw="<SEP>".join(pred), answers=pred)):
+                got = prf1(given, gold, ascii_fold)
+                assert got.hit == hits_at_1(given, gold, ascii_fold) == expected
+                assert (got.precision, got.recall, got.f1, got.exact) == pytest.approx(oracle_prf1(pred, gold, ascii_fold))
+        assert folds_mattered > 0
+
 
 class TestEvalReport:
     def test_macro_averaging(self):
@@ -127,6 +153,18 @@ class TestEvalReport:
             "n": 3,
             "notes": list(report.notes),
         }
+
+
+    def test_entries_are_prf1_fields(self):
+        rows = {
+            "q1": (AnswerSet(raw="Final answer: Colón", answers=["colón"]), ["Colon"]),
+            "q2": (["a", "b"], ["a", "c"]),
+            "q3": ([], ["x"]),
+        }
+        for ascii_fold in (False, True):
+            report = build_eval_report(rows, ascii_fold=ascii_fold)
+            assert report.per_question == {qid: asdict(prf1(p, g, ascii_fold)) for qid, (p, g) in rows.items()}
+            assert report.per_question["q1"]["hit"] == int(ascii_fold)
 
 
 class TestRelevance:

@@ -6,10 +6,13 @@ import logging
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import threading
 import time
 import unicodedata
 from dataclasses import fields, replace
+from random import Random
 from unittest import mock
 
 import numpy as np
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgqa
 from kgqa import cli, pipeline
 from kgqa.embedding import EmbeddingCache, ReferenceEmbedder, embed_batch
 from kgqa.fixtures import build_mini_dataset, write_fixture
@@ -25,6 +29,7 @@ from kgqa.graph import Triple, load_graph, relation_text, textualize_triple
 from kgqa.pruning import ScoredTriple, score_graph, select_top_k
 from kgqa.pipeline import (
     DatasetError,
+    DatasetRecord,
     PipelineContext,
     RunConfig,
     StageError,
@@ -582,6 +587,19 @@ class TestSweepK:
         parsed.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
         assert sweep_k(ctx, [1, 10, 300]) == question_only
 
+    def test_coverage_is_measured_against_the_eval_gold_set(self, tmp_path):
+        """A gold answer repeated after normalization counts once, and one that
+        normalizes to "" is never covered, as in the gold set the eval scores."""
+        records = [
+            DatasetRecord("q1", "What currency does Spain use?", ("Euro", "euro", "Dollar"), ("Spain",),
+                          (("Spain", "currency", "Euro"), ("Spain", "capital", "Madrid"))),
+            DatasetRecord("q2", "Who is Ann?", ("???", "Ann"), ("Ann",), (("Ann", "r", "!!"),)),
+        ]
+        rows = sweep_k(PipelineContext(RunConfig(), tmp_path / "stage", records), [1, 2])
+        assert [row["coverage"] for row in rows] == [0.75, 0.75]  # (1/2 + 1/1) / 2
+        no_gold = [replace(records[1], answers=("???",))]
+        assert sweep_k(PipelineContext(RunConfig(), tmp_path / "no-gold", no_gold), [1])[0]["coverage"] == 0.0
+
 
 class TestQualityMetrics:
     def test_variants_after_run(self, tmp_path, small_fixture):
@@ -788,6 +806,102 @@ class TestResume:
         assert artifact_bytes(tmp_path) == clean
         run_all(config, records, tmp_path)
         assert artifact_bytes(tmp_path) == clean
+
+
+# The files a killed and resumed `kgqa run` must write as a clean run does; the stages
+# whose row files mark the kill points (eval writes no rows); and the fixtures: the
+# 20-question one `python -m kgqa.fixtures` writes, and CI's 5 x 1000-2000 one.
+KILL_ARTIFACTS = (*ARTIFACTS, "manifest.json")
+ROW_STAGES = ("parse", "prune", "enrich", "answer")
+KILL_FIXTURES = {"small": {}, "large": {"n_questions": 5, "min_triples": 1000, "max_triples": 2000}}
+POISON = '{"poison":true}\n{"attempts":1000,"calls":1000,"completion_tokens":1000,"prompt_tokens":1000}'
+
+
+def kill_point(seed: int, stage: str | None, n_records: int) -> tuple:
+    """("rows", stage, n): kill once rows/<stage>/ holds a seeded n of row files; ("time", s): a
+    seeded s seconds after the start. Start-up and imports take about half of a run, so timed
+    kills alone would mostly land before any stage starts."""
+    rng = Random(seed)
+    if stage is None:
+        return ("time", round(rng.uniform(0.25, 0.6), 3))
+    return ("rows", stage, rng.randint(1, n_records))
+
+
+KILL_CASES = [
+    (fixture, kill_point(seed, stage, 20 if fixture == "small" else 5))
+    for seed, (fixture, stage) in enumerate(
+        [("small", "parse"), ("small", "prune"), ("small", "enrich"), ("small", "answer"), ("small", None),
+         ("large", "prune"), ("large", "enrich"), ("large", None)]
+    )
+]
+
+
+def run_args(paths: dict, run_dir: pathlib.Path) -> list[str]:
+    """`kgqa run` at 3 workers with a stage dir and an embedding cache dir of its own under `run_dir`."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    config = {**json.loads(paths["config"].read_text()), "cache_dir": str(run_dir / "cache")}
+    (run_dir / "config.json").write_text(json.dumps(config))
+    return ["run", "--dataset", str(paths["dataset"]), "--config", str(run_dir / "config.json"),
+            "--stage-dir", str(run_dir / "stage"), "--workers", "3"]
+
+
+@pytest.fixture(scope="module")
+def kill_fixtures(tmp_path_factory):
+    """Per fixture: its paths and the KILL_ARTIFACTS of a clean run."""
+    out = {}
+    for name, kwargs in KILL_FIXTURES.items():
+        root = tmp_path_factory.mktemp(f"kill-{name}")
+        paths = write_fixture(root / "fx", **kwargs)
+        assert cli.main(run_args(paths, root / "clean")) == 0
+        out[name] = paths, {f: (root / "clean" / "stage" / f).read_bytes() for f in KILL_ARTIFACTS}
+    return out
+
+
+def cli_process(args: list[str]) -> tuple[list[str], dict[str, str]]:
+    """The command line and environment that run `python -m kgqa.cli` on this checkout's package."""
+    src = str(pathlib.Path(kgqa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return [sys.executable, "-m", "kgqa.cli", *args], env
+
+
+class TestKilledProcess:
+    @pytest.mark.parametrize("fixture,point", KILL_CASES, ids=[f"{f}-{'-'.join(map(str, p))}" for f, p in KILL_CASES])
+    def test_sigkilled_run_resumes_to_clean_artifacts(self, tmp_path, kill_fixtures, fixture, point):
+        paths, clean = kill_fixtures[fixture]
+        args = run_args(paths, tmp_path)
+        stage_dir = tmp_path / "stage"
+        command, env = cli_process(args)
+        proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        start = time.monotonic()
+        try:
+            while proc.poll() is None:
+                if point[0] == "time":
+                    reached = time.monotonic() - start >= point[1]
+                else:
+                    rows_dir = stage_dir / "rows" / point[1]
+                    reached = rows_dir.is_dir() and sum(not n.startswith(".") for n in os.listdir(rows_dir)) >= point[2]
+                if reached:
+                    break
+                assert time.monotonic() - start < 60, "the run neither ended nor reached its kill point"
+                time.sleep(0.001)
+        finally:
+            proc.kill()
+            proc.wait()
+        # Poison every temp file the kill left, and plant one where a missing row would be
+        # written: a resumed run that read any of them as a row would not match the clean run.
+        poisoned = list(stage_dir.rglob(".*.tmp"))
+        records = load_dataset(paths["dataset"])
+        for stage in ROW_STAGES:
+            rows_dir = stage_dir / "rows" / stage
+            missing = [r for r in records if not pipeline._row_path(rows_dir, r).exists()]
+            if rows_dir.is_dir() and missing:
+                poisoned.append(rows_dir / f".{pipeline._row_path(rows_dir, missing[0]).name}.1.1.tmp")
+        for path in poisoned:
+            path.write_text(POISON)
+        resumed = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        assert resumed.returncode == 0, resumed.stderr
+        assert {f: (stage_dir / f).read_bytes() for f in KILL_ARTIFACTS} == clean
+        assert [path.read_text() for path in poisoned] == [POISON] * len(poisoned)
 
 
 class DiskFull(OSError):
@@ -1088,6 +1202,35 @@ class TestCli:
         assert f"error: cannot write embedding cache {tmp_path / 'cache' / 'embeddings.json'}: " in err
         assert "Traceback" not in err
         assert (tmp_path / "cache" / "embeddings.bin").is_file()  # the sidecar, written first, stays
+
+    @pytest.mark.parametrize(
+        "command,extra,expected",
+        [
+            ("parse", [], "cannot create stage dir {file}: "),
+            ("run", [], "cannot create stage dir {file}: "),
+            ("sweep-k", ["--ks", "5"], "cannot create stage dir {file}: "),
+            ("metrics", ["--variants", "vanilla"], "cannot create stage dir {file}: "),
+            ("sweep-k", ["--ks", "5", "--out", "{file}/sweep.csv"], "cannot write {file}/sweep.csv: "),
+            ("metrics", ["--variants", "vanilla", "--out-dir", "{file}"], "cannot write {file}: "),
+        ],
+    )
+    def test_path_that_cannot_be_used_is_clean_error(self, tmp_path, capsys, command, extra, expected):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        file = tmp_path / "a-file"
+        file.write_text("")
+        stage_dir = file if expected.startswith("cannot create stage dir") else tmp_path / "stage"
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(stage_dir)]
+        assert cli.main([command, *common, *(arg.format(file=file) for arg in extra)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "--- Logging error ---" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: " + expected.format(file=file))
+
+    def test_sweep_k_creates_the_parent_of_its_out_path(self, tmp_path):
+        paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)
+        out = tmp_path / "new" / "nested" / "sweep.csv"
+        common = ["--dataset", str(paths["dataset"]), "--config", str(paths["config"]), "--stage-dir", str(tmp_path / "stage")]
+        assert cli.main(["sweep-k", *common, "--ks", "5", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "k,coverage,tokens,cost"
 
     def test_missing_upstream_is_clean_error(self, tmp_path, capsys):
         paths = write_fixture(tmp_path / "fx", n_questions=2, max_triples=35)

@@ -7,7 +7,7 @@ import threading
 from pathlib import Path
 
 
-def write_atomic(path: Path, data: str | bytes) -> None:
+def write_atomic(path: Path, data: str | bytes | memoryview) -> None:
     """Write `data` (text as UTF-8, or bytes as they are) to `path` whole or
     not at all: through a temp file in the same directory, renamed over
     `path`. The temp name carries the process and thread id, so concurrent

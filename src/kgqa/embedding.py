@@ -30,8 +30,12 @@ MAX_INPUTS_PER_REQUEST = 2048
 FNV64_OFFSET_BASIS = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_FNV64_PRIME = np.uint64(FNV64_PRIME)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# 1 for a byte of a token in `_token_spans`: an ASCII letter or digit, or a byte >= 0x80
+_WORD_BYTES = bytes(b >= 0x80 or bytes([b]).isalnum() for b in range(256))
+_SAVE_VALUES = 1 << 16  # values `EmbeddingCache.save` gathers at a time
 
 logger = logging.getLogger(__name__)
 
@@ -78,6 +82,52 @@ class EmbeddingProvider(Protocol):
     def embed_many(self, texts: Sequence[str]) -> np.ndarray | list: ...  # (n, d) float64 rows; [] for no texts
 
 
+def _token_spans(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every token of `texts` as a span of one UTF-8 byte buffer: (buffer, starts, lengths, text of each token).
+
+    The texts are joined with a NUL between them, an ASCII text as it is and
+    a non-ASCII one as its `tokenize` output joined with spaces (`str.lower`
+    may lengthen such a text, and it may hold a lone surrogate, which UTF-8
+    cannot encode but no token contains). The buffer is lower-cased (ASCII
+    bytes only) and a token is a maximal run of bytes that `_WORD_BYTES`
+    marks: ASCII letters and digits, as `tokenize` matches there, and the
+    bytes >= 0x80 that a non-ASCII token's characters encode to. The texts'
+    byte lengths, not the NULs, which a text may hold too, say which text a
+    token is in.
+    """
+    pieces, sizes = list(texts), list(map(len, texts))
+    for i, plain in enumerate(map(str.isascii, texts)):
+        if not plain:
+            pieces[i] = " ".join(tokenize(texts[i]))
+            sizes[i] = len(pieces[i].encode("utf-8"))
+    data = "\x00".join(pieces).encode("utf-8").lower()
+    word = np.frombuffer(b"\x00" + data.translate(_WORD_BYTES) + b"\x00", np.int8)
+    edges = np.flatnonzero(np.diff(word))  # each token's first byte, then the byte after its last
+    starts = edges[::2]
+    ends = np.cumsum(np.array(sizes, np.intp) + 1) - 1  # the byte after each text
+    rows = np.repeat(np.arange(len(texts)), np.diff(np.searchsorted(starts, ends), prepend=0))
+    return np.frombuffer(data, np.uint8), starts, edges[1::2] - starts, rows
+
+
+def _fnv1a_64_spans(buffer: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`fnv1a_64` of each span buffer[start:start + length], as uint64, whose products wrap as `& _MASK64` does.
+
+    The spans are sorted by length, so the ones still being hashed at byte j
+    are a suffix.
+    """
+    order = np.argsort(lengths)
+    starts, lengths = starts[order], lengths[order]
+    hashes = np.full(len(order), FNV64_OFFSET_BASIS, np.uint64)
+    active = np.searchsorted(lengths, np.arange(lengths[-1] if len(lengths) else 0), side="right")
+    for j, lo in enumerate(active.tolist()):  # lo: the first span longer than j bytes
+        part = hashes[lo:]
+        np.bitwise_xor(part, buffer[starts[lo:] + j], out=part)
+        np.multiply(part, _FNV64_PRIME, out=part)
+    out = np.empty_like(hashes)
+    out[order] = hashes
+    return out
+
+
 class ReferenceEmbedder:
     """Deterministic offline embedder; see module docstring."""
 
@@ -86,30 +136,26 @@ class ReferenceEmbedder:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
         self.provider_id = f"reference-fnv1a-{dimension}"
-        # token -> slot, so FNV-1a runs once per distinct token; worker threads
-        # share it, and a racing insert stores the same value twice.
-        self._slots: dict[str, int] = {}
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray | list:
-        """One (n, d) count matrix, each row divided by its norm.
+        """One (n, d) count matrix, each row divided by its norm, in a few
+        numpy passes over the whole batch (`_token_spans`, `_fnv1a_64_spans`).
 
         Bit-identical to `embed_reference`: the counts are small integers, so
-        their sum of squares is exact in any order, and the square root and
-        the division are correctly rounded.
+        a row's sum of squares (the sum, over its tokens, of the count of the
+        token's slot) is exact in any order, and the square root and the
+        division are correctly rounded; a slot no token hit stays 0.0.
         """
         if not texts:
             return []
-        d = self.dimension
-        slots = self._slots
-        tokens = [tokenize(text) for text in texts]
-        for token in {tok for toks in tokens for tok in toks}.difference(slots):
-            slots[token] = fnv1a_64(token.encode("utf-8")) % d
-        flat = np.fromiter((row * d + slots[tok] for row, toks in enumerate(tokens) for tok in toks), dtype=np.intp)
-        counts = np.bincount(flat, weights=np.ones(len(flat)), minlength=len(texts) * d)
-        counts = counts.astype(np.float64, copy=False).reshape(len(texts), d)  # int64 when `flat` is empty
-        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))[:, None]
-        np.divide(counts, norms, out=counts, where=norms > 0.0)
-        return counts
+        n, d = len(texts), self.dimension
+        buffer, starts, lengths, rows = _token_spans(texts)
+        flat = rows * d + (_fnv1a_64_spans(buffer, starts, lengths) % np.uint64(d)).astype(np.intp)
+        counts = np.zeros(n * d)
+        np.add.at(counts, flat, 1.0)
+        hit = counts[flat]
+        counts[flat] = hit / np.sqrt(np.bincount(rows, weights=hit, minlength=n))[rows]
+        return counts.reshape(n, d)
 
 
 class RemoteEmbedder:
@@ -280,13 +326,20 @@ class EmbeddingCache:
             for pid in sorted(self._stores):
                 store = self._stores[pid]
                 texts = sorted(store.index)
-                bits, values = store.select(np.fromiter(map(store.index.get, texts), dtype=np.intp, count=len(texts)))
-                values = values.astype("<f8", copy=False)
-                providers[pid] = {"dimension": store.dimension, "texts": texts, "offset": size, "values": len(values)}
-                sections += bits, values
-                size += bits.nbytes + values.nbytes
-            data = b"".join(sections)
-            write_atomic(sidecar, data)  # first: an index beside another save's sidecar fails its checksum
+                rows = np.fromiter(map(store.index.get, texts), dtype=np.intp, count=len(texts))
+                total = int((store.offsets[rows + 1] - store.offsets[rows]).sum())
+                providers[pid] = {"dimension": store.dimension, "texts": texts, "offset": size, "values": total}
+                sections.append((store, rows, size, total))
+                size += rows.size * store.bits.shape[1] + 8 * total
+            data = np.empty(size, np.uint8)  # the sidecar, filled in place a chunk of rows at a time
+            for store, rows, pos, total in sections:
+                values_pos = pos + rows.size * store.bits.shape[1]
+                for part in np.array_split(rows, -(-total // _SAVE_VALUES) or 1):
+                    bits, values = store.select(part)
+                    data[pos : pos + bits.nbytes] = bits.reshape(-1)
+                    data[values_pos : values_pos + values.nbytes] = values.astype("<f8", copy=False).view(np.uint8)
+                    pos, values_pos = pos + bits.nbytes, values_pos + values.nbytes
+            write_atomic(sidecar, data.data)  # first: an index beside another save's sidecar fails its checksum
             checked = {"bytes": size, "crc32": zlib.crc32(data)}
             write_atomic(path, json.dumps({"providers": providers, "sidecar": checked}, sort_keys=True))
             self._changed = False

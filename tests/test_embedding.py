@@ -748,6 +748,32 @@ class TestSidecar:
         for i in (0, 17, 499):
             assert restored.get("dense-1536", f"text {i}").tobytes() == dense[i].tobytes()
 
+    def test_save_holds_one_copy_of_the_sidecar(self, tmp_path):
+        dense = np.random.default_rng(4).random((2000, 1536)) + 0.5  # 23.5 MiB of values, every one nonzero
+        words = [f"{random_phrase(Random(i), 3)} {i}" for i in range(300)]
+        cache = EmbeddingCache()
+        cache._add("dense-1536", [f"text {i}" for i in range(len(dense))], dense)
+        embed_batch(words, ReferenceEmbedder(), cache)
+        path = tmp_path / "cache.json"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache.save(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        raw = sidecar(path).read_bytes()
+        assert peak <= 1.2 * len(raw)  # one sidecar-sized buffer; a second copy of the rows reads about 2.0x
+        sections = []
+        for texts, matrix in (
+            (sorted(f"text {i}" for i in range(len(dense))), dense),
+            (sorted(words), ReferenceEmbedder().embed_many(words)),
+        ):
+            rows = matrix[[int(text.rsplit(" ", 1)[1]) for text in texts]]
+            nonzero = rows.view(np.uint64) != 0
+            sections += np.packbits(nonzero, axis=1).tobytes(), rows[nonzero].astype("<f8").tobytes()
+        assert raw == b"".join(sections)
+
 
 class TestBitmapStore:
     """In memory the cache keeps the file's layout: a row-aligned bitmap, the nonzero values, and offsets."""

@@ -8,6 +8,7 @@ only between triples whose loop totals are that close.
 from __future__ import annotations
 
 import json
+from random import Random
 from unittest import mock
 
 import numpy as np
@@ -26,43 +27,68 @@ from helpers import VANILLA, channel_mrr, channel_mrr_table, channel_scores, sub
 
 TOLERANCE = 1e-12
 
-# One embedder per dimension for the whole module, so later examples hit the
-# token -> slot memo that earlier ones filled.
+# One embedder per dimension for the whole module; a batch shares no state
+# with the batches before it, so reuse must change no bit either.
 EMBEDDERS = {d: ReferenceEmbedder(d) for d in (1, 7, 256)}
 
 EDGE_TEXTS = (
     "",
     "   ",
     "_",
+    "_-.,;:!?/\\|()[]{} \t\n",  # separators only
     "a a a a",
     "repeat Repeat REPEAT repeat",
     "Ünïcode naïve café",
     "ΟΔΥΣΣΕΥΣ ΣΑΣ",
     "日本語 テキスト",
     "ǅemal İstanbul ß",
+    "İstanbul",  # lower-cases to a longer text
+    "٣ items",  # a digit of another script
     "tab\tand\nnewline",
+    "x\x00y",  # a NUL inside a text
+    "\x00",
+    "a\ud800b",  # a lone surrogate, which UTF-8 cannot encode
     "location.country.currency_used",
     "[MASK] located in [MASK]",
+    "x" * 64 + " " + "y" * 65 + " " + "z" * 300,  # long tokens of 64, 65 and 300 bytes
 )
 
 texts_strategy = st.lists(st.one_of(st.sampled_from(EDGE_TEXTS), st.text(max_size=40)), max_size=12)
+
+
+def assert_bits_equal(texts, vectors, d):
+    assert len(vectors) == len(texts)
+    for text, vec in zip(texts, vectors):
+        expected = embed_reference(text, d)
+        assert vec.dtype == expected.dtype and vec.shape == expected.shape
+        assert (vec.view(np.uint64) == expected.view(np.uint64)).all(), repr(text)
 
 
 class TestReferenceEmbeddingBitIdentity:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(d=st.sampled_from(sorted(EMBEDDERS)), texts=texts_strategy)
     def test_embed_many_equals_embed_reference(self, d, texts):
-        vectors = EMBEDDERS[d].embed_many(texts)
-        assert len(vectors) == len(texts)
-        for text, vec in zip(texts, vectors):
-            expected = embed_reference(text, d)
-            assert vec.dtype == expected.dtype and vec.shape == expected.shape
-            assert (vec == expected).all(), text
+        assert_bits_equal(texts, EMBEDDERS[d].embed_many(texts), d)
 
     @pytest.mark.parametrize("d", sorted(EMBEDDERS))
     def test_edge_texts(self, d):
-        for text, vec in zip(EDGE_TEXTS, EMBEDDERS[d].embed_many(EDGE_TEXTS)):
-            assert (vec == embed_reference(text, d)).all(), text
+        assert_bits_equal(EDGE_TEXTS, EMBEDDERS[d].embed_many(EDGE_TEXTS), d)
+        for text in EDGE_TEXTS:  # each alone, so no neighbour hides a fault at a batch's edges
+            assert_bits_equal([text], EMBEDDERS[d].embed_many([text]), d)
+
+    @pytest.mark.parametrize("d", sorted(EMBEDDERS))
+    def test_batch_mixing_ascii_and_non_ascii_texts(self, d):
+        rng = Random(d)
+        pool = list(EDGE_TEXTS) + ["Zürich", "Σωκράτης", "İzmir", "plain ascii", "ASCII with_underscore", "x\x00y"]
+        texts = [rng.choice(pool) + rng.choice(("", " ", "\x00", "é")) + rng.choice(pool) for _ in range(300)]
+        assert any(text.isascii() for text in texts) and not all(text.isascii() for text in texts)
+        assert_bits_equal(texts, EMBEDDERS[d].embed_many(texts), d)
+
+    def test_batch_of_more_than_2048_texts(self):
+        rng = Random(5)
+        words = ["amber", "Mesa", "dune", "İzmir", "r2d2", "x\x00y", "", "_", "٣"]
+        texts = [" ".join(rng.choice(words) for _ in range(rng.randint(0, 6))) for _ in range(2500)]
+        assert_bits_equal(texts, EMBEDDERS[256].embed_many(texts), 256)
 
     def test_empty_batch(self):
         assert ReferenceEmbedder().embed_many([]) == []

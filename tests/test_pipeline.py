@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import kgqa
 from kgqa import cli, pipeline
-from kgqa.embedding import EmbeddingCache, ReferenceEmbedder, embed_batch
+from kgqa.embedding import EmbeddingCache, ReferenceEmbedder, embed_batch, embed_reference
 from kgqa.fixtures import build_mini_dataset, write_fixture
 from kgqa.gateway import estimate_tokens
 from kgqa.graph import Triple, load_graph, relation_text, textualize_triple
@@ -481,6 +481,40 @@ class TestColumnarPrune:
         errors = [json.loads(line) for line in (tmp_path / "stage" / "errors" / "prune.jsonl").read_text().splitlines()]
         assert [(e["id"], e["error"]) for e in errors] == [(bad.id, "line 2: empty field in ('', 'r', 'b')")]
         assert [row["id"] for row in pruned_rows(tmp_path / "stage")] == sorted(r.id for r in (records[0], records[2]))
+
+    def test_mixed_script_graph_prunes_as_per_text_embedding(self, tmp_path, small_fixture):
+        class PerTextEmbedder:
+            """The reference embedder's provider id, with each text embedded alone by `embed_reference`."""
+
+            provider_id, dimension = ReferenceEmbedder().provider_id, ReferenceEmbedder().dimension
+
+            def embed_many(self, texts):
+                return np.array([embed_reference(text, self.dimension) for text in texts]) if texts else []
+
+        records, script = small_fixture
+        names = ["Zürich", "Σωκράτης", "İzmir", "Nul\x00Town", "plain ascii town"]
+        mixed = [
+            replace(record, graph=record.graph + tuple(
+                (record.topic_entities[0], relation, name)
+                for relation in ("visited", "größe_von") for name in names
+            ) + ((names[0], "twinned_with", names[3]), (names[1], "taught", names[2])))
+            for record in records
+        ]
+        pruned = {}
+        for name, embedder in (("batch", None), ("per-text", PerTextEmbedder())):
+            ctx = make_ctx(mixed, script, tmp_path / name, top_k=40)
+            if embedder is not None:
+                ctx.embedder = embedder
+            run_stage("parse", ctx)
+            with mock.patch.object(ReferenceEmbedder, "embed_many", autospec=True,
+                                   side_effect=ReferenceEmbedder.embed_many) as spy:
+                run_stage("prune", ctx)
+            pruned[name] = (tmp_path / name / "pruned.jsonl").read_bytes()
+            if embedder is None:  # one prune batch held ASCII and non-ASCII texts together
+                assert any({text.isascii() for text in call.args[1]} == {True, False} for call in spy.call_args_list)
+        assert pruned["batch"] == pruned["per-text"]
+        kept = {value for row in pruned_rows(tmp_path / "batch") for entry in row["kept"] for value in (entry["s"], entry["o"])}
+        assert set(names) <= kept
 
 
 class TestSweepK:
